@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
 import sys
-from typing import IO, Iterator, Sequence
+from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -52,6 +53,8 @@ __all__ = ["main", "run", "build_parser"]
 
 _MODES = ("analytic", "sample", "classical-mixture")
 _SAMPLER_MODE = {"sample": "quantum", "classical-mixture": "classical_mixture"}
+
+_T = TypeVar("_T")
 
 
 class UsageError(ValueError):
@@ -187,6 +190,14 @@ def _parse_angles(text: str) -> tuple[float, float, float, float]:
         raise UsageError(f"bad --angles value: {error}") from None
 
 
+def _from_flags(build: Callable[..., _T], *args, **kwargs) -> _T:
+    """Build a library value from flag values; a rejected value is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as error:
+        raise UsageError(str(error)) from None
+
+
 @contextlib.contextmanager
 def _output_stream(path: str | None) -> Iterator[IO[str]]:
     if path is None:
@@ -242,19 +253,11 @@ def _write_streams(
     print(f"wrote {args.output} and {control_path}", file=sys.stderr)
 
 
-def _joined_partition(
-    system: Sequence[sampler.MeasurementRecord],
-    control: Sequence[sampler.ControlRecord],
-) -> sampler.JoinedStreams:
-    return sampler.delayed_join(system, control)
-
-
 def _hom_reference_table(config: ExperimentConfig) -> ProbabilityTable:
     if config.mode == "classical_mixture":
         return hom_table(config.phi, Statistics(config.statistics))
-    _, dists = sampler._hom_joint_distribution(config)
-    up = dists[0, 0::2]
-    down = dists[0, 1::2]
+    joint = sampler.sampling_table(config)[0]
+    up, down = joint[0::2], joint[1::2]
     values = np.column_stack([up, down, up + down])
     return ProbabilityTable(sampler.HOM_OUTCOMES, TABLE_COLUMNS, values)
 
@@ -275,7 +278,8 @@ def _run_hom(args: argparse.Namespace) -> int:
             out.write(table.to_csv() if form == "csv" else table.summary())
         return 0
 
-    config = ExperimentConfig(
+    config = _from_flags(
+        ExperimentConfig,
         experiment="hom",
         shots=args.shots,
         seed=args.seed,
@@ -288,7 +292,7 @@ def _run_hom(args: argparse.Namespace) -> int:
     if form == "csv":
         _write_streams(args, config, system, control)
         return 0
-    joined = _joined_partition(system, control)
+    joined = sampler.delayed_join(system, control)
     empirical_joined = sampler.empirical_table(joined.records, joined.partition())
     empirical_unjoined = sampler.empirical_table(joined.records)
     reference = _hom_reference_table(config)
@@ -310,7 +314,7 @@ def _resolve_chsh_settings(args: argparse.Namespace) -> ChshSettings:
         angles = _parse_angles(args.angles)
         if args.degrees:
             angles = tuple(a * math.pi / 180.0 for a in angles)
-        return ChshSettings(*angles)
+        return _from_flags(ChshSettings, *angles)
     return optimal_chsh_angles(args.phi, args.condition)
 
 
@@ -395,7 +399,8 @@ def _run_chsh(args: argparse.Namespace) -> int:
                 )
         return 0
 
-    config = ExperimentConfig(
+    config = _from_flags(
+        ExperimentConfig,
         experiment="chsh",
         shots=args.shots,
         seed=args.seed,
@@ -408,7 +413,7 @@ def _run_chsh(args: argparse.Namespace) -> int:
     if form == "csv":
         _write_streams(args, config, system, control)
         return 0
-    joined = _joined_partition(system, control)
+    joined = sampler.delayed_join(system, control)
     s_up, err_up = sampler.chsh_statistic(joined.labeled(+1))
     s_down, err_down = sampler.chsh_statistic(joined.labeled(-1))
     s_raw, err_raw = sampler.chsh_statistic(joined.records)
@@ -481,7 +486,9 @@ def _run_phase_est(args: argparse.Namespace) -> int:
         )
         rows = []
         for theta in thetas:
-            setup = MetrologySetup(args.n, float(theta), args.phi, args.control_angle)
+            setup = _from_flags(
+                MetrologySetup, args.n, float(theta), args.phi, args.control_angle
+            )
             variance = ""
             if erasing:
                 variance = repr(float(phase_sensitivity(setup)))
@@ -518,7 +525,8 @@ def _run_phase_est(args: argparse.Namespace) -> int:
                     )
         return 0
 
-    base_config = ExperimentConfig(
+    base_config = _from_flags(
+        ExperimentConfig,
         experiment="metrology",
         shots=args.shots,
         seed=args.seed,
@@ -530,18 +538,10 @@ def _run_phase_est(args: argparse.Namespace) -> int:
     )
     rows = []
     for index, theta in enumerate(thetas):
-        config = ExperimentConfig(
-            experiment="metrology",
-            shots=args.shots,
-            seed=(args.seed + index) % 2**64,
-            phi=args.phi,
-            n=args.n,
-            theta=float(theta),
-            control_basis_angle=args.control_angle,
-            mode=_SAMPLER_MODE[args.mode],
-        )
+        seed = (args.seed + index) % 2**64
+        config = _from_flags(dataclasses.replace, base_config, seed=seed, theta=float(theta))
         system, control = sampler.run_experiment(config)
-        joined = _joined_partition(system, control)
+        joined = sampler.delayed_join(system, control)
         up = _safe_parity(joined.labeled(+1))
         down = _safe_parity(joined.labeled(-1))
         raw = _safe_parity(joined.records)
@@ -608,9 +608,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return _DISPATCH[args.command](args)
     except UsageError as error:
-        print(f"usage error: {error}", file=sys.stderr)
-        return 2
-    except ValueError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 2
     except Exception as error:  # noqa: BLE001 - single-line diagnostic contract

@@ -38,7 +38,6 @@ __all__ = [
     "canonicalize",
     "beam_splitter_substitute",
     "event_probability",
-    "distinguishable_event_probability",
     "hom_input_state",
     "PORTS",
     "SPINS",
@@ -392,26 +391,6 @@ def event_probability(
             )
             probability += abs(amp) ** 2 * weight
     return float(probability)
-
-
-def distinguishable_event_probability(
-    state: FockPolynomial,
-    ports: str,
-    control_outcome: int | None = None,
-    control_angle: float = 0.0,
-    spins: tuple[str, str] | None = None,
-) -> float:
-    """Detection probability for labeled, non-identical particles.
-
-    The particle labels keep every single-particle history orthogonal:
-    no (anti)symmetrization is applied, each labeled particle propagates
-    through the splitter independently, and the pattern probability sums
-    the squared amplitudes of all label assignments compatible with the
-    unlabeled detection pattern.
-    """
-    if state.statistics is not Statistics.DISTINGUISHABLE:
-        raise ValueError("state does not carry distinguishable-particle labels")
-    return event_probability(state, ports, control_outcome, control_angle, spins)
 
 
 def hom_input_state(phi: float, statistics: Statistics) -> FockPolynomial:

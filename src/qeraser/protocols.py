@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import fock
 from .fock import Statistics
@@ -41,6 +40,7 @@ from .qubits import (
     rotation_y,
     sigma_x,
     sigma_z,
+    spectral_projectors,
     tripartite_spin_state,
 )
 
@@ -179,13 +179,9 @@ def chsh_table(theta_a: float, theta_b: float, phi: float) -> ProbabilityTable:
     (A, B) outcomes as dd, du, ud, uu.
     """
     state = tripartite_spin_state(phi)
-    proj_a = {o: 0.5 * (identity() + o * analyzer_observable(theta_a)) for o in (1, -1)}
-    proj_b = {o: 0.5 * (identity() + o * analyzer_observable(theta_b)) for o in (1, -1)}
-    proj_c = {
-        +1: 0.5 * (identity() + sigma_z()),
-        -1: 0.5 * (identity() - sigma_z()),
-        0: identity(),
-    }
+    proj_a = spectral_projectors(analyzer_observable(theta_a))
+    proj_b = spectral_projectors(analyzer_observable(theta_b))
+    proj_c = {**spectral_projectors(sigma_z()), 0: identity()}
     values = np.zeros((4, 3))
     for i, outcome_pair in enumerate(CHSH_OUTCOMES):
         a = +1 if outcome_pair[0] == "u" else -1
@@ -239,6 +235,9 @@ def optimal_chsh_angles(
     """
     if condition not in ("up", "down"):
         raise ValueError("optimal settings exist only for conditions 'up'/'down'")
+    # imported here: scipy.optimize costs more to import than the whole package
+    from scipy import optimize
+
     sign = {"up": 1.0, "down": -1.0}[condition]
 
     # with E(a_i, b_j) = sign * cos(a_i - b_j + phi) the CHSH combination
@@ -415,11 +414,10 @@ def phase_sensitivity(setup: MetrologySetup) -> float:
     Method of moments: Var(parity) / (d<parity>/d theta)^2, evaluated on
     the control +1 branch.  The parity squares to the identity, so
     Var = 1 - <parity>^2.  The derivative of the fringe
-    (-1)^n cos(n theta + phi) is used in closed form and cross-checked
-    against a central finite difference of the full pipeline (step 1e-6,
-    agreement 1e-6 relative with a 1e-8 absolute floor).  At a stationary
-    fringe point (|slope| < 1e-9) the sensitivity diverges and ``inf`` is
-    returned instead of a meaningless large number.
+    (-1)^n cos(n theta + phi) is used in closed form; ``qeraser verify``
+    cross-checks it against a finite difference of the full pipeline.  At
+    a stationary fringe point (|slope| < 1e-9) the sensitivity diverges
+    and ``inf`` is returned instead of a meaningless large number.
     """
     if abs(setup.control_angle - math.pi / 2) > 1e-9:
         raise ValueError("phase sensitivity is defined for the erasing readout")
@@ -428,18 +426,5 @@ def phase_sensitivity(setup: MetrologySetup) -> float:
     slope = -((-1.0) ** n) * n * math.sin(n * setup.theta + setup.phi)
     if abs(slope) < 1e-9:
         return math.inf
-    step = 1e-6
-    plus = parity_expectation(
-        MetrologySetup(n, setup.theta + step, setup.phi, setup.control_angle), +1
-    )
-    minus = parity_expectation(
-        MetrologySetup(n, setup.theta - step, setup.phi, setup.control_angle), +1
-    )
-    finite_difference = (plus - minus) / (2.0 * step)
-    if abs(finite_difference - slope) > 1e-6 * abs(slope) + 1e-8:
-        raise ArithmeticError(
-            f"fringe slope check failed: analytic {slope!r}, "
-            f"finite difference {finite_difference!r}"
-        )
     variance = 1.0 - fringe**2
     return variance / slope**2

@@ -39,6 +39,7 @@ __all__ = [
     "ghz_state",
     "bell_relative_state",
     "tripartite_spin_state",
+    "spectral_projectors",
     "apply_single_qubit",
     "project_qubit",
     "measure_qubit",
@@ -109,6 +110,24 @@ def phase_rotation(theta: float) -> np.ndarray:
     )
 
 
+def spectral_projectors(observable: np.ndarray) -> dict[int, np.ndarray]:
+    """Projectors {+1: P+, -1: P-} onto the eigenspaces of a +-1 observable."""
+    return {o: 0.5 * (identity() + o * observable) for o in (+1, -1)}
+
+
+def _frozen_amplitudes(num_qubits: int, amplitudes: np.ndarray) -> np.ndarray:
+    """Read-only complex copy of ``amplitudes``, checked against the size."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"register size {num_qubits} outside supported range 1..{MAX_QUBITS}")
+    amps = np.array(amplitudes, dtype=complex)
+    if amps.shape != (2**num_qubits,):
+        raise ValueError(
+            f"amplitude vector of length {amps.shape} does not match {num_qubits} qubits"
+        )
+    amps.setflags(write=False)
+    return amps
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of ``num_qubits`` spins.
@@ -122,23 +141,22 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(
-                f"register size {self.num_qubits} outside supported range "
-                f"1..{MAX_QUBITS}"
-            )
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"amplitude vector of length {amps.shape} does not match "
-                f"{self.num_qubits} qubits"
-            )
+        amps = _frozen_amplitudes(self.num_qubits, self.amplitudes)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |psi| = {norm!r}")
-        amps = amps.copy()
-        amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    @classmethod
+    def _evolved(cls, num_qubits: int, amplitudes: np.ndarray) -> "StateVector":
+        """Result of a unitary step or a renormalized projection, norm unchecked.
+
+        Rounding drift over the gates of a 20-qubit pipeline passes 1e-12.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "num_qubits", num_qubits)
+        object.__setattr__(state, "amplitudes", _frozen_amplitudes(num_qubits, amplitudes))
+        return state
 
     def bit(self, index: int, basis_index: int) -> int:
         """Bit of qubit ``index`` inside computational ``basis_index``."""
@@ -271,7 +289,7 @@ def apply_single_qubit(state: StateVector, index: int, op: np.ndarray) -> StateV
     if not _is_unitary(op):
         raise ValueError("operator is not unitary within 1e-12")
     amps = _apply_factor(state.amplitudes, state.num_qubits, index, op)
-    return StateVector(state.num_qubits, amps)
+    return StateVector._evolved(state.num_qubits, amps)
 
 
 def _check_binary_observable(basis: np.ndarray) -> np.ndarray:
@@ -298,12 +316,14 @@ def project_qubit(
     basis = _check_binary_observable(basis)
     if outcome not in (+1, -1):
         raise ValueError("outcome must be +1 or -1")
-    projector = 0.5 * (np.eye(2) + outcome * basis)
+    projector = spectral_projectors(basis)[outcome]
     branch = _apply_factor(state.amplitudes, state.num_qubits, index, projector)
     probability = float(np.vdot(branch, branch).real)
     if probability < 1e-14:
         return probability, None
-    return probability, StateVector(state.num_qubits, branch / math.sqrt(probability))
+    return probability, StateVector._evolved(
+        state.num_qubits, branch / math.sqrt(probability)
+    )
 
 
 def measure_qubit(

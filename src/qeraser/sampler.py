@@ -7,7 +7,9 @@ system stream never carries the control basis angle or outcome; labeled
 data sets exist only after :func:`delayed_join` pairs the streams by shot
 index.  The classical baseline (:func:`classical_mixture_run`) replaces
 the control particle by a random preparation bit retained by a classical
-agent, which plays the role of the control stream.
+agent, which plays the role of the control stream.  Both modes run the same
+sampling body over a table of distributions: the leading uniforms of a
+shot pick its row (key bit, then setting pair) and the next one its cell.
 
 Randomness contract (``GENERATOR_ID``): Philox 4x64 keyed by the run
 seed; shot ``i`` owns counter block ``i``, i.e. the four raw 64-bit words
@@ -31,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,9 +53,9 @@ from .qubits import (
     analyzer_observable,
     bell_relative_state,
     expectation,
-    identity,
     rotation_y,
     sigma_z,
+    spectral_projectors,
     tripartite_spin_state,
 )
 
@@ -68,6 +70,7 @@ __all__ = [
     "EmpiricalTable",
     "run_experiment",
     "classical_mixture_run",
+    "sampling_table",
     "delayed_join",
     "empirical_table",
     "chsh_statistic",
@@ -182,78 +185,172 @@ def _control_projectors(basis_angle: float) -> dict[int, np.ndarray]:
     """
     rotation = rotation_y(-basis_angle)
     observable = rotation.conj().T @ sigma_z() @ rotation
-    observable = 0.5 * (observable + observable.conj().T)
-    return {
-        +1: 0.5 * (identity() + observable),
-        -1: 0.5 * (identity() - observable),
-    }
+    return spectral_projectors(0.5 * (observable + observable.conj().T))
 
 
-def _hom_joint_distribution(config: ExperimentConfig) -> tuple[list[tuple[str, int]], np.ndarray]:
+class _Plan(NamedTuple):
+    """What one (experiment, mode) pair hands to the shared sampling body.
+
+    ``table`` holds one outcome distribution per row.  A row is a setting
+    pair (a single row unless chsh); in classical mode the key bit comes
+    first, so row = key_row * pairs + pair with key +1 on key_row 0.
+    ``labels`` and ``controls`` give each cell's system and control
+    outcome; ``controls`` is None when the row's key bit is the control.
+    ``settings`` has one template per row.
+    """
+
+    table: np.ndarray
+    labels: Sequence[str]
+    controls: Sequence[int] | None
+    settings: Sequence[Mapping[str, float | int | str]]
+
+
+def _hom_quantum(config: ExperimentConfig) -> _Plan:
     state = fock.beam_splitter_substitute(
         fock.hom_input_state(config.phi, Statistics(config.statistics))
     )
     cells = [(pattern, c) for pattern in HOM_OUTCOMES for c in (+1, -1)]
-    probabilities = np.array(
-        [
-            fock.event_probability(
-                state,
-                pattern,
-                control_outcome=c,
-                control_angle=config.control_basis_angle,
+    joint = [
+        fock.event_probability(state, pattern, c, config.control_basis_angle)
+        for pattern, c in cells
+    ]
+    settings = {"phi": config.phi, "statistics": config.statistics}
+    return _Plan(np.array([joint]), [p for p, _ in cells], [c for _, c in cells], [settings])
+
+
+def _hom_classical(config: ExperimentConfig) -> _Plan:
+    table = hom_table(config.phi, Statistics(config.statistics))
+    branches = 2.0 * np.stack([table.column("C=up"), table.column("C=down")])
+    settings = {"phi": config.phi, "statistics": config.statistics}
+    return _Plan(branches, HOM_OUTCOMES, None, [settings] * 2)
+
+
+def _chsh_pairs(config: ExperimentConfig) -> list[dict[str, float | int]]:
+    """Settings of the four setting pairs, a-major, in sampling-row order."""
+    pairs = []
+    for i in (0, 1):
+        for j in (0, 1):
+            theta_a, theta_b = config.settings.pair(i, j)
+            pairs.append(
+                dict(setting_a=i, setting_b=j, theta_a=theta_a, theta_b=theta_b, phi=config.phi)
             )
-            for pattern, c in cells
-        ]
-    )
-    return cells, probabilities[None, :]
+    return pairs
 
 
-def _chsh_pair_angles(settings: ChshSettings) -> list[tuple[int, int, float, float]]:
+def _analyzer_projectors(pair: Mapping[str, float | int], outcome: str) -> list[np.ndarray]:
+    """Projectors of analyzers A and B onto the joint outcome ``outcome``."""
     return [
-        (i, j, *settings.pair(i, j)) for i in (0, 1) for j in (0, 1)
+        spectral_projectors(analyzer_observable(pair[angle]))[_OUTCOME_SIGN[sign]]
+        for angle, sign in zip(("theta_a", "theta_b"), outcome)
     ]
 
 
-def _chsh_joint_distributions(config: ExperimentConfig) -> tuple[list[tuple[str, int]], np.ndarray]:
-    """(cells, (4 pairs, 8 cells)) joint distributions including the control."""
+def _chsh_quantum(config: ExperimentConfig) -> _Plan:
     state = tripartite_spin_state(config.phi)
     proj_c = _control_projectors(config.control_basis_angle)
+    pairs = _chsh_pairs(config)
     cells = [(outcome, c) for outcome in CHSH_OUTCOMES for c in (+1, -1)]
-    table = np.zeros((4, len(cells)))
-    for row, (_, _, theta_a, theta_b) in enumerate(_chsh_pair_angles(config.settings)):
-        proj_a = {
-            o: 0.5 * (identity() + o * analyzer_observable(theta_a)) for o in (1, -1)
-        }
-        proj_b = {
-            o: 0.5 * (identity() + o * analyzer_observable(theta_b)) for o in (1, -1)
-        }
-        for col, (outcome, c) in enumerate(cells):
-            a = _OUTCOME_SIGN[outcome[0]]
-            b = _OUTCOME_SIGN[outcome[1]]
-            table[row, col] = expectation(state, [proj_a[a], proj_b[b], proj_c[c]])
-    return cells, table
+    table = [
+        [expectation(state, [*_analyzer_projectors(pair, o), proj_c[c]]) for o, c in cells]
+        for pair in pairs
+    ]
+    return _Plan(np.array(table), [o for o, _ in cells], [c for _, c in cells], pairs)
 
 
-def _metrology_joint_distribution(config: ExperimentConfig) -> tuple[list[tuple[str, int]], np.ndarray]:
+def _chsh_classical(config: ExperimentConfig) -> _Plan:
+    pairs = _chsh_pairs(config)
+    branches = [bell_relative_state(config.phi, sign) for sign in (+1, -1)]
+    table = [
+        [expectation(branch, _analyzer_projectors(pair, o)) for o in CHSH_OUTCOMES]
+        for branch in branches
+        for pair in pairs
+    ]
+    return _Plan(np.array(table), CHSH_OUTCOMES, None, pairs * 2)
+
+
+def _parity_branches(
+    config: ExperimentConfig, control_angle: float
+) -> dict[int, tuple[float, list[float]]]:
+    """Per control outcome: its probability and the parity distribution given it."""
     branches = parity_branch_statistics(
-        MetrologySetup(config.n, config.theta, config.phi, config.control_basis_angle)
+        MetrologySetup(config.n, config.theta, config.phi, control_angle)
     )
-    cells = [(parity, c) for parity in _PARITY_ROWS for c in (+1, -1)]
-    probabilities = np.array(
-        [
-            branches[c][0] * 0.5 * (1.0 + int(parity) * branches[c][1])
-            for parity, c in cells
-        ]
-    )
-    return cells, probabilities[None, :]
+    return {
+        c: (probability, [0.5 * (1.0 + int(parity) * value) for parity in _PARITY_ROWS])
+        for c, (probability, value) in branches.items()
+    }
 
 
-def _hom_settings(config: ExperimentConfig) -> dict[str, float | str]:
-    return {"phi": config.phi, "statistics": config.statistics}
+def _metrology_quantum(config: ExperimentConfig) -> _Plan:
+    branches = _parity_branches(config, config.control_basis_angle)
+    cells = [(k, c) for k in range(len(_PARITY_ROWS)) for c in (+1, -1)]
+    joint = [branches[c][0] * branches[c][1][k] for k, c in cells]
+    settings = {"n": config.n, "theta": config.theta, "phi": config.phi}
+    labels = [_PARITY_ROWS[k] for k, _ in cells]
+    return _Plan(np.array([joint]), labels, [c for _, c in cells], [settings])
 
 
-def _metrology_settings(config: ExperimentConfig) -> dict[str, float | int]:
-    return {"n": config.n, "theta": config.theta, "phi": config.phi}
+def _metrology_classical(config: ExperimentConfig) -> _Plan:
+    branches = _parity_branches(config, math.pi / 2)
+    table = np.array([branches[c][1] for c in (+1, -1)])
+    settings = {"n": config.n, "theta": config.theta, "phi": config.phi}
+    return _Plan(table, _PARITY_ROWS, None, [settings] * 2)
+
+
+_PLANS = {
+    ("hom", "quantum"): _hom_quantum,
+    ("hom", "classical_mixture"): _hom_classical,
+    ("chsh", "quantum"): _chsh_quantum,
+    ("chsh", "classical_mixture"): _chsh_classical,
+    ("metrology", "quantum"): _metrology_quantum,
+    ("metrology", "classical_mixture"): _metrology_classical,
+}
+
+
+def sampling_table(config: ExperimentConfig) -> np.ndarray:
+    """(rows, cells) distributions the sampler draws ``config``'s shots from.
+
+    Quantum mode: one row per setting pair (a single row unless chsh),
+    cells are joint (system outcome, control outcome) pairs ordered
+    system-major with control +1 first.  Classical mode: rows are (key,
+    setting pair) with key +1 first, cells are system outcomes.
+    """
+    return _PLANS[config.experiment, config.mode](config).table
+
+
+def _sample(
+    config: ExperimentConfig,
+) -> tuple[tuple[MeasurementRecord, ...], tuple[ControlRecord, ...]]:
+    """The one sampling body shared by every experiment and mode."""
+    plan = _PLANS[config.experiment, config.mode](config)
+    uniforms = _shot_uniforms(config.seed, config.shots)
+    # leading uniforms pick the row in the frozen layout: key bit, then pair
+    rows = np.zeros(config.shots, dtype=int)
+    column = 0
+    if plan.controls is None:  # key +1 (row block 0) below 1/2
+        rows = (uniforms[:, column] >= 0.5).astype(int)
+        column += 1
+    if config.experiment == "chsh":
+        rows = rows * 4 + np.minimum((uniforms[:, column] * 4).astype(int), 3)
+        column += 1
+    chosen = _cell_indices(uniforms[:, column], plan.table, rows=rows)
+    del uniforms
+
+    if plan.controls is None:  # the key bit of the row is the control record
+        half = len(plan.table) // 2
+        width = plan.table.shape[1]
+        control_of = [[+1] * width] * half + [[-1] * width] * half
+        basis_angle = None
+    else:
+        control_of = [plan.controls] * len(plan.table)
+        basis_angle = config.control_basis_angle
+    system: list[MeasurementRecord] = []
+    control: list[ControlRecord] = []
+    for i, (row, cell) in enumerate(zip(rows.tolist(), chosen.tolist())):
+        settings = dict(plan.settings[row])
+        system.append(MeasurementRecord(i, config.experiment, plan.labels[cell], settings))
+        control.append(ControlRecord(i, control_of[row][cell], basis_angle))
+    return tuple(system), tuple(control)
 
 
 def run_experiment(
@@ -269,75 +366,7 @@ def run_experiment(
     """
     if config.mode == "classical_mixture":
         return classical_mixture_run(config)
-    uniforms = _shot_uniforms(config.seed, config.shots)
-
-    if config.experiment == "hom":
-        cells, dists = _hom_joint_distribution(config)
-        chosen = _cell_indices(uniforms[:, 0], dists)
-        base = _hom_settings(config)
-        system = tuple(
-            MeasurementRecord(i, "hom", cells[k][0], dict(base))
-            for i, k in enumerate(chosen)
-        )
-    elif config.experiment == "chsh":
-        cells, dists = _chsh_joint_distributions(config)
-        pair_index = np.minimum((uniforms[:, 0] * 4).astype(int), 3)
-        chosen = _cell_indices(uniforms[:, 1], dists, rows=pair_index)
-        pair_angles = _chsh_pair_angles(config.settings)
-        system = tuple(
-            MeasurementRecord(
-                i,
-                "chsh",
-                cells[k][0],
-                {
-                    "setting_a": pair_angles[p][0],
-                    "setting_b": pair_angles[p][1],
-                    "theta_a": pair_angles[p][2],
-                    "theta_b": pair_angles[p][3],
-                    "phi": config.phi,
-                },
-            )
-            for i, (p, k) in enumerate(zip(pair_index, chosen))
-        )
-    else:
-        cells, dists = _metrology_joint_distribution(config)
-        chosen = _cell_indices(uniforms[:, 0], dists)
-        base = _metrology_settings(config)
-        system = tuple(
-            MeasurementRecord(i, "metrology", cells[k][0], dict(base))
-            for i, k in enumerate(chosen)
-        )
-
-    control = tuple(
-        ControlRecord(i, cells[k][1], config.control_basis_angle)
-        for i, k in enumerate(chosen)
-    )
-    return system, control
-
-
-def _conditional_chsh_distributions(phi: float, settings: ChshSettings) -> np.ndarray:
-    """(8, 4): outcome distributions for key (+1 first) x setting pair."""
-    table = np.zeros((8, 4))
-    for key_row, sign in enumerate((+1, -1)):
-        branch = bell_relative_state(phi, sign)
-        for pair_row, (_, _, theta_a, theta_b) in enumerate(
-            _chsh_pair_angles(settings)
-        ):
-            proj_a = {
-                o: 0.5 * (identity() + o * analyzer_observable(theta_a))
-                for o in (1, -1)
-            }
-            proj_b = {
-                o: 0.5 * (identity() + o * analyzer_observable(theta_b))
-                for o in (1, -1)
-            }
-            for col, outcome in enumerate(CHSH_OUTCOMES):
-                a = _OUTCOME_SIGN[outcome[0]]
-                b = _OUTCOME_SIGN[outcome[1]]
-                table[key_row * 4 + pair_row, col] = expectation(
-                    branch, [proj_a[a], proj_b[b]]
-                )
-    return table
+    return _sample(config)
 
 
 def classical_mixture_run(
@@ -353,62 +382,7 @@ def classical_mixture_run(
     """
     if config.mode != "classical_mixture":
         raise ValueError("classical_mixture_run requires mode='classical_mixture'")
-    uniforms = _shot_uniforms(config.seed, config.shots)
-    keys = np.where(uniforms[:, 0] < 0.5, 1, -1)
-    key_row = (keys < 0).astype(int)  # 0 for +1, 1 for -1
-
-    if config.experiment == "hom":
-        table = hom_table(config.phi, Statistics(config.statistics))
-        branch_dists = np.stack(
-            [2.0 * table.column("C=up"), 2.0 * table.column("C=down")]
-        )
-        chosen = _cell_indices(uniforms[:, 1], branch_dists, rows=key_row)
-        base = _hom_settings(config)
-        system = tuple(
-            MeasurementRecord(i, "hom", HOM_OUTCOMES[k], dict(base))
-            for i, k in enumerate(chosen)
-        )
-    elif config.experiment == "chsh":
-        dists = _conditional_chsh_distributions(config.phi, config.settings)
-        pair_index = np.minimum((uniforms[:, 1] * 4).astype(int), 3)
-        chosen = _cell_indices(uniforms[:, 2], dists, rows=key_row * 4 + pair_index)
-        pair_angles = _chsh_pair_angles(config.settings)
-        system = tuple(
-            MeasurementRecord(
-                i,
-                "chsh",
-                CHSH_OUTCOMES[k],
-                {
-                    "setting_a": pair_angles[p][0],
-                    "setting_b": pair_angles[p][1],
-                    "theta_a": pair_angles[p][2],
-                    "theta_b": pair_angles[p][3],
-                    "phi": config.phi,
-                },
-            )
-            for i, (p, k) in enumerate(zip(pair_index, chosen))
-        )
-    else:
-        branches = parity_branch_statistics(
-            MetrologySetup(config.n, config.theta, config.phi, math.pi / 2)
-        )
-        branch_dists = np.stack(
-            [
-                [0.5 * (1.0 + branches[c][1]), 0.5 * (1.0 - branches[c][1])]
-                for c in (+1, -1)
-            ]
-        )
-        chosen = _cell_indices(uniforms[:, 1], branch_dists, rows=key_row)
-        base = _metrology_settings(config)
-        system = tuple(
-            MeasurementRecord(i, "metrology", _PARITY_ROWS[k], dict(base))
-            for i, k in enumerate(chosen)
-        )
-
-    key_stream = tuple(
-        ControlRecord(i, int(k), None) for i, k in enumerate(keys)
-    )
-    return system, key_stream
+    return _sample(config)
 
 
 class JoinError(ValueError):

@@ -278,6 +278,23 @@ def _check_phase_sensitivity() -> None:
     assert math.isinf(protocols.phase_sensitivity(diverging))
 
 
+def _check_fringe_slope() -> None:
+    # the closed-form slope that phase_sensitivity divides by must match a
+    # central finite difference of the full state-evolution pipeline
+    step, phi = 1e-6, 0.3
+    for n in range(1, 11):
+        theta = 0.4 / n
+        plus, minus = (
+            protocols.parity_expectation(MetrologySetup(n, t, phi, math.pi / 2), +1)
+            for t in (theta + step, theta - step)
+        )
+        finite_difference = (plus - minus) / (2.0 * step)
+        slope = -((-1.0) ** n) * n * math.sin(n * theta + phi)
+        assert abs(finite_difference - slope) <= 1e-6 * abs(slope) + 1e-8, (
+            f"slope {slope!r} vs finite difference {finite_difference!r} at n={n}"
+        )
+
+
 def _check_zero_discord_marginal() -> None:
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = 0.5  # |up down><up down|
@@ -368,12 +385,7 @@ def _check_no_signaling_analytic() -> None:
                 settings=ChshSettings(0.1, 0.9, 0.4, 1.8),
                 control_basis_angle=control_angle,
             )
-            if experiment == "hom":
-                _, dists = sampler._hom_joint_distribution(config)
-            elif experiment == "chsh":
-                _, dists = sampler._chsh_joint_distributions(config)
-            else:
-                _, dists = sampler._metrology_joint_distribution(config)
+            dists = sampler.sampling_table(config)
             # sum over the control outcome: even/odd cells pair up
             marginal = dists[..., 0::2] + dists[..., 1::2]
             distributions.append(marginal)
@@ -412,6 +424,7 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("parity-which-way-zero", _check_parity_which_way_zero),
     ("control-marginal-half", _check_control_marginal_half),
     ("phase-sensitivity-heisenberg", _check_phase_sensitivity),
+    ("fringe-slope-finite-difference", _check_fringe_slope),
     ("zero-discord-marginal", _check_zero_discord_marginal),
     ("local-unitary-equivalence", _check_local_unitary_equivalence),
     ("sampler-determinism", _check_sampler_determinism),

@@ -7,11 +7,15 @@ values a user sees, without spawning subprocesses.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import oracles
+from qeraser import cli
 from qeraser.cli import main
 from qeraser.protocols import TSIRELSON_BOUND, hom_table
 
@@ -59,6 +63,40 @@ class TestExitCodes:
 
     def test_invalid_config_value(self, capsys):
         assert main(["hom", "--mode", "sample", "--shots", "-4"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "--mode", "sample", "--shots", "-4"],
+            ["phase-est", "--n", "0"],
+            ["phase-est", "--n", "21", "--mode", "sample"],
+            ["chsh", "--angles", "0,1,2,inf"],
+        ],
+    )
+    def test_rejected_flag_values_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        assert "usage error" in capsys.readouterr().err
+
+    def test_library_value_error_is_a_runtime_error(self, monkeypatch, capsys):
+        def failing_table(*args, **kwargs):
+            raise ValueError("table build failed")
+
+        monkeypatch.setattr(cli, "hom_table", failing_table)
+        assert main(["hom"]) == 1
+        err = capsys.readouterr().err
+        assert "error: ValueError: table build failed" in err
+        assert "usage error" not in err
+
+    def test_import_leaves_the_optimizer_unloaded(self):
+        probe = "import sys, qeraser.cli; print('scipy.optimize' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert result.stdout.strip() == "False"
 
     def test_unwritable_output_is_a_runtime_error(self, capsys):
         code = main(["hom", "--output", "/no-such-directory/out.csv"])

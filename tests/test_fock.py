@@ -24,7 +24,6 @@ from qeraser.fock import (
     Statistics,
     beam_splitter_substitute,
     canonicalize,
-    distinguishable_event_probability,
     event_probability,
     hom_input_state,
 )
@@ -390,18 +389,11 @@ class TestEventProbability:
 
 
 class TestDistinguishable:
-    def test_requires_labeled_state(self):
-        routed = beam_splitter_substitute(hom_input_state(0.0, Statistics.BOSON))
-        with pytest.raises(ValueError, match="distinguishable-particle labels"):
-            distinguishable_event_probability(routed, "AB")
-
     def test_unconditioned_pattern_probabilities(self):
         routed = beam_splitter_substitute(
             hom_input_state(1.3, Statistics.DISTINGUISHABLE)
         )
-        probabilities = [
-            distinguishable_event_probability(routed, p) for p in DETECTION_PATTERNS
-        ]
+        probabilities = [event_probability(routed, p) for p in DETECTION_PATTERNS]
         assert probabilities == pytest.approx([0.5, 0.25, 0.25], abs=1e-12)
 
     @pytest.mark.parametrize("outcome", [+1, -1])
@@ -412,9 +404,7 @@ class TestDistinguishable:
                 hom_input_state(phi, Statistics.DISTINGUISHABLE)
             )
             column = [
-                distinguishable_event_probability(
-                    routed, p, outcome, math.pi / 2
-                )
+                event_probability(routed, p, outcome, math.pi / 2)
                 for p in DETECTION_PATTERNS
             ]
             assert column == pytest.approx([0.25, 0.125, 0.125], abs=1e-12)
@@ -424,9 +414,7 @@ class TestDistinguishable:
         routed = beam_splitter_substitute(
             hom_input_state(0.4, Statistics.DISTINGUISHABLE)
         )
-        value = distinguishable_event_probability(
-            routed, "AB", spins=("up", "down")
-        )
+        value = event_probability(routed, "AB", spins=("up", "down"))
         assert value == pytest.approx(0.25, abs=1e-12)
 
 

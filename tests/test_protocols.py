@@ -335,6 +335,12 @@ class TestParityFringe:
         assert branches[+1][0] == pytest.approx(0.5, abs=1e-12)
         assert branches[-1][0] == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("theta", [0.3, 2.0])
+    def test_largest_registers_keep_the_fringe(self, theta):
+        # 20 qubits: rounding drift over the gate chain passes the 1e-12 norm tolerance
+        value = parity_expectation(eraser_setup(19, theta, 0.0), +1)
+        assert value == pytest.approx(oracles.parity_fringe(19, theta, 0.0, +1), abs=1e-10)
+
     def test_invalid_outcome_rejected(self):
         with pytest.raises(ValueError, match=r"\+1, -1 or None"):
             parity_expectation(eraser_setup(2, 0.0, 0.0), 0)
@@ -358,6 +364,14 @@ class TestPhaseSensitivity:
             assert phase_sensitivity(setup) == pytest.approx(
                 oracles.heisenberg_variance(n), rel=1e-9
             )
+
+    def test_near_stationary_point_at_large_n(self):
+        # near a stationary point a finite difference of the fringe misses the
+        # closed-form slope by more than 1e-6 relative; the result must not care
+        n, theta = 14, 3.1416
+        variance = phase_sensitivity(eraser_setup(n, theta, 0.0))
+        slope = n * math.sin(n * theta)
+        assert variance * slope**2 == pytest.approx(math.sin(n * theta) ** 2, abs=1e-9)
 
     def test_stationary_point_diverges(self):
         assert math.isinf(phase_sensitivity(eraser_setup(3, 0.0, 0.0)))
