@@ -32,7 +32,7 @@ def conditional_ab(phi: float, statistics: str) -> float:
 def sampled_ab(phi: float, shots: int, seed: int) -> tuple[float, float]:
     config = ExperimentConfig(experiment="hom", shots=shots, seed=seed, phi=phi)
     joined = delayed_join(*run_experiment(config))
-    table = empirical_table(joined.records, joined.partition())
+    table = empirical_table(joined.system, joined.control.outcome)
     up_records = len(joined.labeled(+1))
     rate = table.value("AB", "C=up") * table.total / max(up_records, 1)
     error = math.sqrt(rate * (1.0 - rate) / max(up_records, 1))

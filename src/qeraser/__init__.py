@@ -34,12 +34,12 @@ from .qubits import (
     tripartite_spin_state,
 )
 from .sampler import (
-    ControlRecord,
+    ControlStream,
     EmpiricalTable,
     ExperimentConfig,
     JoinError,
     JoinedStreams,
-    MeasurementRecord,
+    SystemStream,
     chsh_statistic,
     classical_mixture_run,
     delayed_join,
@@ -73,12 +73,12 @@ __all__ = [
     "partial_trace",
     "project_qubit",
     "tripartite_spin_state",
-    "ControlRecord",
+    "ControlStream",
     "EmpiricalTable",
     "ExperimentConfig",
     "JoinError",
     "JoinedStreams",
-    "MeasurementRecord",
+    "SystemStream",
     "chsh_statistic",
     "classical_mixture_run",
     "delayed_join",

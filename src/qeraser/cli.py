@@ -9,7 +9,7 @@ Subcommands::
 
 Angles are radians unless ``--degrees`` is given.  ``--mode analytic``
 prints closed pipelines; ``sample`` and ``classical-mixture`` draw seeded
-shot records.  Sampled runs with ``--format csv`` write the system stream
+shot streams.  Sampled runs with ``--format csv`` write the system stream
 to ``--output`` and the control/key stream next to it (``NAME.control.EXT``);
 ``--format summary`` joins the streams and reports conditioned statistics.
 Every output begins with a metadata header that reproduces the run:
@@ -61,6 +61,17 @@ class UsageError(ValueError):
     """Invalid flag combination or value; maps to exit code 2."""
 
 
+def _finite_float(text: str) -> float:
+    """Type of the float flags: nan, infinities and non-numbers are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", metavar="PATH", help="write here instead of stdout")
@@ -97,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, sampling],
         help="two-particle interference table conditioned on the control spin",
     )
-    hom.add_argument("--phi", type=float, default=0.0, help="preparation phase")
+    hom.add_argument("--phi", type=_finite_float, default=0.0, help="preparation phase")
     hom.add_argument(
         "--statistics",
         choices=tuple(s.value for s in Statistics),
@@ -106,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hom.add_argument(
         "--control-angle",
-        type=float,
+        type=_finite_float,
         default=None,
         help="control analyzer angle (default 0: erases; pi/2 reveals the path)",
     )
@@ -116,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, sampling],
         help="conditional CHSH value at fixed or optimized analyzer settings",
     )
-    chsh.add_argument("--phi", type=float, default=0.0, help="preparation phase")
+    chsh.add_argument("--phi", type=_finite_float, default=0.0, help="preparation phase")
     chsh.add_argument(
         "--angles",
         metavar="A0,A1,B0,B1",
@@ -135,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chsh.add_argument(
         "--control-angle",
-        type=float,
+        type=_finite_float,
         default=None,
         help="control analyzer angle of the sampled run (default 0: erases)",
     )
@@ -146,8 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="GHZ parity fringes and phase sensitivity",
     )
     phase.add_argument("--n", type=int, default=2, help="register size")
-    phase.add_argument("--phi", type=float, default=0.0, help="preparation phase")
-    phase.add_argument("--theta", type=float, default=None, help="single phase point")
+    phase.add_argument("--phi", type=_finite_float, default=0.0, help="preparation phase")
+    phase.add_argument("--theta", type=_finite_float, help="single phase point")
     phase.add_argument(
         "--theta-scan",
         metavar="START:STOP:COUNT",
@@ -155,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     phase.add_argument(
         "--control-angle",
-        type=float,
+        type=_finite_float,
         default=None,
         help="control analyzer angle (default pi/2: erases; 0 reveals the branch)",
     )
@@ -240,8 +251,8 @@ def _to_radians(args: argparse.Namespace, names: Sequence[str]) -> None:
 def _write_streams(
     args: argparse.Namespace,
     config: ExperimentConfig,
-    system: Sequence[sampler.MeasurementRecord],
-    control: Sequence[sampler.ControlRecord],
+    system: sampler.SystemStream,
+    control: sampler.ControlStream,
 ) -> None:
     if args.output is None:
         raise UsageError("sampled stream output needs --output (or --format summary)")
@@ -293,8 +304,8 @@ def _run_hom(args: argparse.Namespace) -> int:
         _write_streams(args, config, system, control)
         return 0
     joined = sampler.delayed_join(system, control)
-    empirical_joined = sampler.empirical_table(joined.records, joined.partition())
-    empirical_unjoined = sampler.empirical_table(joined.records)
+    empirical_joined = sampler.empirical_table(joined.system, joined.control.outcome)
+    empirical_unjoined = sampler.empirical_table(joined.system)
     reference = _hom_reference_table(config)
     with _output_stream(args.output) as out:
         out.write(sampler.metadata_header(config) + "\n")
@@ -416,7 +427,7 @@ def _run_chsh(args: argparse.Namespace) -> int:
     joined = sampler.delayed_join(system, control)
     s_up, err_up = sampler.chsh_statistic(joined.labeled(+1))
     s_down, err_down = sampler.chsh_statistic(joined.labeled(-1))
-    s_raw, err_raw = sampler.chsh_statistic(joined.records)
+    s_raw, err_raw = sampler.chsh_statistic(joined.system)
     significance = (abs(s_up) - 2.0) / err_up if err_up > 0 else math.inf
     with _output_stream(args.output) as out:
         out.write(sampler.metadata_header(config) + "\n")
@@ -439,7 +450,7 @@ def _run_chsh(args: argparse.Namespace) -> int:
         )
         out.write(
             f"empirical S (unjoined):      {s_raw:+.4f} +- {err_raw:.4f} "
-            f"({len(joined.records)} shots)\n"
+            f"({len(joined.system)} shots)\n"
         )
         out.write(
             f"violation of |S| <= 2 (C=up branch): {significance:.2f} standard errors\n"
@@ -447,7 +458,7 @@ def _run_chsh(args: argparse.Namespace) -> int:
     return 0
 
 
-def _safe_parity(records: Sequence[sampler.MeasurementRecord]) -> tuple[float, float]:
+def _safe_parity(records: sampler.SystemStream) -> tuple[float, float]:
     if len(records) == 0:
         return math.nan, math.nan
     return sampler.empirical_parity(records)
@@ -544,7 +555,7 @@ def _run_phase_est(args: argparse.Namespace) -> int:
         joined = sampler.delayed_join(system, control)
         up = _safe_parity(joined.labeled(+1))
         down = _safe_parity(joined.labeled(-1))
-        raw = _safe_parity(joined.records)
+        raw = _safe_parity(joined.system)
         rows.append((float(theta), *up, *down, *raw))
 
     header_payload = {

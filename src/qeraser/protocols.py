@@ -368,13 +368,23 @@ def parity_via_x_product(state: StateVector, qubits: tuple[int, ...]) -> float:
     return expectation(state, factors)
 
 
+# the last setup and its branch statistics: an analytic scan asks for the
+# same setup's branches up to three times per phase point
+_last_branches: tuple[MetrologySetup, tuple] | None = None
+
+
 def parity_branch_statistics(
     setup: MetrologySetup,
 ) -> dict[int, tuple[float, float]]:
     """Control-outcome probabilities and conditional parity expectations.
 
-    Returns {control_outcome: (probability, conditional <parity>)}.
+    Returns {control_outcome: (probability, conditional <parity>)}, a new
+    dict on every call; the floats of the last setup are memoized.
     """
+    global _last_branches
+    memo = _last_branches
+    if memo is not None and memo[0] == setup:
+        return dict(memo[1])
     state = _prepared_register(setup)
     register = tuple(range(setup.n))
     branches: dict[int, tuple[float, float]] = {}
@@ -387,6 +397,7 @@ def parity_branch_statistics(
                 probability,
                 parity_via_rotation(conditional, register),
             )
+    _last_branches = (setup, tuple(branches.items()))
     return branches
 
 

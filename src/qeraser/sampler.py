@@ -1,20 +1,21 @@
 """Seeded shot-by-shot sampling with delayed joining of the control record.
 
-Every experiment emits two independent streams: measurement records for
-the system (detector pattern, analyzer outcomes, or register parity) and
-control records for the late measurement on the control particle.  The
-system stream never carries the control basis angle or outcome; labeled
-data sets exist only after :func:`delayed_join` pairs the streams by shot
-index.  The classical baseline (:func:`classical_mixture_run`) replaces
-the control particle by a random preparation bit retained by a classical
-agent, which plays the role of the control stream.  Both modes run the same
-sampling body over a table of distributions: the leading uniforms of a
-shot pick its row (key bit, then setting pair) and the next one its cell.
+Every experiment emits two independent streams of per-shot numpy columns:
+a :class:`SystemStream` (detector pattern, analyzer outcomes, or register
+parity) and a :class:`ControlStream` for the late measurement on the
+control particle.  The system stream never carries the control basis
+angle or outcome; labeled data sets exist only after :func:`delayed_join`
+pairs the streams by shot index.  The classical baseline
+(:func:`classical_mixture_run`) replaces the control particle by a random
+preparation bit retained by a classical agent, which plays the role of
+the control stream.  Both modes run the same sampling body over a table
+of distributions: the leading uniforms of a shot pick its row (key bit,
+then setting pair) and the next one its cell.
 
 Randomness contract (``GENERATOR_ID``): Philox 4x64 keyed by the run
 seed; shot ``i`` owns counter block ``i``, i.e. the four raw 64-bit words
 ``random_raw[4*i : 4*i+4]``, mapped to uniforms in [0, 1).  Substreams
-are therefore independent per shot and order-independent, and a record is
+are therefore independent per shot and order-independent, and a shot is
 invariant under changes of the total shot count.  Per-shot uniform layout
 (a frozen part of the stream format):
 
@@ -32,8 +33,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import IO, Callable, ClassVar, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -62,8 +63,8 @@ from .qubits import (
 __all__ = [
     "GENERATOR_ID",
     "EXPERIMENTS",
-    "MeasurementRecord",
-    "ControlRecord",
+    "SystemStream",
+    "ControlStream",
     "ExperimentConfig",
     "JoinError",
     "JoinedStreams",
@@ -89,22 +90,61 @@ _OUTCOME_SIGN = {"d": -1, "u": +1}
 _PARITY_ROWS = ("+1", "-1")
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One system shot.  ``settings`` never includes the control basis."""
+@dataclass(frozen=True, eq=False)
+class _Stream:
+    """Read-only per-shot numpy columns (``_COLUMNS``) beside per-run values.
 
-    shot_index: int
+    Row k of every column is one shot; indexing with a slice, an index
+    array or a boolean mask selects shots.
+    """
+
+    shot_index: np.ndarray
+    outcome: np.ndarray
+
+    _COLUMNS: ClassVar[tuple[str, ...]] = ("shot_index", "outcome")
+
+    def __post_init__(self) -> None:
+        for name in self._COLUMNS:
+            column = np.asarray(getattr(self, name)).view()
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.shot_index)
+
+    def __getitem__(self, index):
+        return replace(self, **{name: getattr(self, name)[index] for name in self._COLUMNS})
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, field.name), getattr(other, field.name))
+            for field in fields(self)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SystemStream(_Stream):
+    """System half of a run.  ``settings`` never includes the control basis.
+
+    Shot k has outcome ``labels[outcome[k]]`` and the settings template
+    ``settings[setting_row[k]]`` (one template per sampling row).
+    """
+
+    setting_row: np.ndarray
     experiment: str
-    system_outcome: str
-    settings: Mapping[str, float | int | str]
+    labels: tuple[str, ...]
+    settings: tuple[Mapping[str, float | int | str], ...]
+
+    _COLUMNS = ("shot_index", "outcome", "setting_row")
 
 
-@dataclass(frozen=True)
-class ControlRecord:
-    """One control shot; ``basis_angle`` is None for a classical key bit."""
+@dataclass(frozen=True, eq=False)
+class ControlStream(_Stream):
+    """Control half of a run: ``outcome`` is +1 or -1 per shot.
 
-    shot_index: int
-    control_outcome: int
+    ``basis_angle`` is None when the outcome is a classical key bit.
+    """
+
     basis_angle: float | None
 
 
@@ -194,14 +234,12 @@ class _Plan(NamedTuple):
     ``table`` holds one outcome distribution per row.  A row is a setting
     pair (a single row unless chsh); in classical mode the key bit comes
     first, so row = key_row * pairs + pair with key +1 on key_row 0.
-    ``labels`` and ``controls`` give each cell's system and control
-    outcome; ``controls`` is None when the row's key bit is the control.
+    ``labels`` are the system outcomes; cells follow :func:`sampling_table`.
     ``settings`` has one template per row.
     """
 
     table: np.ndarray
-    labels: Sequence[str]
-    controls: Sequence[int] | None
+    labels: tuple[str, ...]
     settings: Sequence[Mapping[str, float | int | str]]
 
 
@@ -215,14 +253,14 @@ def _hom_quantum(config: ExperimentConfig) -> _Plan:
         for pattern, c in cells
     ]
     settings = {"phi": config.phi, "statistics": config.statistics}
-    return _Plan(np.array([joint]), [p for p, _ in cells], [c for _, c in cells], [settings])
+    return _Plan(np.array([joint]), HOM_OUTCOMES, [settings])
 
 
 def _hom_classical(config: ExperimentConfig) -> _Plan:
     table = hom_table(config.phi, Statistics(config.statistics))
     branches = 2.0 * np.stack([table.column("C=up"), table.column("C=down")])
     settings = {"phi": config.phi, "statistics": config.statistics}
-    return _Plan(branches, HOM_OUTCOMES, None, [settings] * 2)
+    return _Plan(branches, HOM_OUTCOMES, [settings] * 2)
 
 
 def _chsh_pairs(config: ExperimentConfig) -> list[dict[str, float | int]]:
@@ -254,7 +292,7 @@ def _chsh_quantum(config: ExperimentConfig) -> _Plan:
         [expectation(state, [*_analyzer_projectors(pair, o), proj_c[c]]) for o, c in cells]
         for pair in pairs
     ]
-    return _Plan(np.array(table), [o for o, _ in cells], [c for _, c in cells], pairs)
+    return _Plan(np.array(table), CHSH_OUTCOMES, pairs)
 
 
 def _chsh_classical(config: ExperimentConfig) -> _Plan:
@@ -265,7 +303,7 @@ def _chsh_classical(config: ExperimentConfig) -> _Plan:
         for branch in branches
         for pair in pairs
     ]
-    return _Plan(np.array(table), CHSH_OUTCOMES, None, pairs * 2)
+    return _Plan(np.array(table), CHSH_OUTCOMES, pairs * 2)
 
 
 def _parity_branches(
@@ -286,15 +324,14 @@ def _metrology_quantum(config: ExperimentConfig) -> _Plan:
     cells = [(k, c) for k in range(len(_PARITY_ROWS)) for c in (+1, -1)]
     joint = [branches[c][0] * branches[c][1][k] for k, c in cells]
     settings = {"n": config.n, "theta": config.theta, "phi": config.phi}
-    labels = [_PARITY_ROWS[k] for k, _ in cells]
-    return _Plan(np.array([joint]), labels, [c for _, c in cells], [settings])
+    return _Plan(np.array([joint]), _PARITY_ROWS, [settings])
 
 
 def _metrology_classical(config: ExperimentConfig) -> _Plan:
     branches = _parity_branches(config, math.pi / 2)
     table = np.array([branches[c][1] for c in (+1, -1)])
     settings = {"n": config.n, "theta": config.theta, "phi": config.phi}
-    return _Plan(table, _PARITY_ROWS, None, [settings] * 2)
+    return _Plan(table, _PARITY_ROWS, [settings] * 2)
 
 
 _PLANS = {
@@ -318,16 +355,15 @@ def sampling_table(config: ExperimentConfig) -> np.ndarray:
     return _PLANS[config.experiment, config.mode](config).table
 
 
-def _sample(
-    config: ExperimentConfig,
-) -> tuple[tuple[MeasurementRecord, ...], tuple[ControlRecord, ...]]:
+def _sample(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
     """The one sampling body shared by every experiment and mode."""
     plan = _PLANS[config.experiment, config.mode](config)
+    keyed = config.mode == "classical_mixture"
     uniforms = _shot_uniforms(config.seed, config.shots)
     # leading uniforms pick the row in the frozen layout: key bit, then pair
     rows = np.zeros(config.shots, dtype=int)
     column = 0
-    if plan.controls is None:  # key +1 (row block 0) below 1/2
+    if keyed:  # key +1 (row block 0) below 1/2
         rows = (uniforms[:, column] >= 0.5).astype(int)
         column += 1
     if config.experiment == "chsh":
@@ -336,26 +372,20 @@ def _sample(
     chosen = _cell_indices(uniforms[:, column], plan.table, rows=rows)
     del uniforms
 
-    if plan.controls is None:  # the key bit of the row is the control record
-        half = len(plan.table) // 2
-        width = plan.table.shape[1]
-        control_of = [[+1] * width] * half + [[-1] * width] * half
-        basis_angle = None
-    else:
-        control_of = [plan.controls] * len(plan.table)
-        basis_angle = config.control_basis_angle
-    system: list[MeasurementRecord] = []
-    control: list[ControlRecord] = []
-    for i, (row, cell) in enumerate(zip(rows.tolist(), chosen.tolist())):
-        settings = dict(plan.settings[row])
-        system.append(MeasurementRecord(i, config.experiment, plan.labels[cell], settings))
-        control.append(ControlRecord(i, control_of[row][cell], basis_angle))
-    return tuple(system), tuple(control)
+    shots = np.arange(config.shots)
+    if keyed:  # the key bit of the row is the control outcome
+        outcome, basis_angle = chosen, None
+        control = np.where(rows < len(plan.table) // 2, 1, -1)
+    else:  # joint cells: system-major, control +1 first
+        outcome, basis_angle = chosen // 2, config.control_basis_angle
+        control = np.where(chosen % 2 == 0, 1, -1)
+    system = SystemStream(
+        shots, outcome, rows, config.experiment, plan.labels, tuple(plan.settings)
+    )
+    return system, ControlStream(shots, control, basis_angle)
 
 
-def run_experiment(
-    config: ExperimentConfig,
-) -> tuple[tuple[MeasurementRecord, ...], tuple[ControlRecord, ...]]:
+def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
     """Sample a run, returning the system stream and the control stream.
 
     Each shot's joint (system, control) outcome is drawn from the exact
@@ -369,9 +399,7 @@ def run_experiment(
     return _sample(config)
 
 
-def classical_mixture_run(
-    config: ExperimentConfig,
-) -> tuple[tuple[MeasurementRecord, ...], tuple[ControlRecord, ...]]:
+def classical_mixture_run(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
     """Sample the classical baseline: a random preparation instead of a control.
 
     Per shot a fair bit selects one of the two pure preparations (+1 picks
@@ -401,66 +429,45 @@ class JoinError(ValueError):
 
 @dataclass(frozen=True)
 class JoinedStreams:
-    """System records partitioned by the control outcome they joined to."""
+    """Both streams in shot order; ``control.outcome`` labels each system shot."""
 
-    by_outcome: Mapping[int, tuple[MeasurementRecord, ...]]
-    records: tuple[MeasurementRecord, ...]
+    system: SystemStream
+    control: ControlStream
 
-    def labeled(self, outcome: int) -> tuple[MeasurementRecord, ...]:
-        return self.by_outcome[outcome]
-
-    def partition(self) -> dict[int, str]:
-        """shot_index -> column label, as :func:`empirical_table` expects."""
-        mapping: dict[int, str] = {}
-        for outcome, label in ((+1, "C=up"), (-1, "C=down")):
-            for record in self.by_outcome[outcome]:
-                mapping[record.shot_index] = label
-        return mapping
+    def labeled(self, outcome: int) -> SystemStream:
+        return self.system[self.control.outcome == outcome]
 
 
 def delayed_join(
-    system_stream: Sequence[MeasurementRecord],
-    control_stream: Sequence[ControlRecord],
+    system_stream: SystemStream, control_stream: ControlStream
 ) -> JoinedStreams:
     """Merge the two streams by shot index, after the fact.
 
-    Every shot must appear exactly once in each stream; otherwise a
-    :class:`JoinError` lists the orphaned indices.  The result keeps the
-    unjoined view (all system records) alongside the two labeled sets.
+    Every shot must appear exactly once in each stream with a +1/-1
+    control outcome; otherwise a :class:`JoinError` lists the repeated,
+    orphaned or foreign shot indices.  The result keeps the unjoined view
+    (the whole system stream) beside the control outcomes that label it.
     """
-    system_by_index: dict[int, MeasurementRecord] = {}
-    for record in system_stream:
-        if record.shot_index in system_by_index:
-            raise JoinError((record.shot_index,), ())
-        system_by_index[record.shot_index] = record
-    control_by_index: dict[int, ControlRecord] = {}
-    for record in control_stream:
-        if record.shot_index in control_by_index:
-            raise JoinError((), (record.shot_index,))
-        control_by_index[record.shot_index] = record
-
-    system_only = tuple(sorted(set(system_by_index) - set(control_by_index)))
-    control_only = tuple(sorted(set(control_by_index) - set(system_by_index)))
-    if system_only or control_only:
-        raise JoinError(system_only, control_only)
-
-    ordered = tuple(system_by_index[i] for i in sorted(system_by_index))
-    by_outcome: dict[int, list[MeasurementRecord]] = {+1: [], -1: []}
-    for record in ordered:
-        outcome = control_by_index[record.shot_index].control_outcome
-        if outcome not in by_outcome:
-            raise JoinError((), (record.shot_index,))
-        by_outcome[outcome].append(record)
-    return JoinedStreams(
-        by_outcome={k: tuple(v) for k, v in by_outcome.items()}, records=ordered
+    system_index, system_order, repeats = np.unique(
+        system_stream.shot_index, return_index=True, return_counts=True
     )
-
-
-_ROWS_BY_EXPERIMENT = {
-    "hom": HOM_OUTCOMES,
-    "chsh": CHSH_OUTCOMES,
-    "metrology": _PARITY_ROWS,
-}
+    if np.any(repeats > 1):
+        raise JoinError(tuple(system_index[repeats > 1].tolist()), ())
+    control_index, control_order, repeats = np.unique(
+        control_stream.shot_index, return_index=True, return_counts=True
+    )
+    if np.any(repeats > 1):
+        raise JoinError((), tuple(control_index[repeats > 1].tolist()))
+    if not np.array_equal(system_index, control_index):
+        raise JoinError(
+            tuple(np.setdiff1d(system_index, control_index, assume_unique=True).tolist()),
+            tuple(np.setdiff1d(control_index, system_index, assume_unique=True).tolist()),
+        )
+    system, control = system_stream[system_order], control_stream[control_order]
+    foreign = control.shot_index[(control.outcome != 1) & (control.outcome != -1)]
+    if foreign.size:
+        raise JoinError((), tuple(foreign.tolist()))
+    return JoinedStreams(system, control)
 
 
 @dataclass(frozen=True)
@@ -498,48 +505,40 @@ class EmpiricalTable(ProbabilityTable):
 
 
 def empirical_table(
-    records: Sequence[MeasurementRecord],
-    partition: Mapping[int, str] | None = None,
+    records: SystemStream, control_outcome: np.ndarray | None = None
 ) -> EmpiricalTable:
-    """Relative outcome frequencies of a record set.
+    """Relative outcome frequencies of a system stream.
 
-    ``partition`` maps shot indices to column labels (as produced by
-    :meth:`JoinedStreams.partition`); ``None`` puts everything into a
-    single ``C=?`` column.  Frequencies are joint: cell count over the
-    total record count, so conditioned columns keep their ensemble
-    weight.  Empty cells are flagged rather than treated as errors.
+    ``control_outcome`` gives each shot's +1/-1 control outcome in stream
+    order (as ``JoinedStreams.control.outcome``) and splits the table
+    into the ``C=up``/``C=down`` columns that occur; ``None`` puts
+    everything into a single ``C=?`` column.  Frequencies are joint: cell
+    count over the total shot count, so conditioned columns keep their
+    ensemble weight.  Empty cells are flagged rather than treated as errors.
     """
     if len(records) == 0:
         raise ValueError("cannot tabulate an empty record set")
-    experiments = {record.experiment for record in records}
-    if len(experiments) != 1:
-        raise ValueError(f"records mix experiments: {sorted(experiments)}")
-    experiment = experiments.pop()
-    rows = _ROWS_BY_EXPERIMENT[experiment]
+    rows = records.labels
+    codes = records.outcome
+    if np.any((codes < 0) | (codes >= len(rows))):
+        raise ValueError(f"unknown outcome code for {records.experiment}")
 
-    if partition is None:
+    if control_outcome is None:
         columns: tuple[str, ...] = ("C=?",)
-        label_of = {record.shot_index: "C=?" for record in records}
+        counts = np.bincount(codes, minlength=len(rows))[:, None]
     else:
-        label_of = dict(partition)
-        seen = []
-        for record in records:
-            if record.shot_index not in label_of:
-                raise ValueError(f"shot {record.shot_index} missing from partition")
-            if label_of[record.shot_index] not in seen:
-                seen.append(label_of[record.shot_index])
-        preferred = [c for c in ("C=up", "C=down") if c in seen]
-        columns = tuple(preferred + sorted(set(seen) - set(preferred)))
-
-    counts = np.zeros((len(rows), len(columns)), dtype=int)
-    for record in records:
-        if record.system_outcome not in rows:
+        control_outcome = np.asarray(control_outcome)
+        if control_outcome.shape != codes.shape:
             raise ValueError(
-                f"unknown outcome {record.system_outcome!r} for {experiment}"
+                f"control column covers {control_outcome.size} of {len(records)} shots"
             )
-        counts[
-            rows.index(record.system_outcome), columns.index(label_of[record.shot_index])
-        ] += 1
+        down = control_outcome == -1
+        if not np.all(down | (control_outcome == 1)):
+            raise ValueError("control outcomes must be +1 or -1")
+        both = np.bincount(2 * codes + down, minlength=2 * len(rows)).reshape(-1, 2)
+        seen = both.sum(axis=0) > 0
+        columns = tuple(c for c, present in zip(("C=up", "C=down"), seen) if present)
+        counts = both[:, seen]
     total = len(records)
     values = counts / total
     standard_errors = np.sqrt(values * (1.0 - values) / total)
@@ -554,7 +553,7 @@ def empirical_table(
     )
 
 
-def chsh_statistic(records: Sequence[MeasurementRecord]) -> tuple[float, float]:
+def chsh_statistic(records: SystemStream) -> tuple[float, float]:
     """Empirical CHSH combination E00 + E01 + E10 - E11 and its standard error.
 
     ``records`` should be one labeled set from :func:`delayed_join` (or a
@@ -564,34 +563,32 @@ def chsh_statistic(records: Sequence[MeasurementRecord]) -> tuple[float, float]:
     """
     if len(records) == 0:
         raise ValueError("cannot estimate CHSH from an empty record set")
-    sums: dict[tuple[int, int], float] = {}
-    counts: dict[tuple[int, int], int] = {}
-    for record in records:
-        if record.experiment != "chsh":
-            raise ValueError("chsh_statistic needs chsh records")
-        pair = (int(record.settings["setting_a"]), int(record.settings["setting_b"]))
-        product = (
-            _OUTCOME_SIGN[record.system_outcome[0]]
-            * _OUTCOME_SIGN[record.system_outcome[1]]
-        )
-        sums[pair] = sums.get(pair, 0.0) + product
-        counts[pair] = counts.get(pair, 0) + 1
+    if records.experiment != "chsh":
+        raise ValueError("chsh_statistic needs chsh records")
+    pair_of_row = np.array(
+        [2 * int(s["setting_a"]) + int(s["setting_b"]) for s in records.settings]
+    )
+    product_of = np.array([_OUTCOME_SIGN[a] * _OUTCOME_SIGN[b] for a, b in records.labels])
+    pairs = pair_of_row[records.setting_row]
+    counts = np.bincount(pairs, minlength=4).tolist()
+    sums = np.bincount(pairs, weights=product_of[records.outcome], minlength=4).tolist()
     value = 0.0
     variance = 0.0
-    for pair, sign in (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), -1)):
-        if counts.get(pair, 0) == 0:
-            raise ValueError(f"no records for setting pair {pair}")
+    for pair, sign in enumerate((1, 1, 1, -1)):
+        if counts[pair] == 0:
+            raise ValueError(f"no records for setting pair {divmod(pair, 2)}")
         correlator = sums[pair] / counts[pair]
         value += sign * correlator
         variance += (1.0 - correlator**2) / counts[pair]
     return value, math.sqrt(variance)
 
 
-def empirical_parity(records: Sequence[MeasurementRecord]) -> tuple[float, float]:
-    """Mean register parity of a record set and its standard error."""
+def empirical_parity(records: SystemStream) -> tuple[float, float]:
+    """Mean register parity of a system stream and its standard error."""
     if len(records) == 0:
         raise ValueError("cannot estimate parity from an empty record set")
-    outcomes = np.array([int(record.system_outcome) for record in records], dtype=float)
+    parity_of = np.array([int(label) for label in records.labels], dtype=float)
+    outcomes = parity_of[records.outcome]
     mean = float(outcomes.mean())
     if len(outcomes) == 1:
         return mean, 1.0
@@ -622,14 +619,17 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def metadata_header(config: ExperimentConfig) -> str:
-    """One-line reproducibility header: config, generator id, code version."""
-    payload = {
+def _metadata(config: ExperimentConfig) -> dict:
+    return {
         "config": config_to_dict(config),
         "generator": GENERATOR_ID,
         "version": __version__,
     }
-    return "# " + json.dumps(payload, sort_keys=True)
+
+
+def metadata_header(config: ExperimentConfig) -> str:
+    """One-line reproducibility header: config, generator id, code version."""
+    return "# " + json.dumps(_metadata(config), sort_keys=True)
 
 
 def _format_field(value: float | int | str | None) -> str:
@@ -640,60 +640,77 @@ def _format_field(value: float | int | str | None) -> str:
     return str(value)
 
 
+_SHOT = -271828182845904523  # stands in for the shot index while a line is formatted
+
+
+def _write_lines(
+    stream: IO[str],
+    records: SystemStream | ControlStream,
+    line: Callable[[dict], str],
+) -> None:
+    """Write ``line(record)`` for every shot, formatting each distinct line once.
+
+    ``record`` is the shot as a JSONL object.  The shots of one distinct
+    line differ only in their index, so the line is formatted with a
+    stand-in index that each shot's own index then replaces.
+    """
+    if len(records) == 0:
+        return
+    if isinstance(records, SystemStream):
+        codes = records.setting_row * len(records.labels) + records.outcome
+        documents = [
+            {"experiment": records.experiment, "outcome": label, "settings": settings}
+            for settings in records.settings
+            for label in records.labels
+        ]
+    else:
+        values, codes = np.unique(records.outcome, return_inverse=True)
+        documents = [
+            {"control_outcome": value, "basis_angle": records.basis_angle}
+            for value in values.tolist()
+        ]
+    texts = [line({"shot_index": _SHOT, **document}) for document in documents]
+    parts = zip(*(text.split(str(_SHOT)) for text in texts))
+    heads, tails = (np.array(part, dtype=object)[codes].tolist() for part in parts)
+    shots = records.shot_index.tolist()
+    stream.writelines(f"{head}{shot}{tail}" for head, shot, tail in zip(heads, shots, tails))
+
+
 def write_stream_csv(
     stream: IO[str],
-    records: Sequence[MeasurementRecord] | Sequence[ControlRecord],
+    records: SystemStream | ControlStream,
     config: ExperimentConfig,
 ) -> None:
     """CSV serialization with the metadata header; byte-deterministic."""
     stream.write(metadata_header(config) + "\n")
     if len(records) == 0:
         return
-    first = records[0]
-    if isinstance(first, MeasurementRecord):
-        keys = sorted(first.settings)
+    if isinstance(records, SystemStream):
+        keys = sorted(records.settings[0])
+        if any(sorted(settings) != keys for settings in records.settings):
+            raise ValueError("records disagree on setting fields")
         stream.write("shot_index,experiment,outcome," + ",".join(keys) + "\n")
-        for record in records:
-            if sorted(record.settings) != keys:
-                raise ValueError("records disagree on setting fields")
-            fields = [str(record.shot_index), record.experiment, record.system_outcome]
-            fields += [_format_field(record.settings[k]) for k in keys]
-            stream.write(",".join(fields) + "\n")
+
+        def line(record: dict) -> str:
+            cells = [str(record["shot_index"]), record["experiment"], record["outcome"]]
+            cells += [_format_field(record["settings"][k]) for k in keys]
+            return ",".join(cells) + "\n"
+
     else:
         stream.write("shot_index,control_outcome,basis_angle\n")
-        for record in records:
-            stream.write(
-                f"{record.shot_index},{record.control_outcome:+d},"
-                f"{_format_field(record.basis_angle)}\n"
-            )
+
+        def line(record: dict) -> str:
+            angle = _format_field(record["basis_angle"])
+            return f"{record['shot_index']},{record['control_outcome']:+d},{angle}\n"
+
+    _write_lines(stream, records, line)
 
 
 def write_stream_jsonl(
     stream: IO[str],
-    records: Sequence[MeasurementRecord] | Sequence[ControlRecord],
+    records: SystemStream | ControlStream,
     config: ExperimentConfig,
 ) -> None:
     """Newline-delimited records, metadata object first; byte-deterministic."""
-    payload = {
-        "metadata": {
-            "config": config_to_dict(config),
-            "generator": GENERATOR_ID,
-            "version": __version__,
-        }
-    }
-    stream.write(json.dumps(payload, sort_keys=True) + "\n")
-    for record in records:
-        if isinstance(record, MeasurementRecord):
-            document = {
-                "shot_index": record.shot_index,
-                "experiment": record.experiment,
-                "outcome": record.system_outcome,
-                "settings": dict(record.settings),
-            }
-        else:
-            document = {
-                "shot_index": record.shot_index,
-                "control_outcome": record.control_outcome,
-                "basis_angle": record.basis_angle,
-            }
-        stream.write(json.dumps(document, sort_keys=True) + "\n")
+    stream.write(json.dumps({"metadata": _metadata(config)}, sort_keys=True) + "\n")
+    _write_lines(stream, records, lambda record: json.dumps(record, sort_keys=True) + "\n")

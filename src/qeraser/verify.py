@@ -348,7 +348,7 @@ def _check_join_completeness() -> None:
     joined = sampler.delayed_join(system, control)
     sizes = len(joined.labeled(+1)) + len(joined.labeled(-1))
     assert sizes == 40, "labeled sets must partition the shots"
-    assert len(joined.partition()) == 40
+    assert len(joined.control.outcome) == 40
     try:
         sampler.delayed_join(system[:-1], control)
     except sampler.JoinError as error:
@@ -358,10 +358,11 @@ def _check_join_completeness() -> None:
 
 
 def _check_empirical_table() -> None:
-    records = [
-        sampler.MeasurementRecord(i, "hom", outcome, {"phi": 0.0, "statistics": "boson"})
-        for i, outcome in enumerate(("AB", "AB", "AA", "BB"))
-    ]
+    settings = ({"phi": 0.0, "statistics": "boson"},)
+    outcomes = np.array([0, 0, 1, 2])  # AB, AB, AA, BB
+    records = sampler.SystemStream(
+        np.arange(4), outcomes, np.zeros(4, int), "hom", protocols.HOM_OUTCOMES, settings
+    )
     table = sampler.empirical_table(records)
     assert np.allclose(table.column("C=?"), [0.5, 0.25, 0.25])
     assert not table.flagged.any()

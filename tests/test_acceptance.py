@@ -99,7 +99,7 @@ def test_criterion_03_chsh_saturation_and_sampled_violation():
     joined = delayed_join(*run_experiment(config))
     s_up, err_up = chsh_statistic(joined.labeled(+1))
     assert abs(s_up) - 2.0 >= 5.0 * err_up, f"violation only {(abs(s_up)-2)/err_up:.1f} sigma"
-    s_all, err_all = chsh_statistic(joined.records)
+    s_all, err_all = chsh_statistic(joined.system)
     assert abs(s_all) <= 5.0 * err_all, "unjoined data shows spurious correlations"
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"saturation check took {elapsed:.1f} s"
@@ -171,16 +171,13 @@ def _joint_counts(config: ExperimentConfig) -> list[int]:
     joined = delayed_join(*run_experiment(config))
     counts: dict[tuple, int] = {}
     for label in (+1, -1):
-        for record in joined.labeled(label):
+        labeled = joined.labeled(label)
+        for row, code in zip(labeled.setting_row, labeled.outcome):
+            settings, outcome = labeled.settings[row], labeled.labels[code]
             if config.experiment == "chsh":
-                cell = (
-                    record.settings["setting_a"],
-                    record.settings["setting_b"],
-                    record.system_outcome,
-                    label,
-                )
+                cell = (settings["setting_a"], settings["setting_b"], outcome, label)
             else:
-                cell = (record.system_outcome, label)
+                cell = (outcome, label)
             counts[cell] = counts.get(cell, 0) + 1
     return [counts.get(cell, 0) for cell in sorted(counts | _all_cells(config))]
 

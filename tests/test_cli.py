@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qeraser import cli
+from qeraser import cli, protocols, qubits
 from qeraser.cli import main
 from qeraser.protocols import TSIRELSON_BOUND, hom_table
 
@@ -76,6 +76,21 @@ class TestExitCodes:
     def test_rejected_flag_values_are_usage_errors(self, argv, capsys):
         assert main(argv) == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "--phi", "nan"],
+            ["chsh", "--phi", "inf", "--angles", "0,1,2,3"],
+            ["hom", "--control-angle=-inf"],
+            ["hom", "--phi", "froth"],
+        ],
+    )
+    def test_non_finite_float_flags_are_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "not a finite number" in captured.err
+        assert captured.out == ""
 
     def test_library_value_error_is_a_runtime_error(self, monkeypatch, capsys):
         def failing_table(*args, **kwargs):
@@ -247,6 +262,20 @@ class TestPhaseEstCommand:
         assert len(rows) == 1
         assert float(rows[0][0]) == 0.0
         assert float(rows[0][1]) == pytest.approx(-1.0, abs=1e-12)  # (-1)^3 cos(0)
+
+    def test_analytic_scan_projects_each_branch_once_per_point(self, monkeypatch, capsys):
+        # the row and the sensitivity share one branch computation per theta
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return qubits.project_qubit(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "project_qubit", counting)
+        monkeypatch.setattr(protocols, "_last_branches", None)
+        assert main(["phase-est", "--n", "3", "--theta-scan", "0.1:2.1:5"]) == 0
+        assert len(parse_csv(capsys.readouterr().out)[2]) == 5
+        assert len(calls) == 2 * 5
 
     def test_which_way_readout_has_no_variance_column_values(self, capsys):
         assert main(["phase-est", "--n", "2", "--control-angle", "0"]) == 0

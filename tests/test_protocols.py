@@ -335,6 +335,13 @@ class TestParityFringe:
         assert branches[+1][0] == pytest.approx(0.5, abs=1e-12)
         assert branches[-1][0] == pytest.approx(0.5, abs=1e-12)
 
+    def test_memoized_branches_cannot_be_changed_by_a_caller(self):
+        setup = MetrologySetup(3, 0.8, 1.1, math.pi / 2)
+        first = parity_branch_statistics(setup)
+        expected = dict(first)
+        first[+1] = (0.0, 0.0)
+        assert parity_branch_statistics(setup) == expected
+
     @pytest.mark.parametrize("theta", [0.3, 2.0])
     def test_largest_registers_keep_the_fringe(self, theta):
         # 20 qubits: rounding drift over the gate chain passes the 1e-12 norm tolerance

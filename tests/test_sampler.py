@@ -8,9 +8,12 @@ real regression in the sampling pipeline lands far outside the band.
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 import oracles
@@ -24,10 +27,10 @@ from qeraser.protocols import (
 from qeraser.sampler import (
     EXPERIMENTS,
     GENERATOR_ID,
-    ControlRecord,
+    ControlStream,
     ExperimentConfig,
     JoinError,
-    MeasurementRecord,
+    SystemStream,
     chsh_statistic,
     classical_mixture_run,
     config_to_dict,
@@ -140,12 +143,12 @@ class TestDeterminism:
 
     def test_control_stream_carries_basis(self):
         _, control = run_experiment(hom_config(control_basis_angle=0.25))
-        assert all(record.basis_angle == 0.25 for record in control)
+        assert control.basis_angle == 0.25
 
     def test_chsh_records_expose_settings_not_control(self):
         system, _ = run_experiment(chsh_config())
-        for record in system[:10]:
-            assert set(record.settings) == {
+        for template in system.settings:
+            assert set(template) == {
                 "setting_a",
                 "setting_b",
                 "theta_a",
@@ -153,7 +156,8 @@ class TestDeterminism:
                 "phi",
             }
         # analyzer pairs are drawn roughly uniformly
-        pairs = {(r.settings["setting_a"], r.settings["setting_b"]) for r in system}
+        drawn = [system.settings[row] for row in set(system.setting_row.tolist())]
+        pairs = {(s["setting_a"], s["setting_b"]) for s in drawn}
         assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
@@ -162,15 +166,13 @@ class TestDelayedJoin:
         system, control = run_experiment(hom_config())
         joined = delayed_join(system, control)
         assert len(joined.labeled(+1)) + len(joined.labeled(-1)) == len(system)
-        assert joined.records == system
-        partition = joined.partition()
-        assert set(partition) == {record.shot_index for record in system}
-        assert set(partition.values()) <= {"C=up", "C=down"}
+        assert joined.system == system
+        assert len(joined.control.outcome) == len(system)
+        assert set(joined.control.outcome.tolist()) <= {+1, -1}
 
     def test_join_ignores_stream_order(self):
         system, control = run_experiment(hom_config())
-        shuffled = list(control)
-        np.random.default_rng(3).shuffle(shuffled)
+        shuffled = control[np.random.default_rng(3).permutation(len(control))]
         assert delayed_join(system, shuffled) == delayed_join(system, control)
 
     def test_missing_control_shot(self):
@@ -189,32 +191,112 @@ class TestDelayedJoin:
     def test_duplicate_shot_rejected(self):
         system, control = run_experiment(hom_config(shots=5))
         with pytest.raises(JoinError):
-            delayed_join(system + (system[0],), control)
+            delayed_join(system[[0, 1, 2, 3, 4, 0]], control)
         with pytest.raises(JoinError):
-            delayed_join(system, control + (control[0],))
+            delayed_join(system, control[[0, 1, 2, 3, 4, 0]])
 
     def test_foreign_control_outcome_rejected(self):
         system, control = run_experiment(hom_config(shots=3))
-        bad = list(control)
-        bad[1] = ControlRecord(1, 0, bad[1].basis_angle)
+        outcome = control.outcome.copy()
+        outcome[1] = 0
+        bad = ControlStream(control.shot_index, outcome, control.basis_angle)
         with pytest.raises(JoinError):
             delayed_join(system, bad)
+
+
+def _shuffled_side(draw, shots):
+    """Shot indices 0..shots-1 with a few deleted or repeated, in random order."""
+    deleted = draw(st.sets(st.integers(0, shots - 1), max_size=2))
+    repeated = draw(st.lists(st.integers(0, shots - 1), max_size=2))
+    indices = [i for i in range(shots) if i not in deleted]
+    indices += [i for i in repeated if i not in deleted]
+    return draw(st.permutations(indices)), draw(st.permutations(indices))
+
+
+@st.composite
+def join_inputs(draw):
+    shots = draw(st.integers(1, 12))
+    foreign = draw(st.sets(st.integers(0, shots - 1), max_size=1))
+    return shots, foreign, _shuffled_side(draw, shots), _shuffled_side(draw, shots)
+
+
+def control_value(shot, foreign):
+    return 0 if shot in foreign else (+1 if shot % 2 == 0 else -1)
+
+
+def join_result(system_indices, control_indices, foreign):
+    system = SystemStream(
+        np.array(system_indices, dtype=int),
+        np.array([i % 3 for i in system_indices], dtype=int),
+        np.zeros(len(system_indices), dtype=int),
+        "hom",
+        HOM_OUTCOMES,
+        ({"phi": 0.0, "statistics": "boson"},),
+    )
+    control = ControlStream(
+        np.array(control_indices, dtype=int),
+        np.array([control_value(i, foreign) for i in control_indices], dtype=int),
+        0.0,
+    )
+    try:
+        return delayed_join(system, control)
+    except JoinError as error:
+        return error.orphaned_system, error.orphaned_control
+
+
+def reference_errors(system_indices, control_indices, foreign):
+    """What a set-based join reports, or None when the streams pair up."""
+    for side, indices in ((0, system_indices), (1, control_indices)):
+        repeated = tuple(sorted(i for i, n in Counter(indices).items() if n > 1))
+        if repeated:
+            return (repeated, ()) if side == 0 else ((), repeated)
+    system_only = tuple(sorted(set(system_indices) - set(control_indices)))
+    control_only = tuple(sorted(set(control_indices) - set(system_indices)))
+    if system_only or control_only:
+        return system_only, control_only
+    foreign_shots = tuple(sorted(foreign & set(control_indices)))
+    return ((), foreign_shots) if foreign_shots else None
+
+
+class TestDelayedJoinProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(join_inputs())
+    def test_join_matches_a_set_based_reference_in_any_order(self, inputs):
+        _, foreign, (system_a, system_b), (control_a, control_b) = inputs
+        result = join_result(system_a, control_a, foreign)
+        assert result == join_result(system_b, control_b, foreign)
+        expected = reference_errors(system_a, control_a, foreign)
+        if expected is not None:
+            assert result == expected
+            return
+        joined = sorted(system_a)
+        assert result.system.shot_index.tolist() == joined
+        assert result.system.outcome.tolist() == [i % 3 for i in joined]
+        assert result.control.outcome.tolist() == [control_value(i, foreign) for i in joined]
+
+
+def stream_of(experiment, labels, outcomes, templates, rows=None):
+    """A hand-built system stream; ``rows`` index ``templates`` (all 0 if None)."""
+    return SystemStream(
+        np.arange(len(outcomes)),
+        np.array([labels.index(o) for o in outcomes], dtype=int),
+        np.zeros(len(outcomes), dtype=int) if rows is None else np.array(rows, dtype=int),
+        experiment,
+        labels,
+        tuple(templates),
+    )
 
 
 def hand_records():
     base = {"phi": 0.0, "statistics": "boson"}
     outcomes = ["AB", "AB", "AA", "BB"]
-    return tuple(
-        MeasurementRecord(i, "hom", outcome, dict(base))
-        for i, outcome in enumerate(outcomes)
-    )
+    return stream_of("hom", HOM_OUTCOMES, outcomes, [base])
 
 
 class TestEmpiricalTable:
     def test_hand_counted_partition(self):
         records = hand_records()
-        partition = {0: "C=up", 1: "C=down", 2: "C=up", 3: "C=down"}
-        table = empirical_table(records, partition)
+        table = empirical_table(records, np.array([+1, -1, +1, -1]))
         assert table.column_labels == ("C=up", "C=down")
         assert table.total == 4
         assert table.value("AB", "C=up") == 0.25
@@ -243,45 +325,39 @@ class TestEmpiricalTable:
         assert "total shots: 4" in text
 
     def test_partition_must_cover_all_shots(self):
-        with pytest.raises(ValueError, match="missing from partition"):
-            empirical_table(hand_records(), {0: "C=up"})
-
-    def test_mixed_experiments_rejected(self):
-        records = hand_records()[:1] + (
-            MeasurementRecord(1, "metrology", "+1", {"n": 1, "theta": 0.0, "phi": 0.0}),
-        )
-        with pytest.raises(ValueError, match="mix experiments"):
-            empirical_table(records)
+        with pytest.raises(ValueError, match="control column covers 1 of 4 shots"):
+            empirical_table(hand_records(), np.array([+1]))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty record set"):
-            empirical_table(())
+            empirical_table(hand_records()[:0])
 
     def test_unknown_outcome_rejected(self):
-        record = MeasurementRecord(0, "hom", "AC", {"phi": 0.0})
+        record = SystemStream([0], [3], [0], "hom", HOM_OUTCOMES, ({"phi": 0.0},))
         with pytest.raises(ValueError, match="unknown outcome"):
-            empirical_table((record,))
+            empirical_table(record)
 
 
-def chsh_record(shot, pair, outcome):
-    settings = {
-        "setting_a": pair[0],
-        "setting_b": pair[1],
-        "theta_a": 0.0,
-        "theta_b": 0.0,
-        "phi": 0.0,
-    }
-    return MeasurementRecord(shot, "chsh", outcome, settings)
+def chsh_records(*shots):
+    """A chsh system stream from (setting pair, outcome) shots."""
+    templates = [
+        {"setting_a": a, "setting_b": b, "theta_a": 0.0, "theta_b": 0.0, "phi": 0.0}
+        for a in (0, 1)
+        for b in (0, 1)
+    ]
+    outcomes = [outcome for _, outcome in shots]
+    rows = [2 * a + b for (a, b), _ in shots]
+    return stream_of("chsh", CHSH_OUTCOMES, outcomes, templates, rows)
 
 
 class TestChshStatistic:
     def test_hand_counted_value(self):
-        records = (
-            chsh_record(0, (0, 0), "uu"),
-            chsh_record(1, (0, 0), "ud"),
-            chsh_record(2, (0, 1), "uu"),
-            chsh_record(3, (1, 0), "dd"),
-            chsh_record(4, (1, 1), "ud"),
+        records = chsh_records(
+            ((0, 0), "uu"),
+            ((0, 0), "ud"),
+            ((0, 1), "uu"),
+            ((1, 0), "dd"),
+            ((1, 1), "ud"),
         )
         value, error = chsh_statistic(records)
         # E00 = 0, E01 = 1, E10 = 1, E11 = -1
@@ -290,7 +366,7 @@ class TestChshStatistic:
 
     def test_missing_pair_rejected(self):
         with pytest.raises(ValueError, match="no records for setting pair"):
-            chsh_statistic((chsh_record(0, (0, 0), "uu"),))
+            chsh_statistic(chsh_records(((0, 0), "uu")))
 
     def test_wrong_experiment_rejected(self):
         with pytest.raises(ValueError, match="needs chsh records"):
@@ -298,26 +374,27 @@ class TestChshStatistic:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty record set"):
-            chsh_statistic(())
+            chsh_statistic(chsh_records())
+
+
+def parity_records(*outcomes):
+    templates = [{"n": 1, "theta": 0.0, "phi": 0.0}]
+    return stream_of("metrology", ("+1", "-1"), outcomes, templates)
 
 
 class TestEmpiricalParity:
     def test_mean_and_error(self):
-        records = tuple(
-            MeasurementRecord(i, "metrology", o, {"n": 1, "theta": 0.0, "phi": 0.0})
-            for i, o in enumerate(["+1", "+1", "-1", "+1"])
-        )
+        records = parity_records("+1", "+1", "-1", "+1")
         mean, error = empirical_parity(records)
         assert mean == pytest.approx(0.5)
         assert error == pytest.approx(1.0 / 2.0)  # std((1,1,-1,1), ddof=1) / sqrt(4)
 
     def test_single_record(self):
-        record = MeasurementRecord(0, "metrology", "-1", {"n": 1, "theta": 0.0, "phi": 0.0})
-        assert empirical_parity((record,)) == (-1.0, 1.0)
+        assert empirical_parity(parity_records("-1")) == (-1.0, 1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty record set"):
-            empirical_parity(())
+            empirical_parity(parity_records())
 
 
 def hom_joint_probability(phi, statistics, control_angle, pattern, outcome):
@@ -332,7 +409,7 @@ class TestSampledStatistics:
         # eraser basis for the splitter experiment: control angle 0
         config = hom_config(shots=self.SHOTS, seed=101, control_basis_angle=0.0)
         joined = delayed_join(*run_experiment(config))
-        table = empirical_table(joined.records, joined.partition())
+        table = empirical_table(joined.system, joined.control.outcome)
         for pattern in HOM_OUTCOMES:
             for column, outcome in (("C=up", +1), ("C=down", -1)):
                 expected = hom_joint_probability(
@@ -347,7 +424,7 @@ class TestSampledStatistics:
         expected = oracles.parity_fringe(config.n, config.theta, config.phi, +1)
         mean, error = empirical_parity(joined.labeled(+1))
         assert abs(mean - expected) <= 5.0 * error
-        unjoined_mean, unjoined_error = empirical_parity(joined.records)
+        unjoined_mean, unjoined_error = empirical_parity(joined.system)
         assert abs(unjoined_mean) <= 5.0 * unjoined_error
 
     def test_chsh_violation_appears_only_after_joining(self):
@@ -357,7 +434,7 @@ class TestSampledStatistics:
         s_up, err_up = chsh_statistic(joined.labeled(+1))
         assert abs(abs(s_up) - 2.0 * math.sqrt(2.0)) <= 5.0 * err_up
         assert abs(s_up) - 2.0 > 5.0 * err_up  # a genuine violation, not noise
-        s_all, err_all = chsh_statistic(joined.records)
+        s_all, err_all = chsh_statistic(joined.system)
         assert abs(s_all) <= 5.0 * err_all
 
     def test_unjoined_hom_marginal_ignores_the_control_basis(self):
@@ -381,14 +458,14 @@ class TestClassicalMixture:
 
     def test_key_stream_shape(self):
         system, keys = run_experiment(hom_config(mode="classical_mixture"))
-        assert all(record.basis_angle is None for record in keys)
-        assert {record.control_outcome for record in keys} == {+1, -1}
+        assert keys.basis_angle is None
+        assert set(keys.outcome.tolist()) == {+1, -1}
         assert len(system) == len(keys)
 
     def test_hom_key_join_reproduces_the_conditional_table(self):
         config = hom_config(shots=self.SHOTS, seed=11, mode="classical_mixture")
         joined = delayed_join(*run_experiment(config))
-        table = empirical_table(joined.records, joined.partition())
+        table = empirical_table(joined.system, joined.control.outcome)
         for pattern in HOM_OUTCOMES:
             for column, outcome in (("C=up", +1), ("C=down", -1)):
                 expected = hom_joint_probability(
@@ -403,7 +480,7 @@ class TestClassicalMixture:
         expected = oracles.parity_fringe(config.n, config.theta, config.phi, +1)
         mean, error = empirical_parity(joined.labeled(+1))
         assert abs(mean - expected) <= 5.0 * error
-        unjoined_mean, unjoined_error = empirical_parity(joined.records)
+        unjoined_mean, unjoined_error = empirical_parity(joined.system)
         assert abs(unjoined_mean) <= 5.0 * unjoined_error
 
     def test_chsh_mixture_is_indistinguishable_from_the_eraser_run(self):
@@ -417,11 +494,13 @@ class TestClassicalMixture:
             joined = delayed_join(*run_experiment(config))
             counts: dict[tuple, int] = {}
             for label in (+1, -1):
-                for record in joined.labeled(label):
+                labeled = joined.labeled(label)
+                for row, code in zip(labeled.setting_row, labeled.outcome):
+                    template = labeled.settings[row]
                     key = (
-                        record.settings["setting_a"],
-                        record.settings["setting_b"],
-                        record.system_outcome,
+                        template["setting_a"],
+                        template["setting_b"],
+                        labeled.labels[code],
                         label,
                     )
                     counts[key] = counts.get(key, 0) + 1
@@ -480,10 +559,8 @@ class TestWriters:
         assert all(line.endswith(",") for line in data_lines)
 
     def test_csv_rejects_inconsistent_settings(self):
-        records = (
-            MeasurementRecord(0, "hom", "AB", {"phi": 0.0}),
-            MeasurementRecord(1, "hom", "AB", {"phi": 0.0, "statistics": "boson"}),
-        )
+        templates = [{"phi": 0.0}, {"phi": 0.0, "statistics": "boson"}]
+        records = stream_of("hom", HOM_OUTCOMES, ["AB", "AB"], templates, [0, 1])
         with pytest.raises(ValueError, match="disagree on setting fields"):
             write_stream_csv(io.StringIO(), records, hom_config(shots=2))
 
