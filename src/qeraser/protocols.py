@@ -36,7 +36,6 @@ from .qubits import (
     ghz_state,
     identity,
     phase_rotation,
-    project_qubit,
     rotation_y,
     sigma_x,
     sigma_z,
@@ -327,21 +326,6 @@ class MetrologySetup:
                 raise ValueError(f"{name} must be finite")
 
 
-def _prepared_register(setup: MetrologySetup) -> StateVector:
-    """GHZ register after the phase imprint and the control analyzer rotation.
-
-    The control (highest qubit index) is rotated by exp(+i sigma_y
-    control_angle / 2) so that for control_angle = pi/2 the +1 readout
-    projects the register onto the branch carrying phase ``phi`` (rather
-    than phi + pi).  The mirror rotation would only swap the two labels.
-    """
-    state = ghz_state(setup.n + 1, setup.phi)
-    shift = phase_rotation(setup.theta)
-    for qubit in range(setup.n):
-        state = apply_single_qubit(state, qubit, shift)
-    return apply_single_qubit(state, setup.n, rotation_y(-setup.control_angle))
-
-
 def parity_via_rotation(state: StateVector, qubits: tuple[int, ...]) -> float:
     """Register parity measured the way an interferometer closes.
 
@@ -368,36 +352,35 @@ def parity_via_x_product(state: StateVector, qubits: tuple[int, ...]) -> float:
     return expectation(state, factors)
 
 
-# the last setup and its branch statistics: an analytic scan asks for the
-# same setup's branches up to three times per phase point
-_last_branches: tuple[MetrologySetup, tuple] | None = None
-
-
 def parity_branch_statistics(
     setup: MetrologySetup,
 ) -> dict[int, tuple[float, float]]:
     """Control-outcome probabilities and conditional parity expectations.
 
-    Returns {control_outcome: (probability, conditional <parity>)}, a new
-    dict on every call; the floats of the last setup are memoized.
+    Returns {control_outcome: (probability, conditional <parity>)}.
+
+    The (n+1)-spin register starts as GHZ(n+1, phi), with the control as
+    the highest qubit.  The phase imprint and the control analyzer rotation
+    exp(+i sigma_y control_angle / 2) never take it off the span of
+    |0...0>|0> and |1...1>|1>, so the state is evolved as those two
+    amplitudes: O(n) work in place of a 2**(n+1) state vector.  The
+    rotation's sense makes the +1 readout at control_angle = pi/2 herald
+    the branch carrying phase ``phi`` (rather than phi + pi).  Control
+    outcome k leaves the register in alpha |0...0> + beta |1...1>, whose
+    :func:`parity_via_rotation` is (-1)**n 2 Re(conj(alpha) beta) / p.
     """
-    global _last_branches
-    memo = _last_branches
-    if memo is not None and memo[0] == setup:
-        return dict(memo[1])
-    state = _prepared_register(setup)
-    register = tuple(range(setup.n))
+    low, high = 1.0 / math.sqrt(2.0), np.exp(1.0j * setup.phi) / math.sqrt(2.0)
+    shift = phase_rotation(setup.theta)
+    for _ in range(setup.n):
+        low, high = low * shift[0, 0], high * shift[1, 1]
+    rotation = rotation_y(-setup.control_angle)
+    sign = (-1.0) ** setup.n
     branches: dict[int, tuple[float, float]] = {}
-    for outcome in (+1, -1):
-        probability, conditional = project_qubit(state, setup.n, sigma_z(), outcome)
-        if conditional is None:
-            branches[outcome] = (probability, 0.0)
-        else:
-            branches[outcome] = (
-                probability,
-                parity_via_rotation(conditional, register),
-            )
-    _last_branches = (setup, tuple(branches.items()))
+    for outcome, row in ((+1, rotation[0]), (-1, rotation[1])):
+        alpha, beta = complex(row[0] * low), complex(row[1] * high)
+        probability = abs(alpha) ** 2 + abs(beta) ** 2
+        parity = sign * 2.0 * (alpha.conjugate() * beta).real / probability
+        branches[outcome] = (probability, parity)
     return branches
 
 
@@ -408,12 +391,12 @@ def parity_expectation(setup: MetrologySetup, control_outcome: int | None) -> fl
     ``None`` ignores the control record entirely (the unjoined data set),
     which averages the two branches and kills the fringe.
     """
+    branches = parity_branch_statistics(setup)
     if control_outcome is None:
-        state = _prepared_register(setup)
-        return parity_via_rotation(state, tuple(range(setup.n)))
+        return sum(probability * value for probability, value in branches.values())
     if control_outcome not in (+1, -1):
         raise ValueError("control outcome must be +1, -1 or None")
-    probability, value = parity_branch_statistics(setup)[control_outcome]
+    probability, value = branches[control_outcome]
     if probability < 1e-14:
         raise ValueError("conditioning on a zero-probability control branch")
     return value

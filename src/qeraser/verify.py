@@ -266,8 +266,45 @@ def _check_control_marginal_half() -> None:
                 )
 
 
+def _prepared_register(setup: MetrologySetup) -> qubits.StateVector:
+    """Dense GHZ register after the phase imprint and the control rotation."""
+    state = qubits.ghz_state(setup.n + 1, setup.phi)
+    shift = qubits.phase_rotation(setup.theta)
+    for qubit in range(setup.n):
+        state = qubits.apply_single_qubit(state, qubit, shift)
+    return qubits.apply_single_qubit(
+        state, setup.n, qubits.rotation_y(-setup.control_angle)
+    )
+
+
+def _check_metrology_dense_route() -> None:
+    # the branch statistics evolved on the two-amplitude GHZ support must
+    # match the same gates run on the dense 2^(n+1) state vector
+    for n in range(1, 13):
+        for control_angle in (0.0, 0.4, math.pi / 2, 2.2):
+            setup = MetrologySetup(n, 0.7, 1.3, control_angle)
+            state = _prepared_register(setup)
+            register = tuple(range(n))
+            branches = protocols.parity_branch_statistics(setup)
+            for outcome in (+1, -1):
+                probability, conditional = qubits.project_qubit(
+                    state, n, qubits.sigma_z(), outcome
+                )
+                dense = (probability, protocols.parity_via_rotation(conditional, register))
+                assert np.abs(np.subtract(branches[outcome], dense)).max() < 1e-12, (
+                    f"branch {outcome}: {branches[outcome]} vs dense {dense} "
+                    f"at n={n}, control angle {control_angle}"
+                )
+            unjoined = protocols.parity_expectation(setup, None)
+            dense_unjoined = protocols.parity_via_rotation(state, register)
+            assert abs(unjoined - dense_unjoined) < 1e-12, (
+                f"unjoined parity {unjoined} vs dense {dense_unjoined} "
+                f"at n={n}, control angle {control_angle}"
+            )
+
+
 def _check_phase_sensitivity() -> None:
-    for n in range(1, 11):
+    for n in range(1, 21):
         theta = 0.4 / n  # keeps sin(n theta + phi) well away from zero
         setup = MetrologySetup(n, theta, 0.3, math.pi / 2)
         sensitivity = protocols.phase_sensitivity(setup)
@@ -282,7 +319,7 @@ def _check_fringe_slope() -> None:
     # the closed-form slope that phase_sensitivity divides by must match a
     # central finite difference of the full state-evolution pipeline
     step, phi = 1e-6, 0.3
-    for n in range(1, 11):
+    for n in range(1, 21):
         theta = 0.4 / n
         plus, minus = (
             protocols.parity_expectation(MetrologySetup(n, t, phi, math.pi / 2), +1)
@@ -424,6 +461,7 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("parity-unconditioned-zero", _check_parity_unconditioned_zero),
     ("parity-which-way-zero", _check_parity_which_way_zero),
     ("control-marginal-half", _check_control_marginal_half),
+    ("metrology-dense-route", _check_metrology_dense_route),
     ("phase-sensitivity-heisenberg", _check_phase_sensitivity),
     ("fringe-slope-finite-difference", _check_fringe_slope),
     ("zero-discord-marginal", _check_zero_discord_marginal),

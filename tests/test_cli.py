@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from qeraser import cli, protocols, qubits
+from qeraser import cli, protocols, qubits, sampler
 from qeraser.cli import main
 from qeraser.protocols import TSIRELSON_BOUND, hom_table
 
@@ -263,19 +263,26 @@ class TestPhaseEstCommand:
         assert float(rows[0][0]) == 0.0
         assert float(rows[0][1]) == pytest.approx(-1.0, abs=1e-12)  # (-1)^3 cos(0)
 
-    def test_analytic_scan_projects_each_branch_once_per_point(self, monkeypatch, capsys):
-        # the row and the sensitivity share one branch computation per theta
-        calls = []
+    def test_metrology_path_builds_no_dense_register(self, monkeypatch, capsys):
+        # branch statistics live on the two-amplitude GHZ support: no
+        # 2**(n+1) state vector is built, even for the largest register
+        def dense(*args, **kwargs):
+            raise AssertionError("dense register built on the metrology path")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return qubits.project_qubit(*args, **kwargs)
-
-        monkeypatch.setattr(protocols, "project_qubit", counting)
-        monkeypatch.setattr(protocols, "_last_branches", None)
-        assert main(["phase-est", "--n", "3", "--theta-scan", "0.1:2.1:5"]) == 0
-        assert len(parse_csv(capsys.readouterr().out)[2]) == 5
-        assert len(calls) == 2 * 5
+        for name in ("ghz_state", "apply_single_qubit", "project_qubit"):
+            original = getattr(qubits, name)
+            for module in (protocols, qubits, sampler, cli):
+                for attribute, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attribute, dense)
+        assert main(["phase-est", "--n", "20", "--theta-scan", "0:6.2832:64"]) == 0
+        assert len(parse_csv(capsys.readouterr().out)[2]) == 64
+        code = main(
+            ["phase-est", "--n", "20", "--mode", "sample", "--shots", "500",
+             "--theta-scan", "0:3:3"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("<P|up>") == 3
 
     def test_which_way_readout_has_no_variance_column_values(self, capsys):
         assert main(["phase-est", "--n", "2", "--control-angle", "0"]) == 0

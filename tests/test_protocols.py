@@ -34,7 +34,15 @@ from qeraser.protocols import (
     parity_via_x_product,
     phase_sensitivity,
 )
-from qeraser.qubits import StateVector
+from qeraser.qubits import (
+    StateVector,
+    apply_single_qubit,
+    ghz_state,
+    phase_rotation,
+    project_qubit,
+    rotation_y,
+    sigma_z,
+)
 
 PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
 ANGLE = st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False)
@@ -351,6 +359,28 @@ class TestParityFringe:
     def test_invalid_outcome_rejected(self):
         with pytest.raises(ValueError, match=r"\+1, -1 or None"):
             parity_expectation(eraser_setup(2, 0.0, 0.0), 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 10), theta=ANGLE, phi=ANGLE, control_angle=ANGLE)
+    def test_branches_match_the_dense_pipeline(self, n, theta, phi, control_angle):
+        # reference: the full 2^(n+1) state vector run gate by gate, each
+        # control branch projected out and closed by the y rotation
+        state = ghz_state(n + 1, phi)
+        for qubit in range(n):
+            state = apply_single_qubit(state, qubit, phase_rotation(theta))
+        state = apply_single_qubit(state, n, rotation_y(-control_angle))
+        register = tuple(range(n))
+        setup = MetrologySetup(n, theta, phi, control_angle)
+        branches = parity_branch_statistics(setup)
+        for outcome in (+1, -1):
+            probability, conditional = project_qubit(state, n, sigma_z(), outcome)
+            assert branches[outcome][0] == pytest.approx(probability, abs=1e-12)
+            assert branches[outcome][1] == pytest.approx(
+                parity_via_rotation(conditional, register), abs=1e-12
+            )
+        assert parity_expectation(setup, None) == pytest.approx(
+            parity_via_rotation(state, register), abs=1e-12
+        )
 
     @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 4))
     def test_rotation_route_equals_signed_x_product(self, seed, num_qubits):
