@@ -15,22 +15,15 @@ from .protocols import (
     ProbabilityTable,
     chsh_table,
     chsh_value,
-    ghz_decomposition_residual,
     hom_table,
     optimal_chsh_angles,
     parity_expectation,
     phase_sensitivity,
 )
 from .qubits import (
-    DensityMatrix,
     StateVector,
-    apply_single_qubit,
     bell_relative_state,
     expectation,
-    ghz_state,
-    measure_qubit,
-    partial_trace,
-    project_qubit,
     tripartite_spin_state,
 )
 from .sampler import (
@@ -58,20 +51,13 @@ __all__ = [
     "ProbabilityTable",
     "chsh_table",
     "chsh_value",
-    "ghz_decomposition_residual",
     "hom_table",
     "optimal_chsh_angles",
     "parity_expectation",
     "phase_sensitivity",
-    "DensityMatrix",
     "StateVector",
-    "apply_single_qubit",
     "bell_relative_state",
     "expectation",
-    "ghz_state",
-    "measure_qubit",
-    "partial_trace",
-    "project_qubit",
     "tripartite_spin_state",
     "ControlStream",
     "EmpiricalTable",

@@ -119,7 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--control-angle",
         type=_finite_float,
         default=None,
-        help="control analyzer angle (default 0: erases; pi/2 reveals the path)",
+        help=(
+            "control analyzer angle of the sampled run "
+            "(default 0: erases; pi/2 reveals the path)"
+        ),
     )
 
     chsh = commands.add_parser(
@@ -273,11 +276,20 @@ def _hom_reference_table(config: ExperimentConfig) -> ProbabilityTable:
     return ProbabilityTable(sampler.HOM_OUTCOMES, TABLE_COLUMNS, values)
 
 
+def _default_sampled_control_angle(args: argparse.Namespace) -> None:
+    """Default the hom/chsh control angle to 0; analytic tables read both branches."""
+    if args.mode == "analytic" and args.control_angle is not None:
+        raise UsageError(
+            "--control-angle is sampled-only: use --mode sample or classical-mixture"
+        )
+    if args.control_angle is None:
+        args.control_angle = 0.0
+
+
 def _run_hom(args: argparse.Namespace) -> int:
     if args.degrees:
         _to_radians(args, ("phi", "control_angle"))
-    if args.control_angle is None:
-        args.control_angle = 0.0
+    _default_sampled_control_angle(args)
     form = _resolved_format(args)
     if args.mode == "analytic":
         table = hom_table(args.phi, Statistics(args.statistics))
@@ -353,8 +365,7 @@ def _chsh_analytic_rows(
 def _run_chsh(args: argparse.Namespace) -> int:
     if args.degrees:
         _to_radians(args, ("phi", "control_angle"))
-    if args.control_angle is None:
-        args.control_angle = 0.0
+    _default_sampled_control_angle(args)
     settings = _resolve_chsh_settings(args)
     form = _resolved_format(args)
     analytic = {

@@ -28,16 +28,12 @@ import numpy as np
 from . import fock
 from .fock import Statistics
 from .qubits import (
-    StateVector,
     analyzer_observable,
-    apply_single_qubit,
     bell_relative_state,
     expectation,
-    ghz_state,
     identity,
     phase_rotation,
     rotation_y,
-    sigma_x,
     sigma_z,
     spectral_projectors,
     tripartite_spin_state,
@@ -56,11 +52,8 @@ __all__ = [
     "chsh_value",
     "conditional_correlator",
     "optimal_chsh_angles",
-    "ghz_decomposition_residual",
     "parity_expectation",
     "parity_branch_statistics",
-    "parity_via_rotation",
-    "parity_via_x_product",
     "phase_sensitivity",
 ]
 
@@ -278,31 +271,6 @@ def optimal_chsh_angles(
     return ChshSettings(*best.x)
 
 
-_RIGHT = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
-_LEFT = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
-
-
-def ghz_decomposition_residual(n: int, phi: float) -> float:
-    """Norm distance between an (n+1)-spin GHZ state and its relative-state form.
-
-    The (n+1)-spin state splits over the sigma_x basis of its last spin into
-    two n-spin GHZ states whose phases differ by pi:
-
-        GHZ(n+1, phi) = [ GHZ(n, phi) (x) |right>
-                          + GHZ(n, phi + pi) (x) |left> ] / sqrt(2)
-
-    Returns ||lhs - rhs||_2, which should vanish to machine precision.
-    """
-    if not 1 <= n <= 19:
-        raise ValueError(f"register size {n} outside supported range 1..19")
-    lhs = ghz_state(n + 1, phi).amplitudes
-    rhs = (
-        np.kron(ghz_state(n, phi).amplitudes, _RIGHT)
-        + np.kron(ghz_state(n, phi + math.pi).amplitudes, _LEFT)
-    ) / math.sqrt(2.0)
-    return float(np.linalg.norm(lhs - rhs))
-
-
 @dataclass(frozen=True)
 class MetrologySetup:
     """Phase-estimation run: n register spins plus one control spin.
@@ -326,32 +294,6 @@ class MetrologySetup:
                 raise ValueError(f"{name} must be finite")
 
 
-def parity_via_rotation(state: StateVector, qubits: tuple[int, ...]) -> float:
-    """Register parity measured the way an interferometer closes.
-
-    Applies the closing rotation exp(-i sigma_y pi/4) to each listed qubit
-    and takes the expectation of the product of their sigma_z readouts.
-    Equivalent to the x-basis parity of :func:`parity_via_x_product` times
-    (-1)**len(qubits).
-    """
-    rotated = state
-    gate = rotation_y(math.pi / 2)
-    for qubit in qubits:
-        rotated = apply_single_qubit(rotated, qubit, gate)
-    factors = [
-        sigma_z() if q in qubits else identity() for q in range(state.num_qubits)
-    ]
-    return expectation(rotated, factors)
-
-
-def parity_via_x_product(state: StateVector, qubits: tuple[int, ...]) -> float:
-    """Expectation of the plain product of sigma_x over the listed qubits."""
-    factors = [
-        sigma_x() if q in qubits else identity() for q in range(state.num_qubits)
-    ]
-    return expectation(state, factors)
-
-
 def parity_branch_statistics(
     setup: MetrologySetup,
 ) -> dict[int, tuple[float, float]]:
@@ -366,8 +308,10 @@ def parity_branch_statistics(
     amplitudes: O(n) work in place of a 2**(n+1) state vector.  The
     rotation's sense makes the +1 readout at control_angle = pi/2 herald
     the branch carrying phase ``phi`` (rather than phi + pi).  Control
-    outcome k leaves the register in alpha |0...0> + beta |1...1>, whose
-    :func:`parity_via_rotation` is (-1)**n 2 Re(conj(alpha) beta) / p.
+    outcome k leaves the register in alpha |0...0> + beta |1...1>.  Its
+    parity, read the way the interferometer closes (exp(-i sigma_y pi/4)
+    on every register spin, then the product of the sigma_z readouts), is
+    (-1)**n 2 Re(conj(alpha) beta) / p.
     """
     low, high = 1.0 / math.sqrt(2.0), np.exp(1.0j * setup.phi) / math.sqrt(2.0)
     shift = phase_rotation(setup.theta)

@@ -25,28 +25,20 @@ import numpy as np
 
 __all__ = [
     "StateVector",
-    "DensityMatrix",
     "identity",
     "sigma_x",
     "sigma_y",
     "sigma_z",
-    "hadamard",
-    "sigma_theta",
     "analyzer_observable",
     "rotation_y",
     "phase_rotation",
-    "basis_state",
     "ghz_state",
     "bell_relative_state",
     "tripartite_spin_state",
     "spectral_projectors",
     "apply_single_qubit",
     "project_qubit",
-    "measure_qubit",
     "expectation",
-    "partial_trace",
-    "fix_global_phase",
-    "states_equal",
 ]
 
 # Largest register the dense engine will allocate.  2**24 complex doubles
@@ -72,27 +64,16 @@ def sigma_z() -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def hadamard() -> np.ndarray:
-    return np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-
-def sigma_theta(theta: float) -> np.ndarray:
-    """Equatorial spin component cos(theta) sigma_x + sin(theta) sigma_y.
-
-    Hermitian with eigenvalues exactly +-1 for every theta.
-    """
-    return math.cos(theta) * sigma_x() + math.sin(theta) * sigma_y()
-
-
 def analyzer_observable(theta: float) -> np.ndarray:
     """Spin observable measured by a correlation analyzer set to ``theta``.
 
-    Equal to cos(theta) sigma_x - sin(theta) sigma_y, i.e. the equatorial
-    component with the opposite rotation sense of :func:`sigma_theta`.
-    The sense is chosen so that the two-analyzer correlator on the
-    phase-phi pair states (:func:`bell_relative_state`) comes out as
-    +-cos(theta_a - theta_b + phi); the mirror convention would flip the
-    sign of phi in every conditional table.
+    Equal to cos(theta) sigma_x - sin(theta) sigma_y: Hermitian with
+    eigenvalues exactly +-1 for every theta, the equatorial spin component
+    at angle -theta from the x axis.  The sense is chosen so that the
+    two-analyzer correlator on the phase-phi pair states
+    (:func:`bell_relative_state`) comes out as +-cos(theta_a - theta_b + phi);
+    the mirror convention would flip the sign of phi in every conditional
+    table.
     """
     return math.cos(theta) * sigma_x() - math.sin(theta) * sigma_y()
 
@@ -115,19 +96,6 @@ def spectral_projectors(observable: np.ndarray) -> dict[int, np.ndarray]:
     return {o: 0.5 * (identity() + o * observable) for o in (+1, -1)}
 
 
-def _frozen_amplitudes(num_qubits: int, amplitudes: np.ndarray) -> np.ndarray:
-    """Read-only complex copy of ``amplitudes``, checked against the size."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"register size {num_qubits} outside supported range 1..{MAX_QUBITS}")
-    amps = np.array(amplitudes, dtype=complex)
-    if amps.shape != (2**num_qubits,):
-        raise ValueError(
-            f"amplitude vector of length {amps.shape} does not match {num_qubits} qubits"
-        )
-    amps.setflags(write=False)
-    return amps
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of ``num_qubits`` spins.
@@ -141,74 +109,22 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _frozen_amplitudes(self.num_qubits, self.amplitudes)
+        if not 1 <= self.num_qubits <= MAX_QUBITS:
+            raise ValueError(
+                f"register size {self.num_qubits} outside supported range "
+                f"1..{MAX_QUBITS}"
+            )
+        amps = np.array(self.amplitudes, dtype=complex)
+        if amps.shape != (2**self.num_qubits,):
+            raise ValueError(
+                f"amplitude vector of length {amps.shape} does not match "
+                f"{self.num_qubits} qubits"
+            )
+        amps.setflags(write=False)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state not normalized: |psi| = {norm!r}")
         object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def _evolved(cls, num_qubits: int, amplitudes: np.ndarray) -> "StateVector":
-        """Result of a unitary step or a renormalized projection, norm unchecked.
-
-        Rounding drift over the gates of a 20-qubit pipeline passes 1e-12.
-        """
-        state = object.__new__(cls)
-        object.__setattr__(state, "num_qubits", num_qubits)
-        object.__setattr__(state, "amplitudes", _frozen_amplitudes(num_qubits, amplitudes))
-        return state
-
-    def bit(self, index: int, basis_index: int) -> int:
-        """Bit of qubit ``index`` inside computational ``basis_index``."""
-        return (basis_index >> (self.num_qubits - 1 - index)) & 1
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator."""
-
-    num_qubits: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2**self.num_qubits
-        if mat.shape != (dim, dim):
-            raise ValueError("density matrix shape does not match qubit count")
-        if np.abs(mat - mat.conj().T).max() > ATOL:
-            raise ValueError("density matrix not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL:
-            raise ValueError("density matrix trace differs from one")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        if eigenvalues.min() < -1e-10:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {eigenvalues.min()!r}"
-            )
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
-_SPIN_CHARS = {"u": 0, "d": 1}
-
-
-def basis_state(pattern: str) -> StateVector:
-    """Computational basis state from a string such as ``"ud"``.
-
-    Each character is ``u`` (up) or ``d`` (down), qubit 0 first.
-    """
-    try:
-        bits = [_SPIN_CHARS[ch] for ch in pattern]
-    except KeyError as err:
-        raise ValueError(f"unknown spin character in {pattern!r}") from err
-    if not bits:
-        raise ValueError("empty basis pattern")
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    amps = np.zeros(2 ** len(bits), dtype=complex)
-    amps[index] = 1.0
-    return StateVector(len(bits), amps)
 
 
 def ghz_state(num_qubits: int, phi: float) -> StateVector:
@@ -289,7 +205,7 @@ def apply_single_qubit(state: StateVector, index: int, op: np.ndarray) -> StateV
     if not _is_unitary(op):
         raise ValueError("operator is not unitary within 1e-12")
     amps = _apply_factor(state.amplitudes, state.num_qubits, index, op)
-    return StateVector._evolved(state.num_qubits, amps)
+    return StateVector(state.num_qubits, amps)
 
 
 def _check_binary_observable(basis: np.ndarray) -> np.ndarray:
@@ -309,8 +225,8 @@ def project_qubit(
     """Probability and conditional state for one outcome of a +-1 observable.
 
     Returns ``(probability, conditional_state)``; the conditional state is
-    ``None`` when the branch has probability below 1e-14 (such a branch is
-    never selected by :func:`measure_qubit`).
+    ``None`` when the branch has probability below 1e-14, since no
+    normalized state can be conditioned on it.
     """
     _check_qubit_index(state.num_qubits, index)
     basis = _check_binary_observable(basis)
@@ -321,29 +237,7 @@ def project_qubit(
     probability = float(np.vdot(branch, branch).real)
     if probability < 1e-14:
         return probability, None
-    return probability, StateVector._evolved(
-        state.num_qubits, branch / math.sqrt(probability)
-    )
-
-
-def measure_qubit(
-    state: StateVector, index: int, basis: np.ndarray, random_draw: float
-) -> tuple[int, float, StateVector]:
-    """Projective measurement of a +-1 observable on one qubit.
-
-    ``random_draw`` must be uniform on [0, 1).  The +1 outcome is selected
-    exactly when ``random_draw`` falls below the +1 branch probability, so
-    a zero-probability branch can never be chosen.
-    """
-    if not 0.0 <= random_draw < 1.0:
-        raise ValueError("random draw must lie in [0, 1)")
-    p_plus, state_plus = project_qubit(state, index, basis, +1)
-    if random_draw < p_plus:
-        assert state_plus is not None
-        return +1, p_plus, state_plus
-    p_minus, state_minus = project_qubit(state, index, basis, -1)
-    assert state_minus is not None
-    return -1, p_minus, state_minus
+    return probability, StateVector(state.num_qubits, branch / math.sqrt(probability))
 
 
 def expectation(state: StateVector, factors: list[np.ndarray]) -> float:
@@ -369,39 +263,3 @@ def expectation(state: StateVector, factors: list[np.ndarray]) -> float:
     if abs(value.imag) > ATOL:
         raise ValueError(f"expectation has imaginary residue {value.imag!r}")
     return float(value.real)
-
-
-def partial_trace(state: StateVector, keep: tuple[int, ...]) -> DensityMatrix:
-    """Reduced density matrix over the qubits in ``keep`` (ascending order)."""
-    keep = tuple(keep)
-    if len(set(keep)) != len(keep) or not keep:
-        raise ValueError("keep must be a nonempty set of distinct qubit indices")
-    for index in keep:
-        _check_qubit_index(state.num_qubits, index)
-    keep = tuple(sorted(keep))
-    traced = tuple(i for i in range(state.num_qubits) if i not in keep)
-    tensor = state.amplitudes.reshape([2] * state.num_qubits)
-    tensor = np.transpose(tensor, keep + traced)
-    matrix = tensor.reshape(2 ** len(keep), 2 ** len(traced))
-    return DensityMatrix(len(keep), matrix @ matrix.conj().T)
-
-
-def fix_global_phase(state: StateVector) -> StateVector:
-    """Rotate the global phase so the largest-magnitude amplitude is real > 0.
-
-    Ties are broken by the lowest basis index among the maxima, making the
-    representative unique for any fixed tolerance.
-    """
-    magnitudes = np.abs(state.amplitudes)
-    pivot = int(np.argmax(magnitudes))
-    phase = state.amplitudes[pivot] / magnitudes[pivot]
-    return StateVector(state.num_qubits, state.amplitudes / phase)
-
-
-def states_equal(first: StateVector, second: StateVector, tol: float = 1e-12) -> bool:
-    """Equality of pure states up to global phase, within ``tol``."""
-    if first.num_qubits != second.num_qubits:
-        return False
-    a = fix_global_phase(first).amplitudes
-    b = fix_global_phase(second).amplitudes
-    return bool(np.abs(a - b).max() <= tol)

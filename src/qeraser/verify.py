@@ -4,7 +4,9 @@ Every physical and structural invariant the library promises is encoded
 here as a named check with its own local reference formulas, so a single
 command can audit an installation end to end without the test suite.
 Checks raise AssertionError with a diagnostic; :func:`run_all` collects
-the results.
+the results.  The dense reference routes the checks compare against
+(partial trace, GHZ decomposition, parity by closing rotations) live here
+too, since no pipeline uses them.
 """
 
 from __future__ import annotations
@@ -33,6 +35,92 @@ def _closed_form_hom_column(phi_prime: float) -> np.ndarray:
             0.25 * math.cos(phi_prime / 2.0) ** 2,
             0.25 * math.cos(phi_prime / 2.0) ** 2,
         ]
+    )
+
+
+# Dense reference routes: full 2**n state-vector computations that the
+# checks below compare the library against.  No pipeline calls them.
+
+
+def partial_trace(state: qubits.StateVector, keep: tuple[int, ...]) -> np.ndarray:
+    """Reduced density matrix over the qubits in ``keep`` (ascending order)."""
+    keep = tuple(keep)
+    if len(set(keep)) != len(keep) or not keep:
+        raise ValueError("keep must be a nonempty set of distinct qubit indices")
+    for index in keep:
+        if not 0 <= index < state.num_qubits:
+            raise ValueError(
+                f"qubit index {index} outside register of {state.num_qubits}"
+            )
+    keep = tuple(sorted(keep))
+    traced = tuple(i for i in range(state.num_qubits) if i not in keep)
+    tensor = state.amplitudes.reshape([2] * state.num_qubits)
+    tensor = np.transpose(tensor, keep + traced)
+    matrix = tensor.reshape(2 ** len(keep), 2 ** len(traced))
+    return matrix @ matrix.conj().T
+
+
+_RIGHT = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+_LEFT = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
+
+
+def ghz_decomposition_residual(n: int, phi: float) -> float:
+    """Norm distance between an (n+1)-spin GHZ state and its relative-state form.
+
+    The (n+1)-spin state splits over the sigma_x basis of its last spin into
+    two n-spin GHZ states whose phases differ by pi:
+
+        GHZ(n+1, phi) = [ GHZ(n, phi) (x) |right>
+                          + GHZ(n, phi + pi) (x) |left> ] / sqrt(2)
+
+    Returns ||lhs - rhs||_2, which should vanish to machine precision.
+    """
+    if not 1 <= n <= 19:
+        raise ValueError(f"register size {n} outside supported range 1..19")
+    lhs = qubits.ghz_state(n + 1, phi).amplitudes
+    rhs = (
+        np.kron(qubits.ghz_state(n, phi).amplitudes, _RIGHT)
+        + np.kron(qubits.ghz_state(n, phi + math.pi).amplitudes, _LEFT)
+    ) / math.sqrt(2.0)
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def parity_via_rotation(state: qubits.StateVector, register: tuple[int, ...]) -> float:
+    """Register parity measured the way an interferometer closes.
+
+    Applies the closing rotation exp(-i sigma_y pi/4) to each listed qubit
+    and takes the expectation of the product of their sigma_z readouts.
+    Equivalent to the x-basis parity of :func:`parity_via_x_product` times
+    (-1)**len(register).
+    """
+    rotated = state
+    gate = qubits.rotation_y(math.pi / 2)
+    for qubit in register:
+        rotated = qubits.apply_single_qubit(rotated, qubit, gate)
+    factors = [
+        qubits.sigma_z() if q in register else qubits.identity()
+        for q in range(state.num_qubits)
+    ]
+    return qubits.expectation(rotated, factors)
+
+
+def parity_via_x_product(state: qubits.StateVector, register: tuple[int, ...]) -> float:
+    """Expectation of the plain product of sigma_x over the listed qubits."""
+    factors = [
+        qubits.sigma_x() if q in register else qubits.identity()
+        for q in range(state.num_qubits)
+    ]
+    return qubits.expectation(state, factors)
+
+
+def _prepared_register(setup: MetrologySetup) -> qubits.StateVector:
+    """Dense GHZ register after the phase imprint and the control rotation."""
+    state = qubits.ghz_state(setup.n + 1, setup.phi)
+    shift = qubits.phase_rotation(setup.theta)
+    for qubit in range(setup.n):
+        state = qubits.apply_single_qubit(state, qubit, shift)
+    return qubits.apply_single_qubit(
+        state, setup.n, qubits.rotation_y(-setup.control_angle)
     )
 
 
@@ -96,10 +184,12 @@ def _check_measurement_completeness() -> None:
 
 def _check_partial_trace_density() -> None:
     for phi in _PHI_GRID:
-        reduced = qubits.partial_trace(qubits.tripartite_spin_state(phi), (0, 1))
-        trace = np.trace(reduced.matrix)
+        reduced = partial_trace(qubits.tripartite_spin_state(phi), (0, 1))
+        asymmetry = np.abs(reduced - reduced.conj().T).max()
+        assert asymmetry <= 1e-12, f"reduced matrix not Hermitian: {asymmetry}"
+        trace = np.trace(reduced)
         assert abs(trace - 1.0) < 1e-12, f"trace {trace}"
-        eigenvalues = np.linalg.eigvalsh(reduced.matrix)
+        eigenvalues = np.linalg.eigvalsh(reduced)
         assert eigenvalues.min() > -1e-10, f"negative eigenvalue {eigenvalues.min()}"
 
 
@@ -205,7 +295,7 @@ def _check_chsh_optimum() -> None:
 def _check_ghz_decomposition() -> None:
     for n in range(1, 9):
         for phi in (0.0, math.pi / 3, 1.234):
-            residual = protocols.ghz_decomposition_residual(n, phi)
+            residual = ghz_decomposition_residual(n, phi)
             assert residual < 1e-12, f"residual {residual} at n={n}, phi={phi}"
 
 
@@ -231,8 +321,8 @@ def _check_parity_route_relation() -> None:
         raw = rng.normal(size=(2**num_qubits,)) + 1j * rng.normal(size=(2**num_qubits,))
         state = qubits.StateVector(num_qubits, raw / np.linalg.norm(raw))
         register = tuple(range(num_qubits))
-        rotated = protocols.parity_via_rotation(state, register)
-        direct = protocols.parity_via_x_product(state, register)
+        rotated = parity_via_rotation(state, register)
+        direct = parity_via_x_product(state, register)
         assert abs(rotated - (-1.0) ** num_qubits * direct) < 1e-12
 
 
@@ -266,17 +356,6 @@ def _check_control_marginal_half() -> None:
                 )
 
 
-def _prepared_register(setup: MetrologySetup) -> qubits.StateVector:
-    """Dense GHZ register after the phase imprint and the control rotation."""
-    state = qubits.ghz_state(setup.n + 1, setup.phi)
-    shift = qubits.phase_rotation(setup.theta)
-    for qubit in range(setup.n):
-        state = qubits.apply_single_qubit(state, qubit, shift)
-    return qubits.apply_single_qubit(
-        state, setup.n, qubits.rotation_y(-setup.control_angle)
-    )
-
-
 def _check_metrology_dense_route() -> None:
     # the branch statistics evolved on the two-amplitude GHZ support must
     # match the same gates run on the dense 2^(n+1) state vector
@@ -290,13 +369,13 @@ def _check_metrology_dense_route() -> None:
                 probability, conditional = qubits.project_qubit(
                     state, n, qubits.sigma_z(), outcome
                 )
-                dense = (probability, protocols.parity_via_rotation(conditional, register))
+                dense = (probability, parity_via_rotation(conditional, register))
                 assert np.abs(np.subtract(branches[outcome], dense)).max() < 1e-12, (
                     f"branch {outcome}: {branches[outcome]} vs dense {dense} "
                     f"at n={n}, control angle {control_angle}"
                 )
             unjoined = protocols.parity_expectation(setup, None)
-            dense_unjoined = protocols.parity_via_rotation(state, register)
+            dense_unjoined = parity_via_rotation(state, register)
             assert abs(unjoined - dense_unjoined) < 1e-12, (
                 f"unjoined parity {unjoined} vs dense {dense_unjoined} "
                 f"at n={n}, control angle {control_angle}"
@@ -337,25 +416,30 @@ def _check_zero_discord_marginal() -> None:
     expected[1, 1] = 0.5  # |up down><up down|
     expected[2, 2] = 0.5  # |down up><down up|
     for phi in _PHI_GRID:
-        reduced = qubits.partial_trace(qubits.tripartite_spin_state(phi), (0, 1))
-        assert np.abs(reduced.matrix - expected).max() < 1e-12, (
+        reduced = partial_trace(qubits.tripartite_spin_state(phi), (0, 1))
+        assert np.abs(reduced - expected).max() < 1e-12, (
             f"pair marginal depends on phi={phi}"
         )
+
+
+def _without_global_phase(amplitudes: np.ndarray) -> np.ndarray:
+    """Amplitudes turned so the first largest-magnitude one is real and positive."""
+    pivot = int(np.argmax(np.abs(amplitudes)))
+    return amplitudes * (abs(amplitudes[pivot]) / amplitudes[pivot])
 
 
 def _check_local_unitary_equivalence() -> None:
     # one fixed local rotation maps the three-spin state onto the GHZ form
     # for every phi, so the two presentations are the same entanglement class
-    transform = np.kron(
-        np.kron(qubits.identity(), qubits.sigma_x()), qubits.hadamard()
-    )
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
+    transform = np.kron(np.kron(qubits.identity(), qubits.sigma_x()), hadamard)
     for phi in _PHI_GRID:
         mapped = transform @ qubits.tripartite_spin_state(phi).amplitudes
-        mapped_state = qubits.StateVector(3, mapped)
-        target = qubits.ghz_state(3, phi)
-        assert qubits.states_equal(
-            qubits.fix_global_phase(mapped_state), qubits.fix_global_phase(target)
-        ), f"local map misses GHZ form at phi={phi}"
+        target = qubits.ghz_state(3, phi).amplitudes
+        distance = np.abs(
+            _without_global_phase(mapped) - _without_global_phase(target)
+        ).max()
+        assert distance <= 1e-12, f"local map misses GHZ form at phi={phi}: {distance}"
 
 
 def _check_sampler_determinism() -> None:

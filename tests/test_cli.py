@@ -92,6 +92,20 @@ class TestExitCodes:
         assert "not a finite number" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "--phi", "0.8", "--control-angle", "1.5708"],
+            ["chsh", "--angles", "0,1,2,3", "--control-angle", "1.5708"],
+        ],
+    )
+    def test_control_angle_is_rejected_by_analytic_tables(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--control-angle is sampled-only" in captured.err
+        assert captured.out == ""
+        assert main([*argv, "--mode", "sample", "--shots", "200"]) == 0
+
     def test_library_value_error_is_a_runtime_error(self, monkeypatch, capsys):
         def failing_table(*args, **kwargs):
             raise ValueError("table build failed")

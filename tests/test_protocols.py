@@ -25,13 +25,10 @@ from qeraser.protocols import (
     chsh_table,
     chsh_value,
     conditional_correlator,
-    ghz_decomposition_residual,
     hom_table,
     optimal_chsh_angles,
     parity_branch_statistics,
     parity_expectation,
-    parity_via_rotation,
-    parity_via_x_product,
     phase_sensitivity,
 )
 from qeraser.qubits import (
@@ -42,6 +39,11 @@ from qeraser.qubits import (
     project_qubit,
     rotation_y,
     sigma_z,
+)
+from qeraser.verify import (
+    ghz_decomposition_residual,
+    parity_via_rotation,
+    parity_via_x_product,
 )
 
 PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
@@ -343,7 +345,7 @@ class TestParityFringe:
         assert branches[+1][0] == pytest.approx(0.5, abs=1e-12)
         assert branches[-1][0] == pytest.approx(0.5, abs=1e-12)
 
-    def test_memoized_branches_cannot_be_changed_by_a_caller(self):
+    def test_each_call_returns_the_callers_own_branches(self):
         setup = MetrologySetup(3, 0.8, 1.1, math.pi / 2)
         first = parity_branch_statistics(setup)
         expected = dict(first)
@@ -352,7 +354,8 @@ class TestParityFringe:
 
     @pytest.mark.parametrize("theta", [0.3, 2.0])
     def test_largest_registers_keep_the_fringe(self, theta):
-        # 20 qubits: rounding drift over the gate chain passes the 1e-12 norm tolerance
+        # 19 register spins plus the control, past the n <= 12 of the dense
+        # reference: the two-amplitude route must keep the closed-form fringe
         value = parity_expectation(eraser_setup(19, theta, 0.0), +1)
         assert value == pytest.approx(oracles.parity_fringe(19, theta, 0.0, +1), abs=1e-10)
 

@@ -12,29 +12,24 @@ from qeraser.qubits import (
     StateVector,
     analyzer_observable,
     apply_single_qubit,
-    basis_state,
     bell_relative_state,
     expectation,
-    fix_global_phase,
     ghz_state,
-    hadamard,
     identity,
-    measure_qubit,
-    partial_trace,
     phase_rotation,
     project_qubit,
     rotation_y,
-    sigma_theta,
     sigma_x,
     sigma_y,
     sigma_z,
-    states_equal,
     tripartite_spin_state,
 )
+from qeraser.verify import partial_trace
 
 import oracles
 
 ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+UP = np.array([1.0, 0.0])
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -50,7 +45,9 @@ class TestOperators:
 
     @given(theta=ANGLES)
     def test_sigma_theta_binary(self, theta):
-        matrix = sigma_theta(theta)
+        # sigma_theta = cos(theta) sigma_x + sin(theta) sigma_y, the analyzer
+        # observable at -theta
+        matrix = analyzer_observable(-theta)
         assert np.abs(matrix - matrix.conj().T).max() < 1e-12
         assert np.abs(matrix @ matrix - np.eye(2)).max() < 1e-12
 
@@ -60,7 +57,7 @@ class TestOperators:
         matrix = analyzer_observable(theta)
         assert abs(matrix[0, 1] - np.exp(1j * theta)) < 1e-12
         assert abs(matrix[1, 0] - np.exp(-1j * theta)) < 1e-12
-        mirrored = sigma_theta(-theta)
+        mirrored = math.cos(-theta) * sigma_x() + math.sin(-theta) * sigma_y()
         assert np.abs(matrix - mirrored).max() < 1e-12
 
     def test_rotation_y_quarter_turn(self):
@@ -96,22 +93,9 @@ class TestStateVector:
             StateVector(qubits.MAX_QUBITS + 1, np.zeros(2))
 
     def test_amplitudes_read_only(self):
-        state = basis_state("u")
+        state = StateVector(1, UP)
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
-
-    def test_bit_msb_convention(self):
-        state = basis_state("ud")
-        # qubit 0 is the most significant bit: |up down> sits at index 0b01
-        assert state.amplitudes[0b01] == 1.0
-        assert state.bit(0, 0b01) == 0
-        assert state.bit(1, 0b01) == 1
-
-    def test_basis_state_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            basis_state("ux")
-        with pytest.raises(ValueError):
-            basis_state("")
 
 
 class TestConstructors:
@@ -161,22 +145,24 @@ class TestConstructors:
 
 class TestApply:
     def test_hadamard_on_up(self):
-        state = apply_single_qubit(basis_state("u"), 0, hadamard())
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        state = apply_single_qubit(StateVector(1, UP), 0, hadamard)
         expected = np.array([1.0, 1.0]) / math.sqrt(2.0)
         assert np.abs(state.amplitudes - expected).max() < 1e-15
 
     def test_msb_target_selection(self):
         # flipping qubit 0 of |up up> must set the high bit, not the low one
-        state = apply_single_qubit(basis_state("uu"), 0, sigma_x())
+        up_up = StateVector(2, np.array([1.0, 0.0, 0.0, 0.0]))
+        state = apply_single_qubit(up_up, 0, sigma_x())
         assert abs(state.amplitudes[0b10] - 1.0) < 1e-15
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
-            apply_single_qubit(basis_state("u"), 0, np.array([[1, 0], [0, 2.0]]))
+            apply_single_qubit(StateVector(1, UP), 0, np.array([[1, 0], [0, 2.0]]))
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError, match="outside register"):
-            apply_single_qubit(basis_state("u"), 1, sigma_x())
+            apply_single_qubit(StateVector(1, UP), 1, sigma_x())
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -194,42 +180,26 @@ class TestMeasurement:
     def test_projection_probabilities_sum(self):
         state = random_state(np.random.default_rng(0), 3)
         for index in range(3):
-            p_plus, _ = project_qubit(state, index, sigma_theta(0.3), +1)
-            p_minus, _ = project_qubit(state, index, sigma_theta(0.3), -1)
+            p_plus, _ = project_qubit(state, index, analyzer_observable(-0.3), +1)
+            p_minus, _ = project_qubit(state, index, analyzer_observable(-0.3), -1)
             assert abs(p_plus + p_minus - 1.0) < 1e-12
 
     def test_zero_probability_branch_is_none(self):
-        probability, conditional = project_qubit(basis_state("u"), 0, sigma_z(), -1)
+        probability, conditional = project_qubit(StateVector(1, UP), 0, sigma_z(), -1)
         assert probability < 1e-14
         assert conditional is None
 
-    def test_outcome_selected_iff_draw_below_probability(self):
-        state = apply_single_qubit(basis_state("u"), 0, hadamard())
-        outcome, probability, _ = measure_qubit(state, 0, sigma_z(), 0.499999)
-        assert outcome == +1 and abs(probability - 0.5) < 1e-12
-        outcome, probability, _ = measure_qubit(state, 0, sigma_z(), 0.500001)
-        assert outcome == -1 and abs(probability - 0.5) < 1e-12
-
-    def test_impossible_outcome_never_selected(self):
-        # p(+1) = 1: even a draw of 1 - eps stays on the +1 branch
-        outcome, _, _ = measure_qubit(basis_state("u"), 0, sigma_z(), 1.0 - 1e-12)
-        assert outcome == +1
-
-    def test_draw_domain_validated(self):
-        for draw in (-0.1, 1.0, 1.5):
-            with pytest.raises(ValueError, match="random draw"):
-                measure_qubit(basis_state("u"), 0, sigma_z(), draw)
-
     def test_conditional_state_normalized(self):
         state = random_state(np.random.default_rng(7), 2)
-        _, _, conditional = measure_qubit(state, 1, sigma_x(), 0.3)
-        assert abs(np.linalg.norm(conditional.amplitudes) - 1.0) < 1e-12
+        for outcome in (+1, -1):
+            _, conditional = project_qubit(state, 1, sigma_x(), outcome)
+            assert abs(np.linalg.norm(conditional.amplitudes) - 1.0) < 1e-12
 
     def test_basis_must_be_binary_observable(self):
         with pytest.raises(ValueError, match="square to the identity"):
-            project_qubit(basis_state("u"), 0, np.diag([1.0, 2.0]), +1)
+            project_qubit(StateVector(1, UP), 0, np.diag([1.0, 2.0]), +1)
         with pytest.raises(ValueError, match="Hermitian"):
-            project_qubit(basis_state("u"), 0, np.array([[0, 1], [0, 0.0]]), +1)
+            project_qubit(StateVector(1, UP), 0, np.array([[0, 1], [0, 0.0]]), +1)
 
 
 class TestExpectation:
@@ -245,12 +215,12 @@ class TestExpectation:
 
     def test_hermiticity_checked(self):
         with pytest.raises(ValueError, match="not Hermitian"):
-            expectation(basis_state("u"), [np.array([[0, 1], [0, 0.0]])])
+            expectation(StateVector(1, UP), [np.array([[0, 1], [0, 0.0]])])
 
     @given(seed=st.integers(0, 2**32 - 1), theta=ANGLES)
     def test_single_qubit_expectation_bounded(self, seed, theta):
         state = random_state(np.random.default_rng(seed), 2)
-        value = expectation(state, [sigma_theta(theta), identity()])
+        value = expectation(state, [analyzer_observable(-theta), identity()])
         assert -1.0 - 1e-12 <= value <= 1.0 + 1e-12
 
 
@@ -258,11 +228,11 @@ class TestPartialTrace:
     @pytest.mark.parametrize("phi", np.linspace(0, 2 * math.pi, 16, endpoint=False))
     def test_pair_marginal_classical_mixture(self, phi):
         reduced = partial_trace(tripartite_spin_state(phi), (0, 1))
-        assert np.abs(reduced.matrix - oracles.pair_marginal_density()).max() < 1e-12
+        assert np.abs(reduced - oracles.pair_marginal_density()).max() < 1e-12
 
     def test_single_qubit_of_ghz_is_maximally_mixed(self):
         reduced = partial_trace(ghz_state(3, 0.4), (1,))
-        assert np.abs(reduced.matrix - np.eye(2) / 2).max() < 1e-12
+        assert np.abs(reduced - np.eye(2) / 2).max() < 1e-12
 
     def test_keep_validation(self):
         state = ghz_state(2, 0.0)
@@ -275,24 +245,7 @@ class TestPartialTrace:
 
     def test_unordered_keep_is_sorted(self):
         state = random_state(np.random.default_rng(3), 3)
-        a = partial_trace(state, (0, 2)).matrix
-        b = partial_trace(state, (2, 0)).matrix
+        a = partial_trace(state, (0, 2))
+        b = partial_trace(state, (2, 0))
         assert np.abs(a - b).max() == 0.0
 
-
-class TestGlobalPhase:
-    def test_fix_global_phase_pivot_real(self):
-        state = StateVector(1, np.array([0.6j, 0.8]))
-        fixed = fix_global_phase(state)
-        assert abs(fixed.amplitudes[1].imag) < 1e-15
-        assert fixed.amplitudes[1].real > 0
-
-    @given(phase=ANGLES, seed=st.integers(0, 2**32 - 1))
-    def test_states_equal_up_to_phase(self, phase, seed):
-        state = random_state(np.random.default_rng(seed), 2)
-        rotated = StateVector(2, state.amplitudes * np.exp(1j * phase))
-        assert states_equal(state, rotated)
-
-    def test_states_equal_detects_difference(self):
-        assert not states_equal(basis_state("u"), basis_state("d"))
-        assert not states_equal(basis_state("u"), basis_state("uu"))
