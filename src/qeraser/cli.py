@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     chsh.add_argument(
         "--optimize",
         action="store_true",
-        help="search settings maximizing the conditional CHSH value (default)",
+        help="solve for settings maximizing the conditional CHSH value (default)",
     )
     chsh.add_argument(
         "--condition",
@@ -436,10 +436,12 @@ def _run_chsh(args: argparse.Namespace) -> int:
         _write_streams(args, config, system, control)
         return 0
     joined = sampler.delayed_join(system, control)
-    s_up, err_up = sampler.chsh_statistic(joined.labeled(+1))
-    s_down, err_down = sampler.chsh_statistic(joined.labeled(-1))
-    s_raw, err_raw = sampler.chsh_statistic(joined.system)
-    significance = (abs(s_up) - 2.0) / err_up if err_up > 0 else math.inf
+    branches = (
+        ("empirical S (joined C=up):   ", joined.labeled(+1)),
+        ("empirical S (joined C=down): ", joined.labeled(-1)),
+        ("empirical S (unjoined):      ", joined.system),
+    )
+    estimates = [_chsh_estimate(records) for _, records in branches]
     with _output_stream(args.output) as out:
         out.write(sampler.metadata_header(config) + "\n")
         out.write(
@@ -451,22 +453,24 @@ def _run_chsh(args: argparse.Namespace) -> int:
             f"analytic S: up={analytic['up']:.6f} down={analytic['down']:.6f} "
             f"unjoined={analytic['?']:.6f}\n"
         )
-        out.write(
-            f"empirical S (joined C=up):   {s_up:+.4f} +- {err_up:.4f} "
-            f"({len(joined.labeled(+1))} shots)\n"
-        )
-        out.write(
-            f"empirical S (joined C=down): {s_down:+.4f} +- {err_down:.4f} "
-            f"({len(joined.labeled(-1))} shots)\n"
-        )
-        out.write(
-            f"empirical S (unjoined):      {s_raw:+.4f} +- {err_raw:.4f} "
-            f"({len(joined.system)} shots)\n"
-        )
-        out.write(
-            f"violation of |S| <= 2 (C=up branch): {significance:.2f} standard errors\n"
-        )
+        for (prefix, records), (value, _) in zip(branches, estimates):
+            out.write(f"{prefix}{value} ({len(records)} shots)\n")
+        out.write(f"violation of |S| <= 2 (C=up branch): {estimates[0][1]}\n")
     return 0
+
+
+def _chsh_estimate(records: sampler.SystemStream) -> tuple[str, str]:
+    """Printed empirical S and violation significance of one labeled set.
+
+    A small run can leave a set without records for some setting pair;
+    both then read n/a with the reason instead of failing the run.
+    """
+    try:
+        s, err = sampler.chsh_statistic(records)
+    except ValueError as error:
+        return (f"n/a ({error})",) * 2
+    sigmas = (abs(s) - 2.0) / err if err > 0 else math.inf
+    return f"{s:+.4f} +- {err:.4f}", f"{sigmas:.2f} standard errors"
 
 
 def _safe_parity(records: sampler.SystemStream) -> tuple[float, float]:

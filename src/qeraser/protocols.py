@@ -34,6 +34,8 @@ from .qubits import (
     identity,
     phase_rotation,
     rotation_y,
+    sigma_x,
+    sigma_y,
     sigma_z,
     spectral_projectors,
     tripartite_spin_state,
@@ -214,61 +216,33 @@ def chsh_value(settings: ChshSettings, phi: float, condition: str) -> float:
     return abs(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
-def optimal_chsh_angles(
-    phi: float, condition: str, grid_step: float = math.pi / 64
-) -> ChshSettings:
+def optimal_chsh_angles(phi: float, condition: str) -> ChshSettings:
     """Analyzer settings maximizing the conditional CHSH value.
 
-    A coarse vectorized grid over the three independent angle differences
-    locates the global basin; a Nelder-Mead descent on the four raw angles
-    against :func:`chsh_value` then polishes the optimum.  No closed-form
-    angle set is assumed anywhere.  Only the joined ensembles have an
-    optimum; the unconditioned ensemble is flat at 0.
+    With n(theta) = (cos theta, sin theta), E(a, b) = n(a)^T T n(b) for
+    the 2x2 block T = <P_i x P_j>, P in (sigma_x, -sigma_y), read off the
+    conditioned pair state; no angle set is assumed.  The optimum follows
+    from the SVD T = U diag(s1, s2) V^T (Horodecki criterion in a plane):
+    a0, a1 = u1, u2 and b0,1 = -sign (cos beta v1 +- sin beta v2) with
+    beta = atan2(s2, s1), giving |S| = 2 sqrt(s1^2 + s2^2) = 2 sqrt(2).
+    The factor -sign (sign = +1 up, -1 down) fixes the degenerate optimum
+    so that phi = 0 yields (0, pi/2, 5pi/4, 3pi/4) on both branches, bit
+    for bit, the settings of sampled streams written without --angles.
+    Only the joined ensembles have an optimum; the unconditioned ensemble
+    is flat at 0.
     """
     if condition not in ("up", "down"):
         raise ValueError("optimal settings exist only for conditions 'up'/'down'")
-    # imported here: scipy.optimize costs more to import than the whole package
-    from scipy import optimize
-
-    sign = {"up": 1.0, "down": -1.0}[condition]
-
-    # with E(a_i, b_j) = sign * cos(a_i - b_j + phi) the CHSH combination
-    # depends only on u = a0-b0, v = a0-b1, w = a1-b0 (then a1-b1 = v+w-u)
-    grid = np.arange(0.0, 2.0 * math.pi, grid_step)
-    u = grid[:, None, None]
-    v = grid[None, :, None]
-    w = grid[None, None, :]
-    combination = np.abs(
-        sign
-        * (
-            np.cos(u + phi)
-            + np.cos(v + phi)
-            + np.cos(w + phi)
-            - np.cos(v + w - u + phi)
-        )
-    )
-    flat_index = int(np.argmax(combination))
-    iu, iv, iw = np.unravel_index(flat_index, combination.shape)
-    u0, v0, w0 = grid[iu], grid[iv], grid[iw]
-    start = np.array([0.0, w0 - u0, -u0, -v0])  # (a0, a1, b0, b1)
-
-    def negative_s(angles: np.ndarray) -> float:
-        return -chsh_value(ChshSettings(*angles), phi, condition)
-
-    result = optimize.minimize(
-        negative_s,
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 20000, "maxfev": 20000},
-    )
-    refined = optimize.minimize(
-        negative_s,
-        result.x,
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 20000, "maxfev": 20000},
-    )
-    best = refined if refined.fun <= result.fun else result
-    return ChshSettings(*best.x)
+    sign = +1 if condition == "up" else -1
+    state = bell_relative_state(phi, sign)
+    axes = (sigma_x(), -sigma_y())
+    correlations = np.array([[expectation(state, [p, q]) for q in axes] for p in axes])
+    left, singular, right = np.linalg.svd(correlations)
+    beta = math.atan2(singular[1], singular[0])
+    even = -sign * math.cos(beta) * right[0]
+    odd = -sign * math.sin(beta) * right[1]
+    vectors = (left[:, 0], left[:, 1], even + odd, even - odd)
+    return ChshSettings(*(math.atan2(y, x) for x, y in vectors))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from qeraser.qubits import (
     sigma_z,
 )
 from qeraser.verify import (
+    dense_chsh_values,
     ghz_decomposition_residual,
     parity_via_rotation,
     parity_via_x_product,
@@ -273,6 +274,22 @@ class TestOptimalChshAngles:
             TSIRELSON_BOUND, abs=1e-9
         )
 
+    @pytest.mark.parametrize("condition", ["up", "down"])
+    def test_phi_zero_settings_are_pinned(self, condition):
+        # sampled chsh runs without --angles write these settings into
+        # their streams, so they must not move by a single bit
+        expected = ChshSettings(0.0, math.pi / 2, 5 * math.pi / 4, 3 * math.pi / 4)
+        assert optimal_chsh_angles(0.0, condition) == expected
+
+    @settings(max_examples=200)
+    @given(
+        phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        condition=st.sampled_from(["up", "down"]),
+    )
+    def test_saturates_tsirelson_everywhere(self, phi, condition):
+        value = chsh_value(optimal_chsh_angles(phi, condition), phi, condition)
+        assert abs(value - TSIRELSON_BOUND) <= 1e-12
+
     def test_beats_exhaustive_grid(self):
         phi = 1.3
         best = chsh_value(optimal_chsh_angles(phi, "up"), phi, "up")
@@ -281,6 +298,17 @@ class TestOptimalChshAngles:
     def test_unjoined_condition_rejected(self):
         with pytest.raises(ValueError, match="up.*down"):
             optimal_chsh_angles(0.0, "?")
+
+
+class TestDenseChshValues:
+    def test_matches_chsh_value_row_by_row(self):
+        samples = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, size=(64, 5))
+        values = dense_chsh_values(samples)
+        assert values.shape == (2, 64)
+        for branch, condition in enumerate(("up", "down")):
+            for row, value in zip(samples, values[branch]):
+                reference = chsh_value(ChshSettings(*row[:4]), row[4], condition)
+                assert value == pytest.approx(reference, abs=1e-12)
 
 
 class TestGhzDecomposition:
