@@ -46,7 +46,7 @@ from .protocols import (
     parity_expectation,
     phase_sensitivity,
 )
-from . import sampler, verify
+from . import sampler
 from .sampler import ExperimentConfig
 
 __all__ = ["main", "run", "build_parser"]
@@ -604,6 +604,8 @@ def _run_phase_est(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from . import verify  # only this command needs the dense reference engine
+
     results = verify.run_all()
     with _output_stream(args.output) as out:
         for result in results:

@@ -64,7 +64,7 @@ def sigma_z() -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def analyzer_observable(theta: float) -> np.ndarray:
+def analyzer_observable(theta: float | np.ndarray) -> np.ndarray:
     """Spin observable measured by a correlation analyzer set to ``theta``.
 
     Equal to cos(theta) sigma_x - sin(theta) sigma_y: Hermitian with
@@ -73,9 +73,16 @@ def analyzer_observable(theta: float) -> np.ndarray:
     two-analyzer correlator on the phase-phi pair states
     (:func:`bell_relative_state`) comes out as +-cos(theta_a - theta_b + phi);
     the mirror convention would flip the sign of phi in every conditional
-    table.
+    table.  An array of angles gives the observables stacked in shape
+    (..., 2, 2), each bit-identical to the one of its scalar angle.
     """
-    return math.cos(theta) * sigma_x() - math.sin(theta) * sigma_y()
+    angles = np.asarray(theta, dtype=float)
+    # math.cos/math.sin, not np.cos/np.sin, whose last bit may differ
+    cos, sin = (
+        np.fromiter(map(function, angles.flat), float, angles.size).reshape(*angles.shape, 1, 1)
+        for function in (math.cos, math.sin)
+    )
+    return cos * sigma_x() - sin * sigma_y()
 
 
 def rotation_y(angle: float) -> np.ndarray:

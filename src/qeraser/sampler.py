@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields, replace
-from typing import IO, Callable, ClassVar, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -190,32 +190,51 @@ class ExperimentConfig:
             raise ValueError(f"register size {self.n} outside supported range 1..20")
 
 
-def _shot_uniforms(seed: int, shots: int) -> np.ndarray:
-    """(shots, 4) uniforms in [0,1); row i is shot i's private substream."""
-    raw = np.random.Philox(key=seed).random_raw(4 * shots).reshape(shots, 4)
-    return (raw >> np.uint64(11)) * (2.0**-53)
+# shots per chunk of draws, selection and line writing: every per-shot
+# temporary is O(_CHUNK); only the finished stream columns are O(shots)
+_CHUNK = 1 << 16
 
 
-def _cell_indices(
-    uniforms: np.ndarray, distributions: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Half-open cumulative-interval selection, vectorized over shots.
+def _chunks(total: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``_CHUNK`` items covering ``range(total)``."""
+    for start in range(0, total, _CHUNK):
+        yield slice(start, min(start + _CHUNK, total))
 
-    ``distributions`` is (k, cells); ``rows`` picks the distribution per
-    shot (all row 0 when None).  Cell c is selected when the scaled draw
-    lands in [cum[c-1], cum[c]); a zero-width interval is unselectable.
+
+def _shot_uniforms(generator: np.random.Philox, shots: int) -> np.ndarray:
+    """(shots, 4) uniforms in [0,1) of the generator's next ``shots`` blocks.
+
+    Row i is the private substream of the i-th shot not yet drawn, since
+    consecutive ``random_raw`` calls continue one counter sequence.
     """
+    raw = generator.random_raw(4 * shots).reshape(shots, 4)
+    raw >>= np.uint64(11)
+    return raw * (2.0**-53)
+
+
+def _cumulative(distributions: np.ndarray) -> np.ndarray:
+    """Checked (k, cells) cumulative sums of the rows of ``distributions``."""
     if np.any(distributions < -1e-12):
         raise ArithmeticError("negative probability in sampling distribution")
     cumulative = np.cumsum(np.clip(distributions, 0.0, None), axis=1)
-    totals = cumulative[:, -1]
-    if np.any(np.abs(totals - 1.0) > 1e-9):
+    if np.any(np.abs(cumulative[:, -1] - 1.0) > 1e-9):
         raise ArithmeticError("sampling distribution does not sum to 1")
-    if rows is None:
-        rows = np.zeros(uniforms.shape[0], dtype=int)
-    scaled = uniforms * totals[rows]
-    indices = (scaled[:, None] >= cumulative[rows]).sum(axis=1)
-    return np.minimum(indices, distributions.shape[1] - 1)
+    return cumulative
+
+
+def _cell_indices(uniforms: np.ndarray, cumulative: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Half-open cumulative-interval selection, vectorized over shots.
+
+    ``cumulative`` comes from :func:`_cumulative`; ``rows`` picks the
+    distribution per shot.  Cell c is selected when the scaled draw lands
+    in [cum[c-1], cum[c]); a zero-width interval is unselectable.
+    """
+    bounds = cumulative.T  # bounds[c] holds cum[c] of every distribution
+    scaled = uniforms * bounds[-1].take(rows)
+    indices = np.zeros(len(rows), dtype=int)
+    for bound in bounds:
+        indices += scaled >= bound.take(rows)
+    return np.minimum(indices, len(bounds) - 1)
 
 
 def _control_projectors(basis_angle: float) -> dict[int, np.ndarray]:
@@ -359,26 +378,34 @@ def _sample(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
     """The one sampling body shared by every experiment and mode."""
     plan = _PLANS[config.experiment, config.mode](config)
     keyed = config.mode == "classical_mixture"
-    uniforms = _shot_uniforms(config.seed, config.shots)
-    # leading uniforms pick the row in the frozen layout: key bit, then pair
-    rows = np.zeros(config.shots, dtype=int)
-    column = 0
-    if keyed:  # key +1 (row block 0) below 1/2
-        rows = (uniforms[:, column] >= 0.5).astype(int)
-        column += 1
-    if config.experiment == "chsh":
-        rows = rows * 4 + np.minimum((uniforms[:, column] * 4).astype(int), 3)
-        column += 1
-    chosen = _cell_indices(uniforms[:, column], plan.table, rows=rows)
-    del uniforms
-
+    cumulative = _cumulative(plan.table)
+    generator = np.random.Philox(key=config.seed)
     shots = np.arange(config.shots)
-    if keyed:  # the key bit of the row is the control outcome
-        outcome, basis_angle = chosen, None
-        control = np.where(rows < len(plan.table) // 2, 1, -1)
-    else:  # joint cells: system-major, control +1 first
-        outcome, basis_angle = chosen // 2, config.control_basis_angle
-        control = np.where(chosen % 2 == 0, 1, -1)
+    rows = np.zeros(config.shots, dtype=int)
+    outcome = np.empty(config.shots, dtype=int)
+    control = np.empty(config.shots, dtype=int)
+    for part in _chunks(config.shots):
+        uniforms = _shot_uniforms(generator, part.stop - part.start)
+        # leading uniforms pick the row in the frozen layout: key bit, then pair
+        row = np.zeros(len(uniforms), dtype=int)
+        column = 0
+        if keyed:  # key +1 (row block 0) below 1/2
+            row = (uniforms[:, column] >= 0.5).astype(int)
+            column += 1
+        if config.experiment == "chsh":
+            row = row * 4 + np.minimum((uniforms[:, column] * 4).astype(int), 3)
+            column += 1
+        chosen = _cell_indices(uniforms[:, column], cumulative, row)
+        if keyed:  # the key bit of the row is the control outcome
+            outcome[part] = chosen
+            control[part] = np.where(row < len(plan.table) // 2, 1, -1)
+        else:  # joint cells: system-major, control +1 first
+            outcome[part] = chosen >> 1
+            control[part] = 1 - 2 * (chosen & 1)
+        if len(plan.table) > 1:  # else every row is 0, as allocated
+            rows[part] = row
+
+    basis_angle = None if keyed else config.control_basis_angle
     system = SystemStream(
         shots, outcome, rows, config.experiment, plan.labels, tuple(plan.settings)
     )
@@ -447,7 +474,44 @@ def delayed_join(
     control outcome; otherwise a :class:`JoinError` lists the repeated,
     orphaned or foreign shot indices.  The result keeps the unjoined view
     (the whole system stream) beside the control outcomes that label it.
+    Streams already in the same strictly increasing shot order, as
+    :func:`run_experiment` writes them, are returned as they are.
     """
+    if _same_increasing(system_stream.shot_index, control_stream.shot_index):
+        system, control = system_stream, control_stream
+    else:
+        system, control = _sorted_pair(system_stream, control_stream)
+    if not _signs_only(control.outcome):
+        foreign = control.shot_index[(control.outcome != 1) & (control.outcome != -1)]
+        raise JoinError((), tuple(foreign.tolist()))
+    return JoinedStreams(system, control)
+
+
+def _signs_only(values: np.ndarray) -> bool:
+    """Whether every entry is +1 or -1, checked without a per-shot temporary."""
+    return len(values) == 0 or bool(
+        values.min() >= -1 and values.max() <= 1 and np.count_nonzero(values) == len(values)
+    )
+
+
+def _same_increasing(first: np.ndarray, second: np.ndarray) -> bool:
+    """Whether two index columns are equal and strictly increasing, chunk by chunk."""
+    if len(first) != len(second):
+        return False
+    for part in _chunks(len(first)):
+        if not np.array_equal(first[part], second[part]):
+            return False
+        # compare across the seam with the previous chunk's last index too
+        window = first[max(part.start - 1, 0) : part.stop]
+        if np.any(window[1:] <= window[:-1]):
+            return False
+    return True
+
+
+def _sorted_pair(
+    system_stream: SystemStream, control_stream: ControlStream
+) -> tuple[SystemStream, ControlStream]:
+    """Both streams reordered by shot index; JoinError on repeated or orphaned shots."""
     system_index, system_order, repeats = np.unique(
         system_stream.shot_index, return_index=True, return_counts=True
     )
@@ -463,11 +527,7 @@ def delayed_join(
             tuple(np.setdiff1d(system_index, control_index, assume_unique=True).tolist()),
             tuple(np.setdiff1d(control_index, system_index, assume_unique=True).tolist()),
         )
-    system, control = system_stream[system_order], control_stream[control_order]
-    foreign = control.shot_index[(control.outcome != 1) & (control.outcome != -1)]
-    if foreign.size:
-        raise JoinError((), tuple(foreign.tolist()))
-    return JoinedStreams(system, control)
+    return system_stream[system_order], control_stream[control_order]
 
 
 @dataclass(frozen=True)
@@ -642,6 +702,42 @@ def _format_field(value: float | int | str | None) -> str:
 
 _SHOT = -271828182845904523  # stands in for the shot index while a line is formatted
 
+# 10**1 .. 10**19: an int64 magnitude (at most 2**63) has 1 + (powers <= it) digits
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _decimal_bytes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``str(int(v))`` of every int64 ``v`` as right-aligned uint8 rows.
+
+    Returns a (len(values), width) matrix whose row k ends with the ASCII
+    decimal of ``values[k]`` (zero-padded on the left), and the length of
+    that decimal.  ``width`` must fit the longest decimal.
+    """
+    negative = values < 0
+    # two's complement in uint64: exact magnitudes, -2**63 included
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)
+    lengths = 1 + np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + negative
+    text = np.empty((len(values), width), dtype=np.uint8)
+    digit = np.empty_like(magnitude)
+    for column in range(width - 1, -1, -1):
+        np.divmod(magnitude, np.uint64(10), out=(magnitude, digit))
+        text[:, column] = digit
+    text += ord("0")
+    signed = np.flatnonzero(negative)
+    text[signed, width - lengths[signed]] = ord("-")
+    return text, lengths
+
+
+def _padded(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Left-aligned uint8 rows of the UTF-8 ``texts`` and the mask of their bytes."""
+    encoded = [text.encode("utf-8") for text in texts]
+    lengths = np.array([len(data) for data in encoded])
+    rows = np.zeros((len(encoded), int(lengths.max())), dtype=np.uint8)
+    for row, data in zip(rows, encoded):
+        row[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+    return rows, np.arange(rows.shape[1]) < lengths[:, None]
+
 
 def _write_lines(
     stream: IO[str],
@@ -652,28 +748,63 @@ def _write_lines(
 
     ``record`` is the shot as a JSONL object.  The shots of one distinct
     line differ only in their index, so the line is formatted with a
-    stand-in index that each shot's own index then replaces.
+    stand-in index and split into a head and a tail around it.  Per chunk
+    of shots, the head and tail bytes of each shot's line flank the
+    shot's decimal index in one uint8 matrix; dropping the padding bytes
+    leaves the chunk's text, written with one call.
     """
     if len(records) == 0:
         return
     if isinstance(records, SystemStream):
-        codes = records.setting_row * len(records.labels) + records.outcome
         documents = [
             {"experiment": records.experiment, "outcome": label, "settings": settings}
             for settings in records.settings
             for label in records.labels
         ]
+
+        def codes_of(part: slice) -> np.ndarray:
+            return records.setting_row[part] * len(records.labels) + records.outcome[part]
+
     else:
-        values, codes = np.unique(records.outcome, return_inverse=True)
+        outcome = records.outcome
+        if not _signs_only(outcome):
+            raise ValueError("control outcomes must be +1 or -1")
         documents = [
-            {"control_outcome": value, "basis_angle": records.basis_angle}
-            for value in values.tolist()
+            {"control_outcome": value, "basis_angle": records.basis_angle} for value in (1, -1)
         ]
+
+        def codes_of(part: slice) -> np.ndarray:
+            return (1 - outcome[part]) >> 1  # +1 -> 0, -1 -> 1
+
     texts = [line({"shot_index": _SHOT, **document}) for document in documents]
-    parts = zip(*(text.split(str(_SHOT)) for text in texts))
-    heads, tails = (np.array(part, dtype=object)[codes].tolist() for part in parts)
-    shots = records.shot_index.tolist()
-    stream.writelines(f"{head}{shot}{tail}" for head, shot, tail in zip(heads, shots, tails))
+    heads, tails = zip(*(text.split(str(_SHOT)) for text in texts))
+    head_bytes, head_mask = _padded(heads)
+    tail_bytes, tail_mask = _padded(tails)
+    shots = records.shot_index
+    # the longest decimal belongs to the smallest or the largest index
+    width = max(len(str(int(shots.min()))), len(str(int(shots.max()))))
+    start = head_bytes.shape[1]  # first column of the shot index
+    blank = np.zeros((len(documents), width), dtype=np.uint8)
+    templates = np.concatenate([head_bytes, blank, tail_bytes], axis=1)
+    # row code * (width + 1) + n: the mask of a line whose index has n characters
+    suffixes = np.arange(width) >= width - np.arange(width + 1)[:, None]
+    masks = np.concatenate(
+        [
+            np.repeat(head_mask, width + 1, axis=0),
+            np.tile(suffixes, (len(documents), 1)),
+            np.repeat(tail_mask, width + 1, axis=0),
+        ],
+        axis=1,
+    )
+    for part in _chunks(len(records)):
+        codes = codes_of(part)
+        text = templates.take(codes, axis=0)
+        digits, lengths = _decimal_bytes(shots[part], width)
+        text[:, start : start + width] = digits
+        keep = masks.take(codes * (width + 1) + lengths, axis=0)
+        text = text[keep]  # frees the padded matrix before the str is built
+        del keep
+        stream.write(str(text, "utf-8"))
 
 
 def write_stream_csv(

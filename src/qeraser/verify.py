@@ -278,9 +278,9 @@ def dense_chsh_values(samples: np.ndarray) -> np.ndarray:
     ``bell_relative_state(phi, +-1)`` in one einsum.  Returns shape
     (2, rows): the up branch, then the down branch.
     """
-    analyzers = np.array(
-        [qubits.analyzer_observable(theta) for theta in samples[:, :4].ravel()]
-    ).reshape(-1, 2, 2, 2, 2)  # (row, side a/b, setting 0/1, 2, 2)
+    analyzers = qubits.analyzer_observable(samples[:, :4]).reshape(
+        -1, 2, 2, 2, 2
+    )  # (row, side a/b, setting 0/1, 2, 2)
     pairs = np.array(
         [
             [qubits.bell_relative_state(phi, sign).amplitudes for phi in samples[:, 4]]

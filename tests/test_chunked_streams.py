@@ -1,20 +1,32 @@
-"""Golden bytes of runs that span several sampling chunks.
+"""Chunked sampling, writing and joining against their monolithic forms.
 
 The pinned runs in ``test_golden_streams.py`` are smaller than one chunk
-of the sampler, so they cannot see a seam between chunks.  These digests
-were recorded from the monolithic sampler and line writer that predate
-chunking, at 3 * 2**16 + 17 shots: three full chunks of the default size
-plus a ragged tail.
+of the sampler, so they cannot see a seam between chunks.  The digests
+below were recorded from the monolithic sampler and line writer that
+predate chunking, at 3 * 2**16 + 17 shots: three full chunks of the
+default size plus a ragged tail.  The properties then shrink the chunk
+to a few shots and compare streams, bytes and joins with the monolithic
+reference code kept here.
 """
 
 import hashlib
 import io
+from collections.abc import Callable
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from qeraser import sampler
 from qeraser.protocols import ChshSettings
 from qeraser.sampler import (
+    ControlStream,
     ExperimentConfig,
+    JoinError,
+    SystemStream,
+    delayed_join,
     run_experiment,
     write_stream_csv,
     write_stream_jsonl,
@@ -94,3 +106,221 @@ def test_multi_chunk_stream_bodies_are_pinned(experiment, mode):
         body_digest(system, config, write_stream_jsonl),
         body_digest(control, config, write_stream_jsonl),
     ) == GOLDEN[experiment, mode]
+
+
+CHUNKS = st.sampled_from([1, 7, 64, sampler._CHUNK])
+WRITERS = (write_stream_csv, write_stream_jsonl)
+
+
+def test_golden_runs_span_several_chunks():
+    assert SHOTS > 3 * sampler._CHUNK
+
+
+def reference_uniforms(seed: int, shots: int) -> np.ndarray:
+    """The monolithic draw: (shots, 4) uniforms, row i from Philox block i."""
+    raw = np.random.Philox(key=seed).random_raw(4 * shots).reshape(shots, 4)
+    return (raw >> np.uint64(11)) * (2.0**-53)
+
+
+def reference_streams(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
+    """The one-pass sampling body that predates chunking."""
+    plan = sampler._PLANS[config.experiment, config.mode](config)
+    keyed = config.mode == "classical_mixture"
+    uniforms = reference_uniforms(config.seed, config.shots)
+    rows = np.zeros(config.shots, dtype=int)
+    column = 0
+    if keyed:
+        rows = (uniforms[:, column] >= 0.5).astype(int)
+        column += 1
+    if config.experiment == "chsh":
+        rows = rows * 4 + np.minimum((uniforms[:, column] * 4).astype(int), 3)
+        column += 1
+    cumulative = np.cumsum(np.clip(plan.table, 0.0, None), axis=1)
+    scaled = uniforms[:, column] * cumulative[rows, -1]
+    chosen = (scaled[:, None] >= cumulative[rows]).sum(axis=1)
+    chosen = np.minimum(chosen, plan.table.shape[1] - 1)
+    shots = np.arange(config.shots)
+    if keyed:
+        outcome, basis_angle = chosen, None
+        control = np.where(rows < len(plan.table) // 2, 1, -1)
+    else:
+        outcome, basis_angle = chosen // 2, config.control_basis_angle
+        control = np.where(chosen % 2 == 0, 1, -1)
+    system = SystemStream(
+        shots, outcome, rows, config.experiment, plan.labels, tuple(plan.settings)
+    )
+    return system, ControlStream(shots, control, basis_angle)
+
+
+def reference_write_lines(
+    stream, records: SystemStream | ControlStream, line: Callable[[dict], str]
+) -> None:
+    """The per-shot line writer that predates the vectorized one."""
+    if len(records) == 0:
+        return
+    if isinstance(records, SystemStream):
+        codes = records.setting_row * len(records.labels) + records.outcome
+        documents = [
+            {"experiment": records.experiment, "outcome": label, "settings": settings}
+            for settings in records.settings
+            for label in records.labels
+        ]
+    else:
+        values, codes = np.unique(records.outcome, return_inverse=True)
+        documents = [
+            {"control_outcome": value, "basis_angle": records.basis_angle}
+            for value in values.tolist()
+        ]
+    texts = [line({"shot_index": sampler._SHOT, **document}) for document in documents]
+    parts = zip(*(text.split(str(sampler._SHOT)) for text in texts))
+    heads, tails = (np.array(part, dtype=object)[codes].tolist() for part in parts)
+    shots = records.shot_index.tolist()
+    stream.writelines(f"{head}{shot}{tail}" for head, shot, tail in zip(heads, shots, tails))
+
+
+def rendered(writer, records, config) -> str:
+    buffer = io.StringIO()
+    writer(buffer, records, config)
+    return buffer.getvalue()
+
+
+def reference_rendered(writer, records, config) -> str:
+    with mock.patch.object(sampler, "_write_lines", reference_write_lines):
+        return rendered(writer, records, config)
+
+
+@st.composite
+def configs(draw, max_shots=300):
+    experiment = draw(st.sampled_from(["hom", "chsh", "metrology"]))
+    return ExperimentConfig(
+        experiment=experiment,
+        shots=draw(st.integers(1, max_shots)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        mode=draw(st.sampled_from(["quantum", "classical_mixture"])),
+        **BASE[experiment],
+    )
+
+
+@given(configs(), CHUNKS)
+def test_chunked_runs_equal_the_monolithic_reference(config, chunk):
+    expected = reference_streams(config)
+    with mock.patch.object(sampler, "_CHUNK", chunk):
+        streams = run_experiment(config)
+        assert streams == expected
+        for writer in WRITERS:
+            for records in streams:
+                assert rendered(writer, records, config) == reference_rendered(
+                    writer, records, config
+                )
+
+
+def selections(draw, shots: int) -> np.ndarray:
+    """Shot positions: all, a subset, reversed, permuted, empty or single."""
+    kind = draw(st.sampled_from(["all", "subset", "reversed", "permuted", "empty", "single"]))
+    positions = np.arange(shots)
+    if kind == "subset":
+        keep = draw(st.lists(st.booleans(), min_size=shots, max_size=shots))
+        return positions[np.array(keep, dtype=bool)]
+    if kind == "reversed":
+        return positions[::-1]
+    if kind == "permuted":
+        return np.array(draw(st.permutations(positions.tolist())), dtype=int)
+    if kind == "empty":
+        return positions[:0]
+    if kind == "single":
+        return positions[[draw(st.integers(0, shots - 1))]]
+    return positions
+
+
+@given(st.data(), configs(max_shots=150), CHUNKS)
+def test_chunked_writer_bytes_on_reordered_streams(data, config, chunk):
+    system, control = run_experiment(config)
+    order = selections(data.draw, config.shots)
+    with mock.patch.object(sampler, "_CHUNK", chunk):
+        for writer in WRITERS:
+            for records in (system[order], control[order]):
+                assert rendered(writer, records, config) == reference_rendered(
+                    writer, records, config
+                )
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@given(st.lists(INT64, max_size=40), CHUNKS)
+@example([0, -1, 2**63 - 1, -(2**63), 10**18, -(10**18) + 1, 9, -10], 1)
+@example([0], 64)
+def test_chunked_writer_renders_every_int64_index(indices, chunk):
+    config = ExperimentConfig(experiment="hom", shots=1, seed=0, **BASE["hom"])
+    shots = np.array(indices, dtype=np.int64)
+    signs = np.where(np.arange(len(shots)) % 3 == 0, -1, 1)
+    system = SystemStream(
+        shots,
+        np.arange(len(shots)) % 3,
+        np.zeros(len(shots), dtype=int),
+        "hom",
+        ("AB", "AA", "BB"),
+        ({"phi": 0.8, "statistics": "fermion"},),
+    )
+    streams = (system, ControlStream(shots, signs, 0.3), ControlStream(shots, signs, None))
+    with mock.patch.object(sampler, "_CHUNK", chunk):
+        for writer in WRITERS:
+            for records in streams:
+                assert rendered(writer, records, config) == reference_rendered(
+                    writer, records, config
+                )
+
+
+def test_writer_rejects_foreign_control_outcomes():
+    control = ControlStream(np.arange(3), np.array([1, 0, -1]), 0.0)
+    config = ExperimentConfig(experiment="hom", shots=3, seed=0)
+    with pytest.raises(ValueError, match="control outcomes"):
+        write_stream_csv(io.StringIO(), control, config)
+
+
+def join_outcome(system_indices, control_indices):
+    system = SystemStream(
+        np.array(system_indices, dtype=int),
+        np.array(system_indices, dtype=int) % 3,
+        np.zeros(len(system_indices), dtype=int),
+        "hom",
+        ("AB", "AA", "BB"),
+        ({"phi": 0.0, "statistics": "boson"},),
+    )
+    control = ControlStream(
+        np.array(control_indices, dtype=int),
+        np.where(np.array(control_indices, dtype=int) % 2 == 0, 1, -1),
+        0.0,
+    )
+    try:
+        return delayed_join(system, control)
+    except JoinError as error:
+        return error.orphaned_system, error.orphaned_control
+
+
+@st.composite
+def nearly_sorted_pairs(draw):
+    """Sorted shot lists that may break order, repeat or differ at any position."""
+    indices = sorted(draw(st.sets(st.integers(-50, 50), max_size=12)))
+    sides = []
+    for _ in range(2):
+        side = list(indices)
+        edit = draw(st.sampled_from(["none", "swap", "repeat", "drop"]))
+        if side and edit != "none":
+            k = draw(st.integers(0, len(side) - 1))
+            if edit == "swap" and k + 1 < len(side):
+                side[k], side[k + 1] = side[k + 1], side[k]
+            elif edit == "repeat":
+                side.insert(k, side[k])
+            elif edit == "drop":
+                del side[k]
+        sides.append(side)
+    return sides
+
+
+@given(nearly_sorted_pairs(), st.sampled_from([1, 2, 3]))
+def test_join_is_independent_of_the_chunk_size(sides, chunk):
+    with mock.patch.object(sampler, "_CHUNK", chunk):
+        chunked = join_outcome(*sides)
+    with mock.patch.object(sampler, "_CHUNK", 1 << 30):
+        assert chunked == join_outcome(*sides)

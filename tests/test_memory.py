@@ -1,0 +1,91 @@
+"""Memory bounds of the sampled path, measured in process with tracemalloc.
+
+numpy reports its array buffers to tracemalloc, so a traced peak counts
+every column and temporary a call allocates.  Generation and writing
+work in chunks of shots and the join of shot-ordered streams copies
+nothing, so the only allocations that grow with the shot count are the
+finished stream columns.
+"""
+
+import io
+import math
+import tracemalloc
+
+import numpy as np
+
+from qeraser.protocols import ChshSettings
+from qeraser.sampler import (
+    ControlStream,
+    ExperimentConfig,
+    SystemStream,
+    delayed_join,
+    run_experiment,
+    write_stream_csv,
+)
+
+MIB = 1 << 20
+# full-precision angles give the longest CSV lines
+CHSH = dict(settings=ChshSettings(0.0, math.pi / 2, 5 * math.pi / 4, 3 * math.pi / 4))
+
+
+class ByteCounter(io.TextIOBase):
+    """Text sink that keeps only the number of characters written."""
+
+    def __init__(self) -> None:
+        self.written = 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, text: str) -> int:
+        self.written += len(text)
+        return len(text)
+
+
+def traced_peak(call):
+    """(result, peak bytes allocated above the start) of ``call()``."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+def held_bytes(*streams: SystemStream | ControlStream) -> int:
+    """Bytes of the distinct column buffers the streams hold."""
+    buffers = {}
+    for stream in streams:
+        for name in stream._COLUMNS:
+            column = getattr(stream, name)
+            base = column if column.base is None else column.base
+            buffers[id(base)] = base.nbytes
+    return sum(buffers.values())
+
+
+def test_csv_writer_peak_does_not_grow_with_the_stream():
+    config = ExperimentConfig(experiment="chsh", shots=1_000_000, seed=5, **CHSH)
+    system, _ = run_experiment(config)
+    sink = ByteCounter()
+    _, peak = traced_peak(lambda: write_stream_csv(sink, system, config))
+    assert sink.written > 50 * MIB
+    assert peak < 16 * MIB
+
+
+def test_run_peak_above_its_columns_is_independent_of_the_shot_count():
+    excess = []
+    for shots in (200_000, 1_000_000):
+        config = ExperimentConfig(experiment="chsh", shots=shots, seed=5, **CHSH)
+        streams, peak = traced_peak(lambda: run_experiment(config))
+        excess.append(peak - held_bytes(*streams))
+    assert abs(excess[1] - excess[0]) < 2 * MIB
+
+
+def test_join_of_a_run_copies_no_column():
+    config = ExperimentConfig(experiment="hom", shots=1_000_000, seed=5)
+    system, control = run_experiment(config)
+    joined, peak = traced_peak(lambda: delayed_join(system, control))
+    assert peak < 1 * MIB
+    assert np.shares_memory(joined.system.outcome, system.outcome)

@@ -60,6 +60,18 @@ class TestOperators:
         mirrored = math.cos(-theta) * sigma_x() + math.sin(-theta) * sigma_y()
         assert np.abs(matrix - mirrored).max() < 1e-12
 
+    @given(pairs=st.lists(st.tuples(ANGLES, ANGLES), max_size=12))
+    def test_analyzer_observable_stacks_the_scalar_results(self, pairs):
+        # the sampler's tables, and so the stream digests, rest on these bits
+        grid = np.array(pairs + [(0.0, -0.0), (math.pi, -math.pi)], dtype=float)
+        formula = [math.cos(t) * sigma_x() - math.sin(t) * sigma_y() for t in grid.ravel()]
+        scalars = [analyzer_observable(float(t)) for t in grid.ravel()]
+        stacked = analyzer_observable(grid)
+        assert stacked.shape == grid.shape + (2, 2)
+        # bit for bit, signed zeros included
+        assert np.array(scalars).tobytes() == np.array(formula).tobytes()
+        assert stacked.tobytes() == np.array(formula).tobytes()
+
     def test_rotation_y_quarter_turn(self):
         # the pi/2 rotation sends right to down and up to right
         right = np.array([1.0, 1.0]) / math.sqrt(2.0)
