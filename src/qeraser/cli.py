@@ -145,7 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--condition",
         choices=("up", "down"),
         default="up",
-        help="control branch the optimizer targets",
+        help=(
+            "control branch passed to the optimizer and named in the analytic "
+            "header; up and down give the same settings, since the down "
+            "branch's correlations are minus the up branch's"
+        ),
     )
     chsh.add_argument(
         "--control-angle",
@@ -251,20 +255,27 @@ def _to_radians(args: argparse.Namespace, names: Sequence[str]) -> None:
             setattr(args, name, value * scale)
 
 
-def _write_streams(
-    args: argparse.Namespace,
-    config: ExperimentConfig,
-    system: sampler.SystemStream,
-    control: sampler.ControlStream,
-) -> None:
+def _write_streams(args: argparse.Namespace, config: ExperimentConfig) -> None:
+    """Write the sampled run's system stream to ``--output``, its control stream beside it."""
     if args.output is None:
         raise UsageError("sampled stream output needs --output (or --format summary)")
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        sampler.write_stream_csv(handle, system, config)
+    chunks = sampler._sample(config)  # a failing plan raises before any file opens
     control_path = _control_path(args.output)
-    with open(control_path, "w", encoding="utf-8", newline="") as handle:
-        sampler.write_stream_csv(handle, control, config)
+    with open(args.output, "w", encoding="utf-8", newline="") as system_file, open(
+        control_path, "w", encoding="utf-8", newline=""
+    ) as control_file:
+        sampler._write_csv_chunks(chunks, config, system_file, control_file)
     print(f"wrote {args.output} and {control_path}", file=sys.stderr)
+
+
+def _chunk_joins(config: ExperimentConfig) -> Iterator[sampler.JoinedStreams]:
+    """The delayed join of each chunk of a sampled run, in shot order.
+
+    Chunks cover disjoint shot ranges, so counts summed over the chunk
+    joins equal the counts of the whole run's join.
+    """
+    for system, control in sampler._sample(config):
+        yield sampler.delayed_join(system, control)
 
 
 def _hom_reference_table(config: ExperimentConfig) -> ProbabilityTable:
@@ -311,13 +322,17 @@ def _run_hom(args: argparse.Namespace) -> int:
         control_basis_angle=args.control_angle,
         mode=_SAMPLER_MODE[args.mode],
     )
-    system, control = sampler.run_experiment(config)
     if form == "csv":
-        _write_streams(args, config, system, control)
+        _write_streams(args, config)
         return 0
-    joined = sampler.delayed_join(system, control)
-    empirical_joined = sampler.empirical_table(joined.system, joined.control.outcome)
-    empirical_unjoined = sampler.empirical_table(joined.system)
+    counts = sum(
+        sampler._outcome_counts(joined.system, joined.control.outcome)
+        for joined in _chunk_joins(config)
+    )
+    empirical_joined = sampler._counts_table(sampler.HOM_OUTCOMES, counts)
+    empirical_unjoined = sampler._counts_table(
+        sampler.HOM_OUTCOMES, counts.sum(axis=1, keepdims=True)
+    )
     reference = _hom_reference_table(config)
     with _output_stream(args.output) as out:
         out.write(sampler.metadata_header(config) + "\n")
@@ -431,17 +446,20 @@ def _run_chsh(args: argparse.Namespace) -> int:
         control_basis_angle=args.control_angle,
         mode=_SAMPLER_MODE[args.mode],
     )
-    system, control = sampler.run_experiment(config)
     if form == "csv":
-        _write_streams(args, config, system, control)
+        _write_streams(args, config)
         return 0
-    joined = sampler.delayed_join(system, control)
-    branches = (
-        ("empirical S (joined C=up):   ", joined.labeled(+1)),
-        ("empirical S (joined C=down): ", joined.labeled(-1)),
-        ("empirical S (unjoined):      ", joined.system),
+    # pair sums of the C=up and C=down sets; the unjoined set is their union
+    up_down = sum(
+        np.stack([sampler._pair_sums(joined.labeled(outcome)) for outcome in (+1, -1)])
+        for joined in _chunk_joins(config)
     )
-    estimates = [_chsh_estimate(records) for _, records in branches]
+    branches = (
+        ("empirical S (joined C=up):   ", up_down[0]),
+        ("empirical S (joined C=down): ", up_down[1]),
+        ("empirical S (unjoined):      ", up_down[0] + up_down[1]),
+    )
+    estimates = [_chsh_estimate(sums) for _, sums in branches]
     with _output_stream(args.output) as out:
         out.write(sampler.metadata_header(config) + "\n")
         out.write(
@@ -453,20 +471,21 @@ def _run_chsh(args: argparse.Namespace) -> int:
             f"analytic S: up={analytic['up']:.6f} down={analytic['down']:.6f} "
             f"unjoined={analytic['?']:.6f}\n"
         )
-        for (prefix, records), (value, _) in zip(branches, estimates):
-            out.write(f"{prefix}{value} ({len(records)} shots)\n")
+        for (prefix, sums), (value, _) in zip(branches, estimates):
+            out.write(f"{prefix}{value} ({int(sums[0].sum())} shots)\n")
         out.write(f"violation of |S| <= 2 (C=up branch): {estimates[0][1]}\n")
     return 0
 
 
-def _chsh_estimate(records: sampler.SystemStream) -> tuple[str, str]:
+def _chsh_estimate(sums: np.ndarray) -> tuple[str, str]:
     """Printed empirical S and violation significance of one labeled set.
 
-    A small run can leave a set without records for some setting pair;
-    both then read n/a with the reason instead of failing the run.
+    ``sums`` are the set's per-pair counts and +-1 sums.  A small run can
+    leave a set without records for some setting pair; both then read
+    n/a with the reason instead of failing the run.
     """
     try:
-        s, err = sampler.chsh_statistic(records)
+        s, err = sampler._chsh_from_sums(sums)
     except ValueError as error:
         return (f"n/a ({error})",) * 2
     sigmas = (abs(s) - 2.0) / err if err > 0 else math.inf

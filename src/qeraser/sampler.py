@@ -31,6 +31,7 @@ zero-probability cell is never selected.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, fields, replace
@@ -190,9 +191,9 @@ class ExperimentConfig:
             raise ValueError(f"register size {self.n} outside supported range 1..20")
 
 
-# shots per chunk of draws, selection and line writing: every per-shot
-# temporary is O(_CHUNK); only the finished stream columns are O(shots)
-_CHUNK = 1 << 16
+# shots per chunk of draws, selection, joins, counts and line writing:
+# every per-shot temporary is O(_CHUNK); only whole-run columns are O(shots)
+_CHUNK = 1 << 14
 
 
 def _chunks(total: int) -> Iterator[slice]:
@@ -374,16 +375,24 @@ def sampling_table(config: ExperimentConfig) -> np.ndarray:
     return _PLANS[config.experiment, config.mode](config).table
 
 
-def _sample(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
-    """The one sampling body shared by every experiment and mode."""
+def _sample(config: ExperimentConfig) -> Iterator[tuple[SystemStream, ControlStream]]:
+    """The one sampling body shared by every experiment and mode, chunk by chunk.
+
+    Builds and checks the run's plan at once, then returns an iterator of
+    each chunk's (system, control) pair in shot order; chunk k covers
+    ``shot_index`` ``k * _CHUNK`` up to the next chunk's first shot.
+    """
     plan = _PLANS[config.experiment, config.mode](config)
+    return _sampled_chunks(config, plan, _cumulative(plan.table))
+
+
+def _sampled_chunks(
+    config: ExperimentConfig, plan: _Plan, cumulative: np.ndarray
+) -> Iterator[tuple[SystemStream, ControlStream]]:
     keyed = config.mode == "classical_mixture"
-    cumulative = _cumulative(plan.table)
+    basis_angle = None if keyed else config.control_basis_angle
+    settings = tuple(plan.settings)
     generator = np.random.Philox(key=config.seed)
-    shots = np.arange(config.shots)
-    rows = np.zeros(config.shots, dtype=int)
-    outcome = np.empty(config.shots, dtype=int)
-    control = np.empty(config.shots, dtype=int)
     for part in _chunks(config.shots):
         uniforms = _shot_uniforms(generator, part.stop - part.start)
         # leading uniforms pick the row in the frozen layout: key bit, then pair
@@ -397,19 +406,32 @@ def _sample(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
             column += 1
         chosen = _cell_indices(uniforms[:, column], cumulative, row)
         if keyed:  # the key bit of the row is the control outcome
-            outcome[part] = chosen
-            control[part] = np.where(row < len(plan.table) // 2, 1, -1)
+            outcome = chosen
+            control = np.where(row < len(plan.table) // 2, 1, -1)
         else:  # joint cells: system-major, control +1 first
-            outcome[part] = chosen >> 1
-            control[part] = 1 - 2 * (chosen & 1)
-        if len(plan.table) > 1:  # else every row is 0, as allocated
-            rows[part] = row
+            outcome = chosen >> 1
+            control = 1 - 2 * (chosen & 1)
+        shots = np.arange(part.start, part.stop)
+        yield (
+            SystemStream(shots, outcome, row, config.experiment, plan.labels, settings),
+            ControlStream(shots, control, basis_angle),
+        )
 
-    basis_angle = None if keyed else config.control_basis_angle
-    system = SystemStream(
-        shots, outcome, rows, config.experiment, plan.labels, tuple(plan.settings)
+
+def _whole_run(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
+    """The chunks of :func:`_sample` gathered into whole-run columns."""
+    shots = np.arange(config.shots)
+    outcome = np.empty(config.shots, dtype=int)
+    rows = np.empty(config.shots, dtype=int)
+    control_outcome = np.empty(config.shots, dtype=int)
+    for part, (system, control) in zip(_chunks(config.shots), _sample(config)):
+        outcome[part] = system.outcome
+        rows[part] = system.setting_row
+        control_outcome[part] = control.outcome
+    return (
+        replace(system, shot_index=shots, outcome=outcome, setting_row=rows),
+        replace(control, shot_index=shots, outcome=control_outcome),
     )
-    return system, ControlStream(shots, control, basis_angle)
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
@@ -423,7 +445,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStrea
     """
     if config.mode == "classical_mixture":
         return classical_mixture_run(config)
-    return _sample(config)
+    return _whole_run(config)
 
 
 def classical_mixture_run(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
@@ -437,7 +459,7 @@ def classical_mixture_run(config: ExperimentConfig) -> tuple[SystemStream, Contr
     """
     if config.mode != "classical_mixture":
         raise ValueError("classical_mixture_run requires mode='classical_mixture'")
-    return _sample(config)
+    return _whole_run(config)
 
 
 class JoinError(ValueError):
@@ -578,15 +600,24 @@ def empirical_table(
     """
     if len(records) == 0:
         raise ValueError("cannot tabulate an empty record set")
-    rows = records.labels
-    codes = records.outcome
-    if np.any((codes < 0) | (codes >= len(rows))):
-        raise ValueError(f"unknown outcome code for {records.experiment}")
-
     if control_outcome is None:
-        columns: tuple[str, ...] = ("C=?",)
-        counts = np.bincount(codes, minlength=len(rows))[:, None]
-    else:
+        return _counts_table(records.labels, _outcome_counts(records).sum(axis=1, keepdims=True))
+    return _counts_table(records.labels, _outcome_counts(records, control_outcome))
+
+
+def _outcome_counts(
+    records: SystemStream, control_outcome: np.ndarray | None = None
+) -> np.ndarray:
+    """(outcomes, 2) shot counts of each outcome beside control +1 and -1.
+
+    Without ``control_outcome`` every shot counts as +1.  Counts of
+    disjoint shot sets add up to the counts of their union.
+    """
+    codes = records.outcome
+    if np.any((codes < 0) | (codes >= len(records.labels))):
+        raise ValueError(f"unknown outcome code for {records.experiment}")
+    down = 0
+    if control_outcome is not None:
         control_outcome = np.asarray(control_outcome)
         if control_outcome.shape != codes.shape:
             raise ValueError(
@@ -595,15 +626,25 @@ def empirical_table(
         down = control_outcome == -1
         if not np.all(down | (control_outcome == 1)):
             raise ValueError("control outcomes must be +1 or -1")
-        both = np.bincount(2 * codes + down, minlength=2 * len(rows)).reshape(-1, 2)
-        seen = both.sum(axis=0) > 0
+    return np.bincount(2 * codes + down, minlength=2 * len(records.labels)).reshape(-1, 2)
+
+
+def _counts_table(labels: Sequence[str], counts: np.ndarray) -> EmpiricalTable:
+    """Table of (outcomes, 1) ``C=?`` or (outcomes, 2) up/down counts.
+
+    A split table keeps only the control columns that have shots.
+    """
+    if counts.shape[1] == 1:
+        columns: tuple[str, ...] = ("C=?",)
+    else:
+        seen = counts.sum(axis=0) > 0
         columns = tuple(c for c, present in zip(("C=up", "C=down"), seen) if present)
-        counts = both[:, seen]
-    total = len(records)
+        counts = counts[:, seen]
+    total = int(counts.sum())
     values = counts / total
     standard_errors = np.sqrt(values * (1.0 - values) / total)
     return EmpiricalTable(
-        row_labels=tuple(rows),
+        row_labels=tuple(labels),
         column_labels=columns,
         values=values,
         counts=counts,
@@ -621,8 +662,15 @@ def chsh_statistic(records: SystemStream) -> tuple[float, float]:
     is estimated as (1 - E^2)/count and propagated in quadrature.  The
     value is signed; compare its magnitude against bounds.
     """
-    if len(records) == 0:
-        raise ValueError("cannot estimate CHSH from an empty record set")
+    return _chsh_from_sums(_pair_sums(records))
+
+
+def _pair_sums(records: SystemStream) -> np.ndarray:
+    """(2, 4) record counts and +-1 product sums of the four setting pairs.
+
+    Both rows hold exact integers, so the sums of disjoint record sets
+    add up to those of their union whatever the order.
+    """
     if records.experiment != "chsh":
         raise ValueError("chsh_statistic needs chsh records")
     pair_of_row = np.array(
@@ -630,14 +678,25 @@ def chsh_statistic(records: SystemStream) -> tuple[float, float]:
     )
     product_of = np.array([_OUTCOME_SIGN[a] * _OUTCOME_SIGN[b] for a, b in records.labels])
     pairs = pair_of_row[records.setting_row]
-    counts = np.bincount(pairs, minlength=4).tolist()
-    sums = np.bincount(pairs, weights=product_of[records.outcome], minlength=4).tolist()
+    return np.stack(
+        [
+            np.bincount(pairs, minlength=4),
+            np.bincount(pairs, weights=product_of[records.outcome], minlength=4),
+        ]
+    )
+
+
+def _chsh_from_sums(sums: np.ndarray) -> tuple[float, float]:
+    """:func:`chsh_statistic` of the records whose :func:`_pair_sums` are ``sums``."""
+    counts, products = sums.tolist()
+    if not any(counts):
+        raise ValueError("cannot estimate CHSH from an empty record set")
     value = 0.0
     variance = 0.0
     for pair, sign in enumerate((1, 1, 1, -1)):
         if counts[pair] == 0:
             raise ValueError(f"no records for setting pair {divmod(pair, 2)}")
-        correlator = sums[pair] / counts[pair]
+        correlator = products[pair] / counts[pair]
         value += sign * correlator
         variance += (1.0 - correlator**2) / counts[pair]
     return value, math.sqrt(variance)
@@ -739,50 +798,47 @@ def _padded(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(rows.shape[1]) < lengths[:, None]
 
 
-def _write_lines(
-    stream: IO[str],
+def _line_renderer(
     records: SystemStream | ControlStream,
     line: Callable[[dict], str],
-) -> None:
-    """Write ``line(record)`` for every shot, formatting each distinct line once.
+    width: int,
+) -> Callable[[SystemStream | ControlStream], str]:
+    """``render(chunk)``: the text of ``line(record)`` for every shot of ``chunk``.
 
     ``record`` is the shot as a JSONL object.  The shots of one distinct
-    line differ only in their index, so the line is formatted with a
-    stand-in index and split into a head and a tail around it.  Per chunk
-    of shots, the head and tail bytes of each shot's line flank the
-    shot's decimal index in one uint8 matrix; dropping the padding bytes
-    leaves the chunk's text, written with one call.
+    line differ only in their index, so each line a stream can hold is
+    formatted once from the per-run values of ``records`` with a stand-in
+    index and split into a head and a tail around it.  ``chunk`` is any
+    part of a stream with those per-run values whose shot indices have
+    at most ``width`` characters.  Per chunk, the head and tail bytes of
+    each shot's line flank the shot's decimal index in one uint8 matrix;
+    dropping the padding bytes leaves the chunk's text.
     """
-    if len(records) == 0:
-        return
     if isinstance(records, SystemStream):
         documents = [
             {"experiment": records.experiment, "outcome": label, "settings": settings}
             for settings in records.settings
             for label in records.labels
         ]
+        outcomes = len(records.labels)
 
-        def codes_of(part: slice) -> np.ndarray:
-            return records.setting_row[part] * len(records.labels) + records.outcome[part]
+        def codes_of(chunk: SystemStream) -> np.ndarray:
+            return chunk.setting_row * outcomes + chunk.outcome
 
     else:
-        outcome = records.outcome
-        if not _signs_only(outcome):
-            raise ValueError("control outcomes must be +1 or -1")
         documents = [
             {"control_outcome": value, "basis_angle": records.basis_angle} for value in (1, -1)
         ]
 
-        def codes_of(part: slice) -> np.ndarray:
-            return (1 - outcome[part]) >> 1  # +1 -> 0, -1 -> 1
+        def codes_of(chunk: ControlStream) -> np.ndarray:
+            if not _signs_only(chunk.outcome):
+                raise ValueError("control outcomes must be +1 or -1")
+            return (1 - chunk.outcome) >> 1  # +1 -> 0, -1 -> 1
 
     texts = [line({"shot_index": _SHOT, **document}) for document in documents]
     heads, tails = zip(*(text.split(str(_SHOT)) for text in texts))
     head_bytes, head_mask = _padded(heads)
     tail_bytes, tail_mask = _padded(tails)
-    shots = records.shot_index
-    # the longest decimal belongs to the smallest or the largest index
-    width = max(len(str(int(shots.min()))), len(str(int(shots.max()))))
     start = head_bytes.shape[1]  # first column of the shot index
     blank = np.zeros((len(documents), width), dtype=np.uint8)
     templates = np.concatenate([head_bytes, blank, tail_bytes], axis=1)
@@ -796,15 +852,55 @@ def _write_lines(
         ],
         axis=1,
     )
-    for part in _chunks(len(records)):
-        codes = codes_of(part)
+
+    def render(chunk: SystemStream | ControlStream) -> str:
+        codes = codes_of(chunk)
         text = templates.take(codes, axis=0)
-        digits, lengths = _decimal_bytes(shots[part], width)
+        digits, lengths = _decimal_bytes(chunk.shot_index, width)
         text[:, start : start + width] = digits
         keep = masks.take(codes * (width + 1) + lengths, axis=0)
         text = text[keep]  # frees the padded matrix before the str is built
         del keep
-        stream.write(str(text, "utf-8"))
+        return str(text, "utf-8")
+
+    return render
+
+
+def _write_lines(
+    stream: IO[str],
+    records: SystemStream | ControlStream,
+    line: Callable[[dict], str],
+) -> None:
+    """Write ``line(record)`` for every shot, one chunk of shots per call."""
+    if len(records) == 0:
+        return
+    shots = records.shot_index
+    # the longest decimal belongs to the smallest or the largest index
+    width = max(len(str(int(shots.min()))), len(str(int(shots.max()))))
+    render = _line_renderer(records, line, width)
+    for part in _chunks(len(records)):
+        stream.write(render(records[part]))
+
+
+def _csv_layout(records: SystemStream | ControlStream) -> tuple[str, Callable[[dict], str]]:
+    """Column header line and line formatter of a non-empty CSV stream."""
+    if isinstance(records, SystemStream):
+        keys = sorted(records.settings[0])
+        if any(sorted(settings) != keys for settings in records.settings):
+            raise ValueError("records disagree on setting fields")
+
+        def line(record: dict) -> str:
+            cells = [str(record["shot_index"]), record["experiment"], record["outcome"]]
+            cells += [_format_field(record["settings"][k]) for k in keys]
+            return ",".join(cells) + "\n"
+
+        return "shot_index,experiment,outcome," + ",".join(keys) + "\n", line
+
+    def line(record: dict) -> str:
+        angle = _format_field(record["basis_angle"])
+        return f"{record['shot_index']},{record['control_outcome']:+d},{angle}\n"
+
+    return "shot_index,control_outcome,basis_angle\n", line
 
 
 def write_stream_csv(
@@ -816,25 +912,32 @@ def write_stream_csv(
     stream.write(metadata_header(config) + "\n")
     if len(records) == 0:
         return
-    if isinstance(records, SystemStream):
-        keys = sorted(records.settings[0])
-        if any(sorted(settings) != keys for settings in records.settings):
-            raise ValueError("records disagree on setting fields")
-        stream.write("shot_index,experiment,outcome," + ",".join(keys) + "\n")
-
-        def line(record: dict) -> str:
-            cells = [str(record["shot_index"]), record["experiment"], record["outcome"]]
-            cells += [_format_field(record["settings"][k]) for k in keys]
-            return ",".join(cells) + "\n"
-
-    else:
-        stream.write("shot_index,control_outcome,basis_angle\n")
-
-        def line(record: dict) -> str:
-            angle = _format_field(record["basis_angle"])
-            return f"{record['shot_index']},{record['control_outcome']:+d},{angle}\n"
-
+    columns, line = _csv_layout(records)
+    stream.write(columns)
     _write_lines(stream, records, line)
+
+
+def _write_csv_chunks(
+    chunks: Iterator[tuple[SystemStream, ControlStream]],
+    config: ExperimentConfig,
+    system_file: IO[str],
+    control_file: IO[str],
+) -> None:
+    """Write a run's (system, control) chunks as its two CSV streams.
+
+    ``chunks`` are the chunks of :func:`_sample`; each file gets the bytes
+    :func:`write_stream_csv` writes for that stream of the whole run.
+    """
+    first = next(chunks)
+    width = len(str(config.shots - 1))  # of the run's largest shot index
+    renderers = []
+    for handle, records in zip((system_file, control_file), first):
+        columns, line = _csv_layout(records)
+        handle.write(metadata_header(config) + "\n" + columns)
+        renderers.append(_line_renderer(records, line, width))
+    for pair in itertools.chain([first], chunks):
+        for handle, render, records in zip((system_file, control_file), renderers, pair):
+            handle.write(render(records))
 
 
 def write_stream_jsonl(

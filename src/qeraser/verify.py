@@ -275,18 +275,18 @@ def dense_chsh_values(samples: np.ndarray) -> np.ndarray:
     """Batched :func:`protocols.chsh_value` for rows (a0, a1, b0, b1, phi).
 
     The stacked analyzer observables of all rows meet the dense pair states
-    ``bell_relative_state(phi, +-1)`` in one einsum.  Returns shape
-    (2, rows): the up branch, then the down branch.
+    ``bell_relative_state(phi, +-1)``, built as one amplitude array, in one
+    einsum.  Returns shape (2, rows): the up branch, then the down branch.
     """
     analyzers = qubits.analyzer_observable(samples[:, :4]).reshape(
         -1, 2, 2, 2, 2
     )  # (row, side a/b, setting 0/1, 2, 2)
-    pairs = np.array(
-        [
-            [qubits.bell_relative_state(phi, sign).amplitudes for phi in samples[:, 4]]
-            for sign in (+1, -1)
-        ]
-    ).reshape(2, -1, 2, 2)  # (branch, row, spin a, spin b)
+    # (|up down> + sign e^{i phi} |down up>)/sqrt(2) of every row, both signs
+    phase = np.exp(1.0j * samples[:, 4]) / math.sqrt(2.0)
+    pairs = np.zeros((2, len(samples), 4), dtype=complex)
+    pairs[:, :, 0b01] = 1.0 / math.sqrt(2.0)
+    pairs[:, :, 0b10] = np.stack([phase, -phase])
+    pairs = pairs.reshape(2, -1, 2, 2)  # (branch, row, spin a, spin b)
     e = np.einsum(
         "cnst,nisu,njtv,cnuv->cnij",
         pairs.conj(), analyzers[:, 0], analyzers[:, 1], pairs, optimize=True,

@@ -4,14 +4,38 @@ The digests below were recorded from the CLI that held both whole
 streams in memory, at 3 * 2**16 + 17 shots, so every run spans several
 sampling chunks and ends in a ragged one.  They cover the bodies (the
 metadata header line skipped) of both ``--format csv`` files and of the
-``--format summary`` output.
+``--format summary`` output.  The properties then shrink the chunk to a
+few shots and compare the streamed CLI with the whole-run route:
+``run_experiment``, ``delayed_join``, then ``empirical_table`` or
+``chsh_statistic``, and ``write_stream_csv``.
 """
 
+import contextlib
 import hashlib
+import io
+import math
+import os
+import re
+import tempfile
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from qeraser import sampler
 from qeraser.cli import main
+from qeraser.protocols import ChshSettings
+from qeraser.sampler import (
+    ExperimentConfig,
+    chsh_statistic,
+    delayed_join,
+    empirical_table,
+    metadata_header,
+    run_experiment,
+    write_stream_csv,
+)
 
 SHOTS = 3 * (1 << 16) + 17
 SEED = 7
@@ -70,3 +94,155 @@ def test_cli_stream_and_summary_bodies_are_pinned(command, mode, tmp_path, capsy
         body_digest((tmp_path / "run.control.csv").read_text(encoding="utf-8")),
         body_digest(summary),
     ) == GOLDEN[command, mode]
+
+
+BASE = {
+    "hom": dict(phi=0.8, statistics="fermion", control_basis_angle=0.3),
+    "chsh": dict(
+        phi=0.5, settings=ChshSettings(0.3, 1.9, 0.7, 2.6), control_basis_angle=0.2
+    ),
+}
+MODES = {"sample": "quantum", "classical-mixture": "classical_mixture"}
+CHUNKS = st.sampled_from([1, 7, 64, sampler._CHUNK])
+
+
+def run_cli(argv) -> str:
+    """Stdout of an in-process CLI run that must succeed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def whole_run_tables(config):
+    """Joined and unjoined summaries of the whole run, as the CLI printed them."""
+    joined = delayed_join(*run_experiment(config))
+    tables = (
+        empirical_table(joined.system, joined.control.outcome),
+        empirical_table(joined.system),
+    )
+    return (
+        f"\njoined empirical table:\n{tables[0].summary()}"
+        f"\nunjoined empirical table:\n{tables[1].summary()}"
+    )
+
+
+def whole_run_chsh_lines(config):
+    """Last four summary lines of the CLI that tabulated the whole run."""
+    joined = delayed_join(*run_experiment(config))
+    branches = (
+        ("empirical S (joined C=up):   ", joined.labeled(+1)),
+        ("empirical S (joined C=down): ", joined.labeled(-1)),
+        ("empirical S (unjoined):      ", joined.system),
+    )
+    lines, significance = [], []
+    for prefix, records in branches:
+        try:
+            s, err = chsh_statistic(records)
+        except ValueError as error:
+            value = sigmas = f"n/a ({error})"
+        else:
+            value = f"{s:+.4f} +- {err:.4f}"
+            ratio = (abs(s) - 2.0) / err if err > 0 else math.inf
+            sigmas = f"{ratio:.2f} standard errors"
+        lines.append(f"{prefix}{value} ({len(records)} shots)")
+        significance.append(sigmas)
+    return [*lines, f"violation of |S| <= 2 (C=up branch): {significance[0]}"]
+
+
+@given(
+    st.sampled_from(["hom", "chsh"]),
+    st.sampled_from(sorted(MODES)),
+    st.integers(1, 300),
+    st.integers(0, 2**64 - 1),
+    CHUNKS,
+)
+@example("chsh", "classical-mixture", 1, 0, 1)  # C=down and its pairs are empty
+def test_streamed_cli_equals_the_whole_run_route(command, mode, shots, seed, chunk):
+    config = ExperimentConfig(
+        experiment=command, shots=shots, seed=seed, mode=MODES[mode], **BASE[command]
+    )
+    with mock.patch.object(sampler, "_CHUNK", chunk), tempfile.TemporaryDirectory() as tmp:
+        summary = run_cli(sampled_argv(command, mode, shots, seed, "summary"))
+        output = os.path.join(tmp, "run.csv")
+        run_cli([*sampled_argv(command, mode, shots, seed, "csv"), "--output", output])
+        with open(output, encoding="utf-8") as handle:
+            system_text = handle.read()
+        with open(os.path.join(tmp, "run.control.csv"), encoding="utf-8") as handle:
+            control_text = handle.read()
+    expected = []
+    for records in run_experiment(config):
+        buffer = io.StringIO()
+        write_stream_csv(buffer, records, config)
+        expected.append(buffer.getvalue())
+    assert [system_text, control_text] == expected
+    assert summary.startswith(metadata_header(config) + "\n")
+    if command == "hom":
+        assert summary.endswith(whole_run_tables(config))
+    else:
+        assert summary.splitlines()[-4:] == whole_run_chsh_lines(config)
+
+
+@st.composite
+def chunked_runs(draw, experiment):
+    """A whole run beside its shots cut into consecutive parts."""
+    config = ExperimentConfig(
+        experiment=experiment,
+        shots=draw(st.integers(1, 400)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        mode=draw(st.sampled_from(sorted(MODES.values()))),
+        **BASE[experiment],
+    )
+    cuts = sorted(draw(st.sets(st.integers(0, config.shots), max_size=6)))
+    bounds = [0, *cuts, config.shots]
+    return config, [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@given(chunked_runs("hom"))
+def test_summed_outcome_counts_give_the_whole_run_tables(run):
+    config, parts = run
+    joined = delayed_join(*run_experiment(config))
+    counts = sum(
+        sampler._outcome_counts(joined.system[part], joined.control.outcome[part])
+        for part in parts
+    )
+    for table, expected in (
+        (sampler._counts_table(joined.system.labels, counts),
+         empirical_table(joined.system, joined.control.outcome)),
+        (sampler._counts_table(joined.system.labels, counts.sum(axis=1, keepdims=True)),
+         empirical_table(joined.system)),
+    ):
+        assert table.column_labels == expected.column_labels
+        assert table.total == expected.total
+        for name in ("counts", "values", "standard_errors", "flagged"):
+            assert np.array_equal(getattr(table, name), getattr(expected, name))
+
+
+@given(chunked_runs("chsh"), st.sampled_from([+1, -1, None]))
+def test_summed_pair_sums_give_the_whole_run_statistic(run, label):
+    config, parts = run
+    joined = delayed_join(*run_experiment(config))
+    keep = np.ones(config.shots, dtype=bool)
+    if label is not None:
+        keep = joined.control.outcome == label
+    sums = sum(sampler._pair_sums(joined.system[part][keep[part]]) for part in parts)
+    records = joined.system[keep]
+    try:
+        expected = chsh_statistic(records)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=re.escape(str(error))):
+            sampler._chsh_from_sums(sums)
+    else:
+        assert sampler._chsh_from_sums(sums) == expected  # bit for bit
+
+
+def test_a_failing_plan_opens_no_file(tmp_path, capsys):
+    def unnormalized(config):
+        return sampler._Plan(np.full((1, 6), 0.5), sampler.HOM_OUTCOMES, [{}])
+
+    output = tmp_path / "run.csv"
+    with mock.patch.dict(sampler._PLANS, {("hom", "quantum"): unnormalized}):
+        code = main(sampled_argv("hom", "sample", 10, 0, "csv") + ["--output", str(output)])
+    assert code == 1
+    assert "does not sum to 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

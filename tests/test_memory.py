@@ -1,14 +1,20 @@
-"""Memory bounds of the sampled path, measured in process with tracemalloc.
+"""Memory bounds of the sampled path.
 
-numpy reports its array buffers to tracemalloc, so a traced peak counts
-every column and temporary a call allocates.  Generation and writing
-work in chunks of shots and the join of shot-ordered streams copies
-nothing, so the only allocations that grow with the shot count are the
-finished stream columns.
+In process, with tracemalloc: numpy reports its array buffers to
+tracemalloc, so a traced peak counts every column and temporary a call
+allocates.  Generation and writing work in chunks of shots and the join
+of shot-ordered streams copies nothing, so the only allocations of a
+library run that grow with the shot count are its finished stream
+columns.  The sampled ``hom``/``chsh`` CLI runs hold no whole-run column
+at all: their peak RSS, read from a fresh child's own ``wait4`` rusage,
+does not grow with the shot count.
 """
 
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -89,3 +95,47 @@ def test_join_of_a_run_copies_no_column():
     joined, peak = traced_peak(lambda: delayed_join(system, control))
     assert peak < 1 * MIB
     assert np.shares_memory(joined.system.outcome, system.outcome)
+
+
+# Spawns the CLI and prints its exit code and its own wait4 peak RSS in KiB.
+LAUNCHER = """
+import os, sys
+argv = [sys.executable, "-m", "qeraser.cli", *sys.argv[1:]]
+quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_RDWR, 0) for fd in (0, 1, 2)]
+pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def child_peak_mib(argv) -> float:
+    """Peak RSS of a fresh ``qeraser`` CLI child that must exit 0.
+
+    Linux carries a process's peak RSS across fork and exec into the
+    child's ``ru_maxrss``, so a CLI child of this test process would
+    report at least the test process's own peak.  A small launcher
+    process spawns the CLI instead and reads its ``wait4`` rusage.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    launched = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, peak_kib = map(int, launched.stdout.split())
+    assert code == 0, argv
+    return peak_kib / 1024.0
+
+
+def test_sampled_cli_peak_rss_does_not_grow_with_the_shot_count(tmp_path):
+    output = str(tmp_path / "run.csv")
+    commands = (
+        (["hom", "--mode", "sample"], 4_000_000),
+        (["chsh", "--mode", "sample", "--format", "csv", "--output", output], 2_000_000),
+    )
+    for argv, shots in commands:
+        small = child_peak_mib([*argv, "--shots", "250000"])
+        large = child_peak_mib([*argv, "--shots", str(shots)])
+        assert large - small < 4.0, (argv, small, large)
