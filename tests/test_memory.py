@@ -139,3 +139,5 @@ def test_sampled_cli_peak_rss_does_not_grow_with_the_shot_count(tmp_path):
         small = child_peak_mib([*argv, "--shots", "250000"])
         large = child_peak_mib([*argv, "--shots", str(shots)])
         assert large - small < 4.0, (argv, small, large)
+    for path in tmp_path.iterdir():  # about 130 MB of CSV
+        path.unlink()
