@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_finite_float,
         default=None,
         help=(
-            "control analyzer angle of the sampled run "
+            "control analyzer angle of a --mode sample run "
             "(default 0: erases; pi/2 reveals the path)"
         ),
     )
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--control-angle",
         type=_finite_float,
         default=None,
-        help="control analyzer angle of the sampled run (default 0: erases)",
+        help="control analyzer angle of a --mode sample run (default 0: erases)",
     )
 
     phase = commands.add_parser(
@@ -175,7 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--control-angle",
         type=_finite_float,
         default=None,
-        help="control analyzer angle (default pi/2: erases; 0 reveals the branch)",
+        help=(
+            "control analyzer angle, not taken in classical-mixture mode "
+            "(default pi/2: erases; 0 reveals the branch)"
+        ),
     )
 
     commands.add_parser(
@@ -287,20 +290,27 @@ def _hom_reference_table(config: ExperimentConfig) -> ProbabilityTable:
     return ProbabilityTable(sampler.HOM_OUTCOMES, TABLE_COLUMNS, values)
 
 
-def _default_sampled_control_angle(args: argparse.Namespace) -> None:
-    """Default the hom/chsh control angle to 0; analytic tables read both branches."""
-    if args.mode == "analytic" and args.control_angle is not None:
-        raise UsageError(
-            "--control-angle is sampled-only: use --mode sample or classical-mixture"
-        )
+def _default_control_angle(args: argparse.Namespace, default: float) -> None:
+    """Default ``--control-angle``; reject it where no control is read at an angle.
+
+    A classical-mixture run keeps a preparation bit in place of a control
+    particle, and analytic hom/chsh tables read both control branches.
+    """
     if args.control_angle is None:
-        args.control_angle = 0.0
+        args.control_angle = default
+    elif args.mode == "classical-mixture":
+        raise UsageError(
+            "--control-angle needs a measured control: classical-mixture mode "
+            "keeps a preparation bit; use --mode sample"
+        )
+    elif args.mode == "analytic" and args.command != "phase-est":
+        raise UsageError("--control-angle is sampled-only: use --mode sample")
 
 
 def _run_hom(args: argparse.Namespace) -> int:
     if args.degrees:
         _to_radians(args, ("phi", "control_angle"))
-    _default_sampled_control_angle(args)
+    _default_control_angle(args, 0.0)
     form = _resolved_format(args)
     if args.mode == "analytic":
         table = hom_table(args.phi, Statistics(args.statistics))
@@ -380,7 +390,7 @@ def _chsh_analytic_rows(
 def _run_chsh(args: argparse.Namespace) -> int:
     if args.degrees:
         _to_radians(args, ("phi", "control_angle"))
-    _default_sampled_control_angle(args)
+    _default_control_angle(args, 0.0)
     settings = _resolve_chsh_settings(args)
     form = _resolved_format(args)
     analytic = {
@@ -513,8 +523,7 @@ def _phase_points(args: argparse.Namespace) -> np.ndarray:
 def _run_phase_est(args: argparse.Namespace) -> int:
     if args.degrees:
         _to_radians(args, ("phi", "control_angle"))
-    if args.control_angle is None:
-        args.control_angle = math.pi / 2
+    _default_control_angle(args, math.pi / 2)
     thetas = _phase_points(args)
     form = _resolved_format(args)
     erasing = abs(args.control_angle - math.pi / 2) <= 1e-9

@@ -80,7 +80,6 @@ __all__ = [
     "config_to_dict",
     "metadata_header",
     "write_stream_csv",
-    "write_stream_jsonl",
 ]
 
 GENERATOR_ID = "philox4x64/block-per-shot/v1"
@@ -738,17 +737,14 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def _metadata(config: ExperimentConfig) -> dict:
-    return {
+def metadata_header(config: ExperimentConfig) -> str:
+    """One-line reproducibility header: config, generator id, code version."""
+    metadata = {
         "config": config_to_dict(config),
         "generator": GENERATOR_ID,
         "version": __version__,
     }
-
-
-def metadata_header(config: ExperimentConfig) -> str:
-    """One-line reproducibility header: config, generator id, code version."""
-    return "# " + json.dumps(_metadata(config), sort_keys=True)
+    return "# " + json.dumps(metadata, sort_keys=True)
 
 
 def _format_field(value: float | int | str | None) -> str:
@@ -758,8 +754,6 @@ def _format_field(value: float | int | str | None) -> str:
         return repr(value)
     return str(value)
 
-
-_SHOT = -271828182845904523  # stands in for the shot index while a line is formatted
 
 # 10**1 .. 10**19: an int64 magnitude (at most 2**63) has 1 + (powers <= it) digits
 _POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
@@ -798,25 +792,28 @@ def _padded(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(rows.shape[1]) < lengths[:, None]
 
 
-def _line_renderer(
-    records: SystemStream | ControlStream,
-    line: Callable[[dict], str],
-    width: int,
-) -> Callable[[SystemStream | ControlStream], str]:
-    """``render(chunk)``: the text of ``line(record)`` for every shot of ``chunk``.
+def _csv_renderer(
+    records: SystemStream | ControlStream, width: int
+) -> tuple[str, Callable[[SystemStream | ControlStream], str]]:
+    """Column header line and ``render(chunk)``: the CSV lines of a stream's shots.
 
-    ``record`` is the shot as a JSONL object.  The shots of one distinct
-    line differ only in their index, so each line a stream can hold is
-    formatted once from the per-run values of ``records`` with a stand-in
-    index and split into a head and a tail around it.  ``chunk`` is any
-    part of a stream with those per-run values whose shot indices have
-    at most ``width`` characters.  Per chunk, the head and tail bytes of
-    each shot's line flank the shot's decimal index in one uint8 matrix;
-    dropping the padding bytes leaves the chunk's text.
+    A line is the shot's decimal index followed by a tail that only the
+    per-run values of ``records`` decide: one tail per (settings row,
+    outcome) of a system stream, one per outcome of a control stream.
+    Each tail is formatted once.  ``chunk`` is any part of a stream with
+    those per-run values whose shot indices have at most ``width``
+    characters.  Per chunk, each shot's right-aligned index digits and
+    its tail fill one row of a uint8 matrix; dropping the padding bytes
+    leaves the chunk's text.
     """
     if isinstance(records, SystemStream):
-        documents = [
-            {"experiment": records.experiment, "outcome": label, "settings": settings}
+        keys = sorted(records.settings[0])
+        if any(sorted(settings) != keys for settings in records.settings):
+            raise ValueError("records disagree on setting fields")
+        columns = "shot_index,experiment,outcome," + ",".join(keys) + "\n"
+        tails = [
+            ",".join(["", records.experiment, label, *(_format_field(settings[k]) for k in keys)])
+            + "\n"
             for settings in records.settings
             for label in records.labels
         ]
@@ -826,30 +823,22 @@ def _line_renderer(
             return chunk.setting_row * outcomes + chunk.outcome
 
     else:
-        documents = [
-            {"control_outcome": value, "basis_angle": records.basis_angle} for value in (1, -1)
-        ]
+        columns = "shot_index,control_outcome,basis_angle\n"
+        angle = _format_field(records.basis_angle)
+        tails = [f",{value:+d},{angle}\n" for value in (1, -1)]
 
         def codes_of(chunk: ControlStream) -> np.ndarray:
             if not _signs_only(chunk.outcome):
                 raise ValueError("control outcomes must be +1 or -1")
             return (1 - chunk.outcome) >> 1  # +1 -> 0, -1 -> 1
 
-    texts = [line({"shot_index": _SHOT, **document}) for document in documents]
-    heads, tails = zip(*(text.split(str(_SHOT)) for text in texts))
-    head_bytes, head_mask = _padded(heads)
     tail_bytes, tail_mask = _padded(tails)
-    start = head_bytes.shape[1]  # first column of the shot index
-    blank = np.zeros((len(documents), width), dtype=np.uint8)
-    templates = np.concatenate([head_bytes, blank, tail_bytes], axis=1)
+    blank = np.zeros((len(tails), width), dtype=np.uint8)
+    templates = np.concatenate([blank, tail_bytes], axis=1)
     # row code * (width + 1) + n: the mask of a line whose index has n characters
     suffixes = np.arange(width) >= width - np.arange(width + 1)[:, None]
     masks = np.concatenate(
-        [
-            np.repeat(head_mask, width + 1, axis=0),
-            np.tile(suffixes, (len(documents), 1)),
-            np.repeat(tail_mask, width + 1, axis=0),
-        ],
+        [np.tile(suffixes, (len(tails), 1)), np.repeat(tail_mask, width + 1, axis=0)],
         axis=1,
     )
 
@@ -857,50 +846,13 @@ def _line_renderer(
         codes = codes_of(chunk)
         text = templates.take(codes, axis=0)
         digits, lengths = _decimal_bytes(chunk.shot_index, width)
-        text[:, start : start + width] = digits
+        text[:, :width] = digits
         keep = masks.take(codes * (width + 1) + lengths, axis=0)
         text = text[keep]  # frees the padded matrix before the str is built
         del keep
         return str(text, "utf-8")
 
-    return render
-
-
-def _write_lines(
-    stream: IO[str],
-    records: SystemStream | ControlStream,
-    line: Callable[[dict], str],
-) -> None:
-    """Write ``line(record)`` for every shot, one chunk of shots per call."""
-    if len(records) == 0:
-        return
-    shots = records.shot_index
-    # the longest decimal belongs to the smallest or the largest index
-    width = max(len(str(int(shots.min()))), len(str(int(shots.max()))))
-    render = _line_renderer(records, line, width)
-    for part in _chunks(len(records)):
-        stream.write(render(records[part]))
-
-
-def _csv_layout(records: SystemStream | ControlStream) -> tuple[str, Callable[[dict], str]]:
-    """Column header line and line formatter of a non-empty CSV stream."""
-    if isinstance(records, SystemStream):
-        keys = sorted(records.settings[0])
-        if any(sorted(settings) != keys for settings in records.settings):
-            raise ValueError("records disagree on setting fields")
-
-        def line(record: dict) -> str:
-            cells = [str(record["shot_index"]), record["experiment"], record["outcome"]]
-            cells += [_format_field(record["settings"][k]) for k in keys]
-            return ",".join(cells) + "\n"
-
-        return "shot_index,experiment,outcome," + ",".join(keys) + "\n", line
-
-    def line(record: dict) -> str:
-        angle = _format_field(record["basis_angle"])
-        return f"{record['shot_index']},{record['control_outcome']:+d},{angle}\n"
-
-    return "shot_index,control_outcome,basis_angle\n", line
+    return columns, render
 
 
 def write_stream_csv(
@@ -912,9 +864,13 @@ def write_stream_csv(
     stream.write(metadata_header(config) + "\n")
     if len(records) == 0:
         return
-    columns, line = _csv_layout(records)
+    shots = records.shot_index
+    # the longest decimal belongs to the smallest or the largest index
+    width = max(len(str(int(shots.min()))), len(str(int(shots.max()))))
+    columns, render = _csv_renderer(records, width)
     stream.write(columns)
-    _write_lines(stream, records, line)
+    for part in _chunks(len(records)):
+        stream.write(render(records[part]))
 
 
 def _write_csv_chunks(
@@ -932,19 +888,10 @@ def _write_csv_chunks(
     width = len(str(config.shots - 1))  # of the run's largest shot index
     renderers = []
     for handle, records in zip((system_file, control_file), first):
-        columns, line = _csv_layout(records)
+        columns, render = _csv_renderer(records, width)
         handle.write(metadata_header(config) + "\n" + columns)
-        renderers.append(_line_renderer(records, line, width))
+        renderers.append(render)
     for pair in itertools.chain([first], chunks):
         for handle, render, records in zip((system_file, control_file), renderers, pair):
             handle.write(render(records))
 
-
-def write_stream_jsonl(
-    stream: IO[str],
-    records: SystemStream | ControlStream,
-    config: ExperimentConfig,
-) -> None:
-    """Newline-delimited records, metadata object first; byte-deterministic."""
-    stream.write(json.dumps({"metadata": _metadata(config)}, sort_keys=True) + "\n")
-    _write_lines(stream, records, lambda record: json.dumps(record, sort_keys=True) + "\n")

@@ -6,12 +6,12 @@ below were recorded from the monolithic sampler and line writer that
 predate chunking, at 3 * 2**16 + 17 shots: three full chunks of the
 default size plus a ragged tail.  The properties then shrink the chunk
 to a few shots and compare streams, bytes and joins with the monolithic
-reference code kept here.
+reference code kept here: a one-pass sampler, and a CSV formatter that
+writes each shot's line with an f-string of its own.
 """
 
 import hashlib
 import io
-from collections.abc import Callable
 from unittest import mock
 
 import numpy as np
@@ -27,9 +27,9 @@ from qeraser.sampler import (
     JoinError,
     SystemStream,
     delayed_join,
+    metadata_header,
     run_experiment,
     write_stream_csv,
-    write_stream_jsonl,
 )
 
 SHOTS = 3 * (1 << 16) + 17
@@ -45,51 +45,37 @@ BASE = {
     "metrology": dict(n=3, theta=0.7, phi=0.2, control_basis_angle=1.1),
 }
 
-# (system CSV, control CSV, system JSONL, control JSONL) body digests
+# (system CSV, control CSV) body digests
 GOLDEN = {
     ("hom", "quantum"): (
         "e4d64c8924645b5ac2e930b0b2d1ddfc55234a4a3831c65ecce4cf9d7e95db28",
         "f9986e4e2f7e3ff59b0466c702807d876f88095fcf2e57b2f62aa23c5c8852bb",
-        "b07f4f3bd7190359aa12efb05ab5e9d4ff293cb9dc4c8af3b009c4b4dc1d8235",
-        "b1f6d043c33034cff61af73e90bdf4283915e0ce59c29af1e7b3a2c6dc51554b",
     ),
     ("hom", "classical_mixture"): (
         "c2a4ee6409c7de4809b3a5d6c71b62f73f6f4aa1ff0bc565e0532ac4cfd59b83",
         "e26885abd860e1c05107d8fed9846960ec6ed244135108100599a04623ad9724",
-        "01c51ccd07e5dcb65d5e9c9d2d2ed04401e3163cdf85d2168dcc0b16235ec8fc",
-        "62d656e341f06c705c4ffb49600519981a2d8efe35f15156ef6557e63ac6da57",
     ),
     ("chsh", "quantum"): (
         "83af4da24cfd2e81983fc75d3aa5b2a304aa5028091e736bf99d327aff78a433",
         "0fab52d26171f9ce847448278f3a5e241badbe24de7d55cddcc184f2ba2aacd4",
-        "3a4b7ea51d5a194a5ce91ac191c1c42145b7941285edae1f0fce17b2cd62362e",
-        "d4c83068d3805e81fc4e147c1220d6a984caee3ada4a69c135ea596f3d2095f5",
     ),
     ("chsh", "classical_mixture"): (
         "030e3e950959e90bb7321df48cb5e81b2523ce6d22b86778e1d7860aa24b6683",
         "e26885abd860e1c05107d8fed9846960ec6ed244135108100599a04623ad9724",
-        "c4ee162bb4c6cc8cdebf0d7cfbdf994a78e35db511f4ec554326010fc3de399d",
-        "62d656e341f06c705c4ffb49600519981a2d8efe35f15156ef6557e63ac6da57",
     ),
     ("metrology", "quantum"): (
         "a5ef1115fa0ffe54d95dbeb9658e0e97608031e3f8505ac43088a16ec9611c89",
         "1c4e12e01eb16297d541a92ed012055dad7c4610c497b8a68ebe0ba8ad8cfe5d",
-        "08865d0eaea2df3ba854015cab8e8f76583e2d6c6a4a7e6a1365d64baef93f60",
-        "507b3ef90678dac09921b9fa791fb7861445417bf91a6728a16cf9b43b3dd802",
     ),
     ("metrology", "classical_mixture"): (
         "8263476cc3f374b189a22469a427ef8a5f316c3df927e4f9ba55138bf134ee05",
         "e26885abd860e1c05107d8fed9846960ec6ed244135108100599a04623ad9724",
-        "291ce909d6cc19b35ab6ef9dcd516df75e6cf982a82543864bda64baa5c17209",
-        "62d656e341f06c705c4ffb49600519981a2d8efe35f15156ef6557e63ac6da57",
     ),
 }
 
 
-def body_digest(records, config, writer):
-    buffer = io.StringIO()
-    writer(buffer, records, config)
-    _, body = buffer.getvalue().split("\n", 1)
+def body_digest(records, config):
+    _, body = rendered(records, config).split("\n", 1)
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
@@ -101,15 +87,12 @@ def test_multi_chunk_stream_bodies_are_pinned(experiment, mode):
     )
     system, control = run_experiment(config)
     assert (
-        body_digest(system, config, write_stream_csv),
-        body_digest(control, config, write_stream_csv),
-        body_digest(system, config, write_stream_jsonl),
-        body_digest(control, config, write_stream_jsonl),
+        body_digest(system, config),
+        body_digest(control, config),
     ) == GOLDEN[experiment, mode]
 
 
 CHUNKS = st.sampled_from([1, 7, 64, sampler._CHUNK])
-WRITERS = (write_stream_csv, write_stream_jsonl)
 
 
 def test_golden_runs_span_several_chunks():
@@ -152,41 +135,39 @@ def reference_streams(config: ExperimentConfig) -> tuple[SystemStream, ControlSt
     return system, ControlStream(shots, control, basis_angle)
 
 
-def reference_write_lines(
-    stream, records: SystemStream | ControlStream, line: Callable[[dict], str]
-) -> None:
-    """The per-shot line writer that predates the vectorized one."""
+def reference_field(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def reference_csv(records: SystemStream | ControlStream, config: ExperimentConfig) -> str:
+    """The CSV text of a stream, formatted shot by shot with one f-string each."""
+    text = metadata_header(config) + "\n"
     if len(records) == 0:
-        return
-    if isinstance(records, SystemStream):
-        codes = records.setting_row * len(records.labels) + records.outcome
-        documents = [
-            {"experiment": records.experiment, "outcome": label, "settings": settings}
-            for settings in records.settings
-            for label in records.labels
-        ]
-    else:
-        values, codes = np.unique(records.outcome, return_inverse=True)
-        documents = [
-            {"control_outcome": value, "basis_angle": records.basis_angle}
-            for value in values.tolist()
-        ]
-    texts = [line({"shot_index": sampler._SHOT, **document}) for document in documents]
-    parts = zip(*(text.split(str(sampler._SHOT)) for text in texts))
-    heads, tails = (np.array(part, dtype=object)[codes].tolist() for part in parts)
+        return text
     shots = records.shot_index.tolist()
-    stream.writelines(f"{head}{shot}{tail}" for head, shot, tail in zip(heads, shots, tails))
+    if isinstance(records, ControlStream):
+        angle = reference_field(records.basis_angle)
+        text += "shot_index,control_outcome,basis_angle\n"
+        return text + "".join(
+            f"{shot},{value:+d},{angle}\n" for shot, value in zip(shots, records.outcome.tolist())
+        )
+    keys = sorted(records.settings[0])
+    text += "shot_index,experiment,outcome," + ",".join(keys) + "\n"
+    return text + "".join(
+        f"{shot},{records.experiment},{records.labels[outcome]},"
+        f"{','.join(reference_field(records.settings[row][k]) for k in keys)}\n"
+        for shot, outcome, row in zip(
+            shots, records.outcome.tolist(), records.setting_row.tolist()
+        )
+    )
 
 
-def rendered(writer, records, config) -> str:
+def rendered(records, config) -> str:
     buffer = io.StringIO()
-    writer(buffer, records, config)
+    write_stream_csv(buffer, records, config)
     return buffer.getvalue()
-
-
-def reference_rendered(writer, records, config) -> str:
-    with mock.patch.object(sampler, "_write_lines", reference_write_lines):
-        return rendered(writer, records, config)
 
 
 @st.composite
@@ -207,11 +188,8 @@ def test_chunked_runs_equal_the_monolithic_reference(config, chunk):
     with mock.patch.object(sampler, "_CHUNK", chunk):
         streams = run_experiment(config)
         assert streams == expected
-        for writer in WRITERS:
-            for records in streams:
-                assert rendered(writer, records, config) == reference_rendered(
-                    writer, records, config
-                )
+        for records in streams:
+            assert rendered(records, config) == reference_csv(records, config)
 
 
 def selections(draw, shots: int) -> np.ndarray:
@@ -237,11 +215,8 @@ def test_chunked_writer_bytes_on_reordered_streams(data, config, chunk):
     system, control = run_experiment(config)
     order = selections(data.draw, config.shots)
     with mock.patch.object(sampler, "_CHUNK", chunk):
-        for writer in WRITERS:
-            for records in (system[order], control[order]):
-                assert rendered(writer, records, config) == reference_rendered(
-                    writer, records, config
-                )
+        for records in (system[order], control[order]):
+            assert rendered(records, config) == reference_csv(records, config)
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -264,11 +239,8 @@ def test_chunked_writer_renders_every_int64_index(indices, chunk):
     )
     streams = (system, ControlStream(shots, signs, 0.3), ControlStream(shots, signs, None))
     with mock.patch.object(sampler, "_CHUNK", chunk):
-        for writer in WRITERS:
-            for records in streams:
-                assert rendered(writer, records, config) == reference_rendered(
-                    writer, records, config
-                )
+        for records in streams:
+            assert rendered(records, config) == reference_csv(records, config)
 
 
 def test_writer_rejects_foreign_control_outcomes():

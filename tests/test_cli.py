@@ -107,6 +107,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert main([*argv, "--mode", "sample", "--shots", "200"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "--phi", "0.8", "--control-angle", "0.7"],
+            ["chsh", "--angles", "0,1,2,3", "--control-angle", "0.7"],
+            ["phase-est", "--n", "3", "--control-angle", "0"],
+        ],
+    )
+    def test_control_angle_is_rejected_by_classical_mixture_runs(self, argv, capsys):
+        sampled = ["--shots", "200", "--format", "summary"]
+        assert main([*argv, "--mode", "classical-mixture", *sampled]) == 2
+        captured = capsys.readouterr()
+        assert "classical-mixture mode" in captured.err
+        assert captured.out == ""
+        assert main([*argv, "--mode", "sample", *sampled]) == 0
+
     def test_library_value_error_is_a_runtime_error(self, monkeypatch, capsys):
         def failing_table(*args, **kwargs):
             raise ValueError("table build failed")

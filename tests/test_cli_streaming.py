@@ -41,9 +41,11 @@ SHOTS = 3 * (1 << 16) + 17
 SEED = 7
 
 FLAGS = {
-    "hom": ["--phi", "0.8", "--statistics", "fermion", "--control-angle", "0.3"],
-    "chsh": ["--phi", "0.5", "--angles", "0.3,1.9,0.7,2.6", "--control-angle", "0.2"],
+    "hom": ["--phi", "0.8", "--statistics", "fermion"],
+    "chsh": ["--phi", "0.5", "--angles", "0.3,1.9,0.7,2.6"],
 }
+# control angles of the quantum runs; a classical-mixture run measures no control
+CONTROL_ANGLES = {"hom": 0.3, "chsh": 0.2}
 
 # (system CSV, control CSV, summary) body digests
 GOLDEN = {
@@ -76,8 +78,11 @@ def body_digest(text: str) -> str:
 
 
 def sampled_argv(command, mode, shots, seed, form):
-    return [command, "--mode", mode, "--shots", str(shots), "--seed", str(seed),
+    argv = [command, "--mode", mode, "--shots", str(shots), "--seed", str(seed),
             "--format", form, *FLAGS[command]]
+    if mode == "sample":
+        argv += ["--control-angle", repr(CONTROL_ANGLES[command])]
+    return argv
 
 
 @pytest.mark.parametrize("mode", ["sample", "classical-mixture"])
@@ -97,10 +102,8 @@ def test_cli_stream_and_summary_bodies_are_pinned(command, mode, tmp_path, capsy
 
 
 BASE = {
-    "hom": dict(phi=0.8, statistics="fermion", control_basis_angle=0.3),
-    "chsh": dict(
-        phi=0.5, settings=ChshSettings(0.3, 1.9, 0.7, 2.6), control_basis_angle=0.2
-    ),
+    "hom": dict(phi=0.8, statistics="fermion"),
+    "chsh": dict(phi=0.5, settings=ChshSettings(0.3, 1.9, 0.7, 2.6)),
 }
 MODES = {"sample": "quantum", "classical-mixture": "classical_mixture"}
 CHUNKS = st.sampled_from([1, 7, 64, sampler._CHUNK])
@@ -159,8 +162,14 @@ def whole_run_chsh_lines(config):
 )
 @example("chsh", "classical-mixture", 1, 0, 1)  # C=down and its pairs are empty
 def test_streamed_cli_equals_the_whole_run_route(command, mode, shots, seed, chunk):
+    angle = CONTROL_ANGLES[command] if mode == "sample" else 0.0
     config = ExperimentConfig(
-        experiment=command, shots=shots, seed=seed, mode=MODES[mode], **BASE[command]
+        experiment=command,
+        shots=shots,
+        seed=seed,
+        mode=MODES[mode],
+        control_basis_angle=angle,
+        **BASE[command],
     )
     with mock.patch.object(sampler, "_CHUNK", chunk), tempfile.TemporaryDirectory() as tmp:
         summary = run_cli(sampled_argv(command, mode, shots, seed, "summary"))
@@ -191,6 +200,7 @@ def chunked_runs(draw, experiment):
         shots=draw(st.integers(1, 400)),
         seed=draw(st.integers(0, 2**64 - 1)),
         mode=draw(st.sampled_from(sorted(MODES.values()))),
+        control_basis_angle=CONTROL_ANGLES[experiment],
         **BASE[experiment],
     )
     cuts = sorted(draw(st.sets(st.integers(0, config.shots), max_size=6)))

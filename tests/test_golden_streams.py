@@ -1,12 +1,11 @@
-"""Golden bytes of the sampled CSV and JSONL streams.
+"""Golden bytes of the sampled CSV streams.
 
 The SHA-256 of each stream body (the metadata line is skipped because it
 carries the code version) is pinned for every (experiment, mode) pair at
-two seeds.  The CSV digests were recorded from the two-branch sampler that
-predates the shared sampling path, the JSONL digests from the per-shot
-record writers that predate the columnar streams, so any change to the
-per-shot uniform layout, the distribution tables or the line formatting
-shows up here as a mismatch.
+two seeds.  The digests were recorded from the two-branch sampler that
+predates the shared sampling path, so any change to the per-shot uniform
+layout, the distribution tables or the line formatting shows up here as
+a mismatch.
 """
 
 import hashlib
@@ -15,12 +14,7 @@ import io
 import pytest
 
 from qeraser.protocols import ChshSettings
-from qeraser.sampler import (
-    ExperimentConfig,
-    run_experiment,
-    write_stream_csv,
-    write_stream_jsonl,
-)
+from qeraser.sampler import ExperimentConfig, run_experiment, write_stream_csv
 
 SHOTS = 3000
 SEEDS = (0, 18446744073709551557)
@@ -88,9 +82,9 @@ GOLDEN = {
 }
 
 
-def body_digest(records, config, writer=write_stream_csv):
+def body_digest(records, config):
     buffer = io.StringIO()
-    writer(buffer, records, config)
+    write_stream_csv(buffer, records, config)
     _, body = buffer.getvalue().split("\n", 1)
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
@@ -108,68 +102,3 @@ def test_csv_stream_bodies_are_pinned(experiment, mode, seed):
         body_digest(control, config),
     ) == GOLDEN[experiment, mode, seed]
 
-
-GOLDEN_JSONL = {
-    ("hom", "quantum", 0): (
-        "99b554a10e2933fa22f4f662b4859a05dd9e85abcaa49de7ed56468ffeab7c53",
-        "0fb07f668466e0e5587bc78bd1364c8eb85da0f751cab73d55071aec45824d20",
-    ),
-    ("hom", "quantum", 18446744073709551557): (
-        "ae7e793e9898a02bfab3042b30e1e20cb4adc45074afdfc87ed8aac398fc6847",
-        "0a21c40f9c0d84de139e8c03887f72665d4098ddeb44a9b69345c1425cb84694",
-    ),
-    ("hom", "classical_mixture", 0): (
-        "6153b1ac9cb9109d49ad0ee29d6567941ab562d642e1ca4fec2802bf245160b6",
-        "b7aaeb78e29f3085c09da0e15e3ed2c1ea21738bb7eb7f9309f572158a0001b9",
-    ),
-    ("hom", "classical_mixture", 18446744073709551557): (
-        "a3526f65da5366e1865ebfd6540156d6d2dc8de2b243c894558998a5d4eac81b",
-        "304c8896d47a5e3368c747eb5ed3023bded67f62bd48899ac7edbcb9c91556b4",
-    ),
-    ("chsh", "quantum", 0): (
-        "8bec947b8d1e4e3d9733f7e5e2d6bbf839b7a434caff5764e5286373445b2a30",
-        "dd1494b219f902fe92024e8b4697aaec940b8e19de6a6c4b045fdc09045fd3c9",
-    ),
-    ("chsh", "quantum", 18446744073709551557): (
-        "169c06a1bc574987b121292d6e78fb84a2f8769671526c10f04e939c42c66148",
-        "d9d8cdd4292d57238878cf5e95391a780f8b0db2c4676de4cf639a30db8be707",
-    ),
-    ("chsh", "classical_mixture", 0): (
-        "e029cf44185b85b635a6100f00c9e743baea99ecd30f9293cf6391c70eda258e",
-        "b7aaeb78e29f3085c09da0e15e3ed2c1ea21738bb7eb7f9309f572158a0001b9",
-    ),
-    ("chsh", "classical_mixture", 18446744073709551557): (
-        "5c209339ece58a9fa051cd75f64f52af79ec46edc0ae8b4c0887575f1917cb1d",
-        "304c8896d47a5e3368c747eb5ed3023bded67f62bd48899ac7edbcb9c91556b4",
-    ),
-    ("metrology", "quantum", 0): (
-        "a129c4c97c71412c8cffcd41c795613bbbb43450d4e564a5b005ea0714845e0e",
-        "18eecdce95fc5bb6b1e8b034066385f393d547ed5e9b465be97ea26d035a494e",
-    ),
-    ("metrology", "quantum", 18446744073709551557): (
-        "995cafd87fcaaf40e11259b855ef76a0fe873c9ccd656bf5b82abb7d9a18db6d",
-        "e2252d8b88f3f56d30586367c403470f0ee4543cbdf52a8d98945c7446332ed2",
-    ),
-    ("metrology", "classical_mixture", 0): (
-        "90284ca74dffdce8d07ecce64acb708865be9f50bc9dcfa25d77a1593ca78ffe",
-        "b7aaeb78e29f3085c09da0e15e3ed2c1ea21738bb7eb7f9309f572158a0001b9",
-    ),
-    ("metrology", "classical_mixture", 18446744073709551557): (
-        "5ca4cfab9d6e3126c5aed1dd3646d280cd3b8f35890476cf708626e163cf7f2d",
-        "304c8896d47a5e3368c747eb5ed3023bded67f62bd48899ac7edbcb9c91556b4",
-    ),
-}
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("mode", ["quantum", "classical_mixture"])
-@pytest.mark.parametrize("experiment", ["hom", "chsh", "metrology"])
-def test_jsonl_stream_bodies_are_pinned(experiment, mode, seed):
-    config = ExperimentConfig(
-        experiment=experiment, shots=SHOTS, seed=seed, mode=mode, **BASE[experiment]
-    )
-    system, control = run_experiment(config)
-    assert (
-        body_digest(system, config, write_stream_jsonl),
-        body_digest(control, config, write_stream_jsonl),
-    ) == GOLDEN_JSONL[experiment, mode, seed]

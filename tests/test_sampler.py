@@ -40,7 +40,6 @@ from qeraser.sampler import (
     metadata_header,
     run_experiment,
     write_stream_csv,
-    write_stream_jsonl,
 )
 
 SETTINGS = ChshSettings(0.0, math.pi / 2, math.pi / 4, 3.0 * math.pi / 4)
@@ -563,24 +562,6 @@ class TestWriters:
         records = stream_of("hom", HOM_OUTCOMES, ["AB", "AB"], templates, [0, 1])
         with pytest.raises(ValueError, match="disagree on setting fields"):
             write_stream_csv(io.StringIO(), records, hom_config(shots=2))
-
-    def test_jsonl_structure(self):
-        config = metrology_config(shots=4, mode="classical_mixture")
-        system_text, control_text = self.render(write_stream_jsonl, config)
-        system_lines = system_text.strip().split("\n")
-        metadata = json.loads(system_lines[0])["metadata"]
-        assert metadata["generator"] == GENERATOR_ID
-        assert "time" not in json.dumps(metadata).lower()
-        record = json.loads(system_lines[1])
-        assert set(record) == {"shot_index", "experiment", "outcome", "settings"}
-        control_record = json.loads(control_text.strip().split("\n")[1])
-        assert control_record["basis_angle"] is None
-
-    def test_jsonl_byte_determinism(self):
-        config = chsh_config(shots=25)
-        assert self.render(write_stream_jsonl, config) == self.render(
-            write_stream_jsonl, config
-        )
 
     def test_metadata_header_is_sorted_and_stable(self):
         config = hom_config(shots=1)
