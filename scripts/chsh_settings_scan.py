@@ -30,7 +30,7 @@ def main() -> int:
     parser.add_argument("--output", help="CSV path (default stdout)")
     args = parser.parse_args()
 
-    frozen = optimal_chsh_angles(0.0, "up")
+    frozen = optimal_chsh_angles(0.0)
     grid = np.linspace(0.0, 2.0 * math.pi, args.points)
     header = [
         "phi",
@@ -46,7 +46,7 @@ def main() -> int:
     lines = [",".join(header)]
     for index, phi in enumerate(grid):
         phi = float(phi)
-        best = optimal_chsh_angles(phi, "up")
+        best = optimal_chsh_angles(phi)
         row = [
             repr(phi),
             repr(chsh_value(best, phi, "up")),

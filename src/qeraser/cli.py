@@ -142,16 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve for settings maximizing the conditional CHSH value (default)",
     )
     chsh.add_argument(
-        "--condition",
-        choices=("up", "down"),
-        default="up",
-        help=(
-            "control branch passed to the optimizer and named in the analytic "
-            "header; up and down give the same settings, since the down "
-            "branch's correlations are minus the up branch's"
-        ),
-    )
-    chsh.add_argument(
         "--control-angle",
         type=_finite_float,
         default=None,
@@ -363,7 +353,7 @@ def _resolve_chsh_settings(args: argparse.Namespace) -> ChshSettings:
         if args.degrees:
             angles = tuple(a * math.pi / 180.0 for a in angles)
         return _from_flags(ChshSettings, *angles)
-    return optimal_chsh_angles(args.phi, args.condition)
+    return optimal_chsh_angles(args.phi)
 
 
 def _chsh_analytic_rows(
@@ -409,7 +399,6 @@ def _run_chsh(args: argparse.Namespace) -> int:
                     settings.theta_b0,
                     settings.theta_b1,
                 ],
-                "condition": args.condition,
             },
         )
         rows = _chsh_analytic_rows(settings, args.phi)
@@ -461,7 +450,7 @@ def _run_chsh(args: argparse.Namespace) -> int:
         return 0
     # pair sums of the C=up and C=down sets; the unjoined set is their union
     up_down = sum(
-        np.stack([sampler._pair_sums(joined.labeled(outcome)) for outcome in (+1, -1)])
+        sampler._pair_sums(joined.system, joined.control.outcome)
         for joined in _chunk_joins(config)
     )
     branches = (

@@ -64,6 +64,7 @@ TABLE_COLUMNS = ("C=up", "C=down", "C=?")
 HOM_OUTCOMES = fock.DETECTION_PATTERNS  # ("AB", "AA", "BB")
 # joint analyzer outcomes (A result, B result), d = -1, u = +1
 CHSH_OUTCOMES = ("dd", "du", "ud", "uu")
+_OUTCOME_SIGN = {"d": -1, "u": +1}
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -165,6 +166,13 @@ class ChshSettings:
         )
 
 
+def _analyzer_projectors(theta_a: float, theta_b: float) -> dict[str, list[np.ndarray]]:
+    """Projectors of analyzers A at ``theta_a`` and B at ``theta_b`` per joint outcome."""
+    proj_a = spectral_projectors(analyzer_observable(theta_a))
+    proj_b = spectral_projectors(analyzer_observable(theta_b))
+    return {o: [proj_a[_OUTCOME_SIGN[o[0]]], proj_b[_OUTCOME_SIGN[o[1]]]] for o in CHSH_OUTCOMES}
+
+
 def chsh_table(theta_a: float, theta_b: float, phi: float) -> ProbabilityTable:
     """Joint analyzer-outcome probabilities for one pair of settings.
 
@@ -173,15 +181,12 @@ def chsh_table(theta_a: float, theta_b: float, phi: float) -> ProbabilityTable:
     (A, B) outcomes as dd, du, ud, uu.
     """
     state = tripartite_spin_state(phi)
-    proj_a = spectral_projectors(analyzer_observable(theta_a))
-    proj_b = spectral_projectors(analyzer_observable(theta_b))
+    analyzers = _analyzer_projectors(theta_a, theta_b)
     proj_c = {**spectral_projectors(sigma_z()), 0: identity()}
     values = np.zeros((4, 3))
-    for i, outcome_pair in enumerate(CHSH_OUTCOMES):
-        a = +1 if outcome_pair[0] == "u" else -1
-        b = +1 if outcome_pair[1] == "u" else -1
+    for i, outcome in enumerate(CHSH_OUTCOMES):
         for j, c in enumerate((+1, -1, 0)):
-            values[i, j] = expectation(state, [proj_a[a], proj_b[b], proj_c[c]])
+            values[i, j] = expectation(state, [*analyzers[outcome], proj_c[c]])
     return ProbabilityTable(CHSH_OUTCOMES, TABLE_COLUMNS, values)
 
 
@@ -216,31 +221,28 @@ def chsh_value(settings: ChshSettings, phi: float, condition: str) -> float:
     return abs(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
 
 
-def optimal_chsh_angles(phi: float, condition: str) -> ChshSettings:
-    """Analyzer settings maximizing the conditional CHSH value.
+def optimal_chsh_angles(phi: float) -> ChshSettings:
+    """Analyzer settings maximizing the CHSH value on both control branches.
 
     With n(theta) = (cos theta, sin theta), E(a, b) = n(a)^T T n(b) for
     the 2x2 block T = <P_i x P_j>, P in (sigma_x, -sigma_y), read off the
-    conditioned pair state; no angle set is assumed.  The optimum follows
-    from the SVD T = U diag(s1, s2) V^T (Horodecki criterion in a plane):
-    a0, a1 = u1, u2 and b0,1 = -sign (cos beta v1 +- sin beta v2) with
+    C=up pair state; no angle set is assumed.  The optimum follows from
+    the SVD T = U diag(s1, s2) V^T (Horodecki criterion in a plane):
+    a0, a1 = u1, u2 and b0,1 = -(cos beta v1 +- sin beta v2) with
     beta = atan2(s2, s1), giving |S| = 2 sqrt(s1^2 + s2^2) = 2 sqrt(2).
-    The factor -sign (sign = +1 up, -1 down) fixes the degenerate optimum
-    so that phi = 0 yields (0, pi/2, 5pi/4, 3pi/4) on both branches, bit
-    for bit, the settings of sampled streams written without --angles.
-    Only the joined ensembles have an optimum; the unconditioned ensemble
-    is flat at 0.
+    The C=down block is -T, so the same settings reach 2 sqrt(2) there
+    too.  The leading minus fixes the degenerate optimum so that phi = 0
+    yields (0, pi/2, 5pi/4, 3pi/4) bit for bit, the settings of sampled
+    streams written without --angles.  The unconditioned ensemble is flat
+    at 0 and has no optimum.
     """
-    if condition not in ("up", "down"):
-        raise ValueError("optimal settings exist only for conditions 'up'/'down'")
-    sign = +1 if condition == "up" else -1
-    state = bell_relative_state(phi, sign)
+    state = bell_relative_state(phi, +1)
     axes = (sigma_x(), -sigma_y())
     correlations = np.array([[expectation(state, [p, q]) for q in axes] for p in axes])
     left, singular, right = np.linalg.svd(correlations)
     beta = math.atan2(singular[1], singular[0])
-    even = -sign * math.cos(beta) * right[0]
-    odd = -sign * math.sin(beta) * right[1]
+    even = -math.cos(beta) * right[0]
+    odd = -math.sin(beta) * right[1]
     vectors = (left[:, 0], left[:, 1], even + odd, even - odd)
     return ChshSettings(*(math.atan2(y, x) for x, y in vectors))
 

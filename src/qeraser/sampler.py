@@ -43,16 +43,17 @@ from . import fock
 from ._version import __version__
 from .fock import Statistics
 from .protocols import (
+    _OUTCOME_SIGN,
     CHSH_OUTCOMES,
     HOM_OUTCOMES,
     ChshSettings,
     MetrologySetup,
     ProbabilityTable,
+    _analyzer_projectors,
     hom_table,
     parity_branch_statistics,
 )
 from .qubits import (
-    analyzer_observable,
     bell_relative_state,
     expectation,
     rotation_y,
@@ -86,7 +87,6 @@ GENERATOR_ID = "philox4x64/block-per-shot/v1"
 EXPERIMENTS = ("hom", "chsh", "metrology")
 MODES = ("quantum", "classical_mixture")
 
-_OUTCOME_SIGN = {"d": -1, "u": +1}
 _PARITY_ROWS = ("+1", "-1")
 
 
@@ -294,33 +294,24 @@ def _chsh_pairs(config: ExperimentConfig) -> list[dict[str, float | int]]:
     return pairs
 
 
-def _analyzer_projectors(pair: Mapping[str, float | int], outcome: str) -> list[np.ndarray]:
-    """Projectors of analyzers A and B onto the joint outcome ``outcome``."""
-    return [
-        spectral_projectors(analyzer_observable(pair[angle]))[_OUTCOME_SIGN[sign]]
-        for angle, sign in zip(("theta_a", "theta_b"), outcome)
-    ]
-
-
 def _chsh_quantum(config: ExperimentConfig) -> _Plan:
     state = tripartite_spin_state(config.phi)
     proj_c = _control_projectors(config.control_basis_angle)
     pairs = _chsh_pairs(config)
+    analyzers = [_analyzer_projectors(pair["theta_a"], pair["theta_b"]) for pair in pairs]
     cells = [(outcome, c) for outcome in CHSH_OUTCOMES for c in (+1, -1)]
-    table = [
-        [expectation(state, [*_analyzer_projectors(pair, o), proj_c[c]]) for o, c in cells]
-        for pair in pairs
-    ]
+    table = [[expectation(state, [*a[o], proj_c[c]]) for o, c in cells] for a in analyzers]
     return _Plan(np.array(table), CHSH_OUTCOMES, pairs)
 
 
 def _chsh_classical(config: ExperimentConfig) -> _Plan:
     pairs = _chsh_pairs(config)
+    analyzers = [_analyzer_projectors(pair["theta_a"], pair["theta_b"]) for pair in pairs]
     branches = [bell_relative_state(config.phi, sign) for sign in (+1, -1)]
     table = [
-        [expectation(branch, _analyzer_projectors(pair, o)) for o in CHSH_OUTCOMES]
+        [expectation(branch, a[o]) for o in CHSH_OUTCOMES]
         for branch in branches
-        for pair in pairs
+        for a in analyzers
     ]
     return _Plan(np.array(table), CHSH_OUTCOMES, pairs * 2)
 
@@ -615,17 +606,21 @@ def _outcome_counts(
     codes = records.outcome
     if np.any((codes < 0) | (codes >= len(records.labels))):
         raise ValueError(f"unknown outcome code for {records.experiment}")
-    down = 0
-    if control_outcome is not None:
-        control_outcome = np.asarray(control_outcome)
-        if control_outcome.shape != codes.shape:
-            raise ValueError(
-                f"control column covers {control_outcome.size} of {len(records)} shots"
-            )
-        down = control_outcome == -1
-        if not np.all(down | (control_outcome == 1)):
-            raise ValueError("control outcomes must be +1 or -1")
+    down = _down_mask(records, control_outcome)
     return np.bincount(2 * codes + down, minlength=2 * len(records.labels)).reshape(-1, 2)
+
+
+def _down_mask(records: SystemStream, control_outcome: np.ndarray | None) -> np.ndarray | int:
+    """Per shot of ``records``, whether its control outcome is -1; 0 without a column."""
+    if control_outcome is None:
+        return 0
+    control_outcome = np.asarray(control_outcome)
+    if control_outcome.shape != records.outcome.shape:
+        raise ValueError(f"control column covers {control_outcome.size} of {len(records)} shots")
+    down = control_outcome == -1
+    if not np.all(down | (control_outcome == 1)):
+        raise ValueError("control outcomes must be +1 or -1")
+    return down
 
 
 def _counts_table(labels: Sequence[str], counts: np.ndarray) -> EmpiricalTable:
@@ -661,14 +656,16 @@ def chsh_statistic(records: SystemStream) -> tuple[float, float]:
     is estimated as (1 - E^2)/count and propagated in quadrature.  The
     value is signed; compare its magnitude against bounds.
     """
-    return _chsh_from_sums(_pair_sums(records))
+    return _chsh_from_sums(_pair_sums(records).sum(axis=0))
 
 
-def _pair_sums(records: SystemStream) -> np.ndarray:
-    """(2, 4) record counts and +-1 product sums of the four setting pairs.
+def _pair_sums(records: SystemStream, control_outcome: np.ndarray | None = None) -> np.ndarray:
+    """(2, 2, 4) record counts and +-1 product sums of the four setting pairs.
 
-    Both rows hold exact integers, so the sums of disjoint record sets
-    add up to those of their union whatever the order.
+    Axis 0 is control +1, then -1, as in :func:`_outcome_counts`; axis 1
+    holds the counts, then the product sums.  Every entry is an exact
+    integer, so the sums of disjoint record sets add up to those of their
+    union whatever the order.
     """
     if records.experiment != "chsh":
         raise ValueError("chsh_statistic needs chsh records")
@@ -676,17 +673,14 @@ def _pair_sums(records: SystemStream) -> np.ndarray:
         [2 * int(s["setting_a"]) + int(s["setting_b"]) for s in records.settings]
     )
     product_of = np.array([_OUTCOME_SIGN[a] * _OUTCOME_SIGN[b] for a, b in records.labels])
-    pairs = pair_of_row[records.setting_row]
-    return np.stack(
-        [
-            np.bincount(pairs, minlength=4),
-            np.bincount(pairs, weights=product_of[records.outcome], minlength=4),
-        ]
-    )
+    codes = pair_of_row[records.setting_row] + 4 * _down_mask(records, control_outcome)
+    weights = product_of[records.outcome]
+    sums = np.stack([np.bincount(codes, minlength=8), np.bincount(codes, weights, minlength=8)])
+    return sums.reshape(2, 2, 4).swapaxes(0, 1)
 
 
 def _chsh_from_sums(sums: np.ndarray) -> tuple[float, float]:
-    """:func:`chsh_statistic` of the records whose :func:`_pair_sums` are ``sums``."""
+    """:func:`chsh_statistic` of one labeled set from its (2, 4) branch of :func:`_pair_sums`."""
     counts, products = sums.tolist()
     if not any(counts):
         raise ValueError("cannot estimate CHSH from an empty record set")

@@ -241,8 +241,7 @@ def _check_chsh_closed_form() -> None:
         table.validate_conditional()
         phi_prime = theta_a - theta_b + phi
         for row in protocols.CHSH_OUTCOMES:
-            a = +1 if row[0] == "u" else -1
-            b = +1 if row[1] == "u" else -1
+            a, b = (protocols._OUTCOME_SIGN[sign] for sign in row)
             plus = 0.125 * (1.0 + a * b * math.cos(phi_prime))
             minus = 0.125 * (1.0 - a * b * math.cos(phi_prime))
             assert abs(table.value(row, "C=up") - plus) < 1e-12
@@ -305,8 +304,8 @@ def _check_tsirelson_bound() -> None:
 
 def _check_chsh_optimum() -> None:
     for phi in (0.0, 0.9):
+        settings = protocols.optimal_chsh_angles(phi)
         for condition in ("up", "down"):
-            settings = protocols.optimal_chsh_angles(phi, condition)
             value = protocols.chsh_value(settings, phi, condition)
             assert (
                 abs(value - protocols.TSIRELSON_BOUND) < 1e-9

@@ -88,11 +88,11 @@ def test_criterion_02_chsh_table_closed_form():
 def test_criterion_03_chsh_saturation_and_sampled_violation():
     started = time.perf_counter()
     for phi in (0.0, 0.7, math.pi / 3):
-        best = optimal_chsh_angles(phi, "up")
+        best = optimal_chsh_angles(phi)
         assert chsh_value(best, phi, "up") == pytest.approx(
             2.0 * math.sqrt(2.0), abs=1e-9
         )
-    best = optimal_chsh_angles(0.0, "up")
+    best = optimal_chsh_angles(0.0)
     config = ExperimentConfig(
         experiment="chsh", shots=FULL_SHOTS, seed=77, phi=0.0, settings=best
     )
@@ -196,7 +196,7 @@ def _all_cells(config: ExperimentConfig) -> dict[tuple, int]:
 
 
 def test_criterion_09_classical_mixture_equivalence():
-    best = optimal_chsh_angles(0.0, "up")
+    best = optimal_chsh_angles(0.0)
     runs = {
         "hom": dict(experiment="hom", phi=0.9, control_basis_angle=0.0),
         "chsh": dict(experiment="chsh", phi=0.0, settings=best, control_basis_angle=0.0),

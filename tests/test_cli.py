@@ -268,6 +268,13 @@ class TestChshCommand:
         out = capsys.readouterr().out
         assert "S (C=up)" in out and "quantum bound" in out
 
+    def test_optimizer_takes_no_branch(self, capsys):
+        # one setting is optimal on both branches, so nothing names a branch
+        assert main(["chsh", "--phi", "0.4"]) == 0
+        metadata, _, _ = parse_csv(capsys.readouterr().out)
+        assert set(metadata["params"]) == {"phi", "settings"}
+        assert main(["chsh", "--condition", "up"]) == 2
+
     @pytest.mark.parametrize(
         "mode, digest",
         [

@@ -233,17 +233,27 @@ def test_summed_pair_sums_give_the_whole_run_statistic(run, label):
     config, parts = run
     joined = delayed_join(*run_experiment(config))
     keep = np.ones(config.shots, dtype=bool)
+    records = joined.system
     if label is not None:
         keep = joined.control.outcome == label
-    sums = sum(sampler._pair_sums(joined.system[part][keep[part]]) for part in parts)
-    records = joined.system[keep]
+        records = joined.labeled(label)
+    masked = sum(
+        sampler._pair_sums(joined.system[part][keep[part]]).sum(axis=0) for part in parts
+    )
+    # the control-split form sums both labeled sets at once, C=up first
+    split = sum(
+        sampler._pair_sums(joined.system[part], joined.control.outcome[part]) for part in parts
+    )
+    from_split = {+1: split[0], -1: split[1], None: split.sum(axis=0)}[label]
     try:
         expected = chsh_statistic(records)
     except ValueError as error:
-        with pytest.raises(ValueError, match=re.escape(str(error))):
-            sampler._chsh_from_sums(sums)
+        for sums in (masked, from_split):
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                sampler._chsh_from_sums(sums)
     else:
-        assert sampler._chsh_from_sums(sums) == expected  # bit for bit
+        for sums in (masked, from_split):
+            assert sampler._chsh_from_sums(sums) == expected  # bit for bit
 
 
 def test_a_failing_plan_opens_no_file(tmp_path, capsys):

@@ -266,38 +266,33 @@ class TestChshValue:
 
 
 class TestOptimalChshAngles:
+    # one optimum serves both branches: the C=down block is minus the C=up one
     @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 3])
     @pytest.mark.parametrize("condition", ["up", "down"])
     def test_reaches_tsirelson(self, phi, condition):
-        best = optimal_chsh_angles(phi, condition)
+        best = optimal_chsh_angles(phi)
         assert chsh_value(best, phi, condition) == pytest.approx(
             TSIRELSON_BOUND, abs=1e-9
         )
 
-    @pytest.mark.parametrize("condition", ["up", "down"])
-    def test_phi_zero_settings_are_pinned(self, condition):
+    def test_phi_zero_settings_are_pinned(self):
         # sampled chsh runs without --angles write these settings into
         # their streams, so they must not move by a single bit
         expected = ChshSettings(0.0, math.pi / 2, 5 * math.pi / 4, 3 * math.pi / 4)
-        assert optimal_chsh_angles(0.0, condition) == expected
+        assert optimal_chsh_angles(0.0) == expected
 
     @settings(max_examples=200)
-    @given(
-        phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-        condition=st.sampled_from(["up", "down"]),
-    )
-    def test_saturates_tsirelson_everywhere(self, phi, condition):
-        value = chsh_value(optimal_chsh_angles(phi, condition), phi, condition)
-        assert abs(value - TSIRELSON_BOUND) <= 1e-12
+    @given(phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+    def test_saturates_tsirelson_everywhere(self, phi):
+        best = optimal_chsh_angles(phi)
+        for condition in ("up", "down"):
+            value = chsh_value(best, phi, condition)
+            assert abs(value - TSIRELSON_BOUND) <= 1e-12
 
     def test_beats_exhaustive_grid(self):
         phi = 1.3
-        best = chsh_value(optimal_chsh_angles(phi, "up"), phi, "up")
+        best = chsh_value(optimal_chsh_angles(phi), phi, "up")
         assert oracles.grid_chsh_maximum(phi) <= best + 1e-12
-
-    def test_unjoined_condition_rejected(self):
-        with pytest.raises(ValueError, match="up.*down"):
-            optimal_chsh_angles(0.0, "?")
 
 
 class TestDenseChshValues:

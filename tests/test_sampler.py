@@ -427,7 +427,7 @@ class TestSampledStatistics:
         assert abs(unjoined_mean) <= 5.0 * unjoined_error
 
     def test_chsh_violation_appears_only_after_joining(self):
-        best = optimal_chsh_angles(0.0, "up")
+        best = optimal_chsh_angles(0.0)
         config = chsh_config(shots=self.SHOTS, seed=303, settings=best)
         joined = delayed_join(*run_experiment(config))
         s_up, err_up = chsh_statistic(joined.labeled(+1))
@@ -483,7 +483,7 @@ class TestClassicalMixture:
         assert abs(unjoined_mean) <= 5.0 * unjoined_error
 
     def test_chsh_mixture_is_indistinguishable_from_the_eraser_run(self):
-        best = optimal_chsh_angles(0.0, "up")
+        best = optimal_chsh_angles(0.0)
         quantum = chsh_config(shots=self.SHOTS, seed=21, settings=best)
         classical = chsh_config(
             shots=self.SHOTS, seed=22, settings=best, mode="classical_mixture"
