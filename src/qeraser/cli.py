@@ -14,7 +14,8 @@ to ``--output`` and the control/key stream next to it (``NAME.control.EXT``);
 ``--format summary`` joins the streams and reports conditioned statistics.
 Every output begins with a metadata header that reproduces the run:
 config, seed, generator id, code version.  Exit codes: 0 success,
-1 runtime failure, 2 usage error.
+1 runtime failure (a closed stdout too, with nothing on stderr), 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 from ._version import __version__
 from .fock import Statistics
 from .protocols import (
-    CHSH_OUTCOMES,
     TSIRELSON_BOUND,
     ChshSettings,
     MetrologySetup,
@@ -213,6 +213,7 @@ def _from_flags(build: Callable[..., _T], *args, **kwargs) -> _T:
 def _output_stream(path: str | None) -> Iterator[IO[str]]:
     if path is None:
         yield sys.stdout
+        sys.stdout.flush()  # a closed pipe fails inside main, not in the exit-time flush
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             yield handle
@@ -254,9 +255,7 @@ def _write_streams(args: argparse.Namespace, config: ExperimentConfig) -> None:
         raise UsageError("sampled stream output needs --output (or --format summary)")
     chunks = sampler._sample(config)  # a failing plan raises before any file opens
     control_path = _control_path(args.output)
-    with open(args.output, "w", encoding="utf-8", newline="") as system_file, open(
-        control_path, "w", encoding="utf-8", newline=""
-    ) as control_file:
+    with open(args.output, "wb") as system_file, open(control_path, "wb") as control_file:
         sampler._write_csv_chunks(chunks, config, system_file, control_file)
     print(f"wrote {args.output} and {control_path}", file=sys.stderr)
 
@@ -655,6 +654,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone, which is no library failure; point the
+        # fd at devnull so the exit-time flush of what is left does not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except Exception as error:  # noqa: BLE001 - single-line diagnostic contract
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return 1

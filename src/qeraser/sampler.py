@@ -113,6 +113,8 @@ class _Stream:
         return len(self.shot_index)
 
     def __getitem__(self, index):
+        if isinstance(index, np.ndarray) and index.dtype == bool and index.shape == (len(self),):
+            index = np.flatnonzero(index)  # one mask scan, then a take per column
         return replace(self, **{name: getattr(self, name)[index] for name in self._COLUMNS})
 
     def __eq__(self, other: object) -> bool:
@@ -201,15 +203,19 @@ def _chunks(total: int) -> Iterator[slice]:
         yield slice(start, min(start + _CHUNK, total))
 
 
-def _shot_uniforms(generator: np.random.Philox, shots: int) -> np.ndarray:
-    """(shots, 4) uniforms in [0,1) of the generator's next ``shots`` blocks.
+def _shot_uniforms(generator: np.random.Philox, shots: int, columns: int) -> np.ndarray:
+    """(columns, shots) leading uniforms in [0,1) of the generator's next ``shots`` blocks.
 
-    Row i is the private substream of the i-th shot not yet drawn, since
-    consecutive ``random_raw`` calls continue one counter sequence.
+    Column i of the result is the private substream of the i-th shot not
+    yet drawn, since consecutive ``random_raw`` calls continue one counter
+    sequence.  All four words of every block are drawn, so the counter
+    moves on by ``shots`` blocks; only the leading ``columns`` are converted.
     """
     raw = generator.random_raw(4 * shots).reshape(shots, 4)
-    raw >>= np.uint64(11)
-    return raw * (2.0**-53)
+    uniforms = np.empty((columns, shots))
+    for k, row in enumerate(uniforms):
+        np.multiply(raw[:, k] >> np.uint64(11), 2.0**-53, out=row)
+    return uniforms
 
 
 def _cumulative(distributions: np.ndarray) -> np.ndarray:
@@ -382,19 +388,21 @@ def _sampled_chunks(
     keyed = config.mode == "classical_mixture"
     basis_angle = None if keyed else config.control_basis_angle
     settings = tuple(plan.settings)
+    paired = config.experiment == "chsh"
     generator = np.random.Philox(key=config.seed)
     for part in _chunks(config.shots):
-        uniforms = _shot_uniforms(generator, part.stop - part.start)
+        count = part.stop - part.start
+        uniforms = _shot_uniforms(generator, count, keyed + paired + 1)
         # leading uniforms pick the row in the frozen layout: key bit, then pair
-        row = np.zeros(len(uniforms), dtype=int)
+        row = np.zeros(count, dtype=int)
         column = 0
         if keyed:  # key +1 (row block 0) below 1/2
-            row = (uniforms[:, column] >= 0.5).astype(int)
+            row = (uniforms[column] >= 0.5).astype(int)
             column += 1
-        if config.experiment == "chsh":
-            row = row * 4 + np.minimum((uniforms[:, column] * 4).astype(int), 3)
+        if paired:
+            row = row * 4 + np.minimum((uniforms[column] * 4).astype(int), 3)
             column += 1
-        chosen = _cell_indices(uniforms[:, column], cumulative, row)
+        chosen = _cell_indices(uniforms[column], cumulative, row)
         if keyed:  # the key bit of the row is the control outcome
             outcome = chosen
             control = np.where(row < len(plan.table) // 2, 1, -1)
@@ -764,12 +772,20 @@ def _decimal_bytes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarr
     # two's complement in uint64: exact magnitudes, -2**63 included
     magnitude = values.astype(np.uint64)
     np.negative(magnitude, out=magnitude, where=negative)
-    lengths = 1 + np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + negative
+    # a magnitude that fits has at most ``width`` digits: search only 10**1 .. 10**(width-1)
+    powers = _POWERS_OF_TEN[: width - 1]
+    lengths = 1 + np.searchsorted(powers, magnitude, side="right") + negative
+    if width < 10:  # magnitudes below 10**9 fit uint32, which divides faster
+        magnitude = magnitude.astype(np.uint32)
     text = np.empty((len(values), width), dtype=np.uint8)
-    digit = np.empty_like(magnitude)
+    quotient = np.empty_like(magnitude)
+    ten = magnitude.dtype.type(10)
     for column in range(width - 1, -1, -1):
-        np.divmod(magnitude, np.uint64(10), out=(magnitude, digit))
-        text[:, column] = digit
+        # floor_divide by a scalar has a fast path that divmod lacks
+        np.floor_divide(magnitude, ten, out=quotient)
+        magnitude -= quotient * ten
+        text[:, column] = magnitude
+        magnitude, quotient = quotient, magnitude
     text += ord("0")
     signed = np.flatnonzero(negative)
     text[signed, width - lengths[signed]] = ord("-")
@@ -788,17 +804,21 @@ def _padded(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def _csv_renderer(
     records: SystemStream | ControlStream, width: int
-) -> tuple[str, Callable[[SystemStream | ControlStream], str]]:
-    """Column header line and ``render(chunk)``: the CSV lines of a stream's shots.
+) -> tuple[str, Callable[[SystemStream | ControlStream, np.ndarray, np.ndarray], np.ndarray]]:
+    """Column header line and ``render(chunk, digits, lengths)``: a chunk's CSV lines.
 
     A line is the shot's decimal index followed by a tail that only the
     per-run values of ``records`` decide: one tail per (settings row,
     outcome) of a system stream, one per outcome of a control stream.
     Each tail is formatted once.  ``chunk`` is any part of a stream with
     those per-run values whose shot indices have at most ``width``
-    characters.  Per chunk, each shot's right-aligned index digits and
-    its tail fill one row of a uint8 matrix; dropping the padding bytes
-    leaves the chunk's text.
+    characters, and ``digits, lengths`` is ``_decimal_bytes(chunk.shot_index,
+    width)``, so streams that share their shot indices share it too.
+    Per chunk, each shot's right-aligned index digits and its tail fill
+    one row of a uint8 matrix; dropping the padding bytes leaves the
+    chunk's UTF-8 text, returned as a 1-D uint8 array.  When every tail
+    has one length and every index fills ``width``, no row has padding
+    and the matrix already is the text.
     """
     if isinstance(records, SystemStream):
         keys = sorted(records.settings[0])
@@ -827,6 +847,7 @@ def _csv_renderer(
             return (1 - chunk.outcome) >> 1  # +1 -> 0, -1 -> 1
 
     tail_bytes, tail_mask = _padded(tails)
+    equal_tails = bool(tail_mask.all())
     blank = np.zeros((len(tails), width), dtype=np.uint8)
     templates = np.concatenate([blank, tail_bytes], axis=1)
     # row code * (width + 1) + n: the mask of a line whose index has n characters
@@ -836,15 +857,15 @@ def _csv_renderer(
         axis=1,
     )
 
-    def render(chunk: SystemStream | ControlStream) -> str:
+    def render(
+        chunk: SystemStream | ControlStream, digits: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
         codes = codes_of(chunk)
         text = templates.take(codes, axis=0)
-        digits, lengths = _decimal_bytes(chunk.shot_index, width)
         text[:, :width] = digits
-        keep = masks.take(codes * (width + 1) + lengths, axis=0)
-        text = text[keep]  # frees the padded matrix before the str is built
-        del keep
-        return str(text, "utf-8")
+        if equal_tails and np.all(lengths == width):
+            return text.reshape(-1)
+        return text[masks.take(codes * (width + 1) + lengths, axis=0)]
 
     return columns, render
 
@@ -864,28 +885,35 @@ def write_stream_csv(
     columns, render = _csv_renderer(records, width)
     stream.write(columns)
     for part in _chunks(len(records)):
-        stream.write(render(records[part]))
+        chunk = records[part]
+        stream.write(str(render(chunk, *_decimal_bytes(chunk.shot_index, width)), "utf-8"))
 
 
 def _write_csv_chunks(
     chunks: Iterator[tuple[SystemStream, ControlStream]],
     config: ExperimentConfig,
-    system_file: IO[str],
-    control_file: IO[str],
+    system_file: IO[bytes],
+    control_file: IO[bytes],
 ) -> None:
     """Write a run's (system, control) chunks as its two CSV streams.
 
-    ``chunks`` are the chunks of :func:`_sample`; each file gets the bytes
-    :func:`write_stream_csv` writes for that stream of the whole run.
+    ``chunks`` are the chunks of :func:`_sample`; each binary file gets the
+    bytes :func:`write_stream_csv` writes for that stream of the whole run.
     """
     first = next(chunks)
     width = len(str(config.shots - 1))  # of the run's largest shot index
+    files = (system_file, control_file)
     renderers = []
-    for handle, records in zip((system_file, control_file), first):
+    for handle, records in zip(files, first):
         columns, render = _csv_renderer(records, width)
-        handle.write(metadata_header(config) + "\n" + columns)
+        handle.write((metadata_header(config) + "\n" + columns).encode("utf-8"))
         renderers.append(render)
-    for pair in itertools.chain([first], chunks):
-        for handle, render, records in zip((system_file, control_file), renderers, pair):
-            handle.write(render(records))
+    chunks = itertools.chain([first], chunks)
+    del first
+    for pair in chunks:
+        # both streams of a chunk share its shot indices, so their digits too
+        digits, lengths = _decimal_bytes(pair[0].shot_index, width)
+        for handle, render, records in zip(files, renderers, pair):
+            handle.write(render(records, digits, lengths))
+        del pair, records, digits, lengths  # hold no chunk while the next is drawn
 

@@ -250,6 +250,76 @@ def test_writer_rejects_foreign_control_outcomes():
         write_stream_csv(io.StringIO(), control, config)
 
 
+@given(st.lists(INT64, max_size=40))
+@example([-(2**63), -1, 0, 2**63 - 1])
+@example([-(10**8), 10**9 - 1, 2**32, 10**10 - 1])
+@example([])
+def test_decimal_bytes_are_the_right_aligned_decimals(values):
+    decimals = [str(v) for v in values]
+    for width in range(max(map(len, decimals), default=1), 22):
+        text, lengths = sampler._decimal_bytes(np.array(values, dtype=np.int64), width)
+        assert text.shape == (len(values), width)
+        assert lengths.tolist() == [len(d) for d in decimals]
+        assert [bytes(row).decode() for row in text] == [d.rjust(width, "0") for d in decimals]
+
+
+@given(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.sampled_from([1, 7, sampler._CHUNK - 1, sampler._CHUNK + 3]), max_size=3),
+    st.integers(1, 4),
+)
+def test_shot_uniforms_are_the_leading_columns_of_the_whole_block(seed, counts, columns):
+    generator = np.random.Philox(key=seed)
+    expected = reference_uniforms(seed, sum(counts))
+    start = 0
+    for count in counts:
+        uniforms = sampler._shot_uniforms(generator, count, columns)
+        assert uniforms.shape == (columns, count)
+        assert all(column.flags.c_contiguous for column in uniforms)
+        np.testing.assert_array_equal(uniforms, expected[start : start + count, :columns].T)
+        start += count
+
+
+@given(st.data(), configs(max_shots=150))
+def test_mask_selection_equals_index_selection(data, config):
+    kind = data.draw(st.sampled_from(["none", "all", "random"]))
+    if kind == "random":
+        flags = st.lists(st.booleans(), min_size=config.shots, max_size=config.shots)
+        mask = np.array(data.draw(flags), dtype=bool)
+    else:
+        mask = np.full(config.shots, kind == "all")
+    for records in run_experiment(config):
+        selected = records[mask]
+        assert selected == records[np.flatnonzero(mask)]
+        for name in records._COLUMNS:
+            np.testing.assert_array_equal(getattr(selected, name), getattr(records, name)[mask])
+        # a mask of another length fails as numpy's does, never selects silently
+        for size in (config.shots - 1, config.shots + 1):
+            if size > 0:
+                with pytest.raises(IndexError):
+                    records[np.ones(size, dtype=bool)]
+
+
+@pytest.mark.parametrize("mode", ["quantum", "classical_mixture"])
+@pytest.mark.parametrize("experiment", ["hom", "chsh"])
+@pytest.mark.parametrize("shots, chunk", [(25, 7), (130, 45), (1003, 334)])
+def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mode, shots, chunk):
+    """Short, mixed-width and full-width chunks, with equal (hom) and ragged (chsh) tails.
+
+    The CLI writer renders each chunk's index digits once for both files;
+    ``write_stream_csv`` renders them per stream.
+    """
+    config = ExperimentConfig(
+        experiment=experiment, shots=shots, seed=SEED, mode=mode, **BASE[experiment]
+    )
+    expected = [reference_csv(records, config) for records in run_experiment(config)]
+    files = (io.BytesIO(), io.BytesIO())
+    with mock.patch.object(sampler, "_CHUNK", chunk):
+        sampler._write_csv_chunks(sampler._sample(config), config, *files)
+        assert [rendered(records, config) for records in run_experiment(config)] == expected
+    assert [handle.getvalue().decode("utf-8") for handle in files] == expected
+
+
 def join_outcome(system_indices, control_indices):
     system = SystemStream(
         np.array(system_indices, dtype=int),

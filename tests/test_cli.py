@@ -159,6 +159,21 @@ class TestExitCodes:
         assert result.returncode == 0, result.stderr
         assert "30 passed, 0 failed" in result.stdout
 
+    def test_closed_stdout_exits_1_without_a_diagnostic(self):
+        # 5000 scan rows are far more than a pipe buffers, so the command is
+        # still writing when its reader goes away after the first line
+        process = subprocess.Popen(
+            [sys.executable, "-m", "qeraser.cli", "phase-est", "--theta-scan", "0:6:5000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert process.stdout.readline().startswith(b"# ")
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait(timeout=60) == 1
+        assert stderr == b""
+
     def test_unwritable_output_is_a_runtime_error(self, capsys):
         code = main(["hom", "--output", "/no-such-directory/out.csv"])
         assert code == 1
