@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -188,6 +189,10 @@ def _parse_theta_scan(text: str) -> np.ndarray:
         raise UsageError(f"bad --theta-scan value: {error}") from None
     if count < 1:
         raise UsageError("--theta-scan count must be at least 1")
+    # linspace counts in float64, exact for integers up to 2**53; past that it
+    # raises for some counts and returns an empty scan for others
+    if count > 2**53:
+        raise UsageError(f"--theta-scan count must be at most {2**53}")
     return np.linspace(start, stop, count, endpoint=False)
 
 
@@ -665,7 +670,12 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    code = main()
+    # freeze what is still alive, mostly numpy's and qeraser's import-time
+    # objects, so the shutdown collection skips it; atexit and the stdio flush
+    # still run.  Not in main(), which library callers and tests run in process.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -164,6 +164,18 @@ def reference_csv(records: SystemStream | ControlStream, config: ExperimentConfi
     )
 
 
+def assert_same_text(actual: str, expected: str) -> None:
+    """Byte-exact comparison that reports the line count, then the first differing line.
+
+    pytest's rewritten ``==`` on two long multi-line strings builds a line
+    diff that can take minutes when every line differs.
+    """
+    actual_lines, expected_lines = actual.split("\n"), expected.split("\n")
+    assert len(actual_lines) == len(expected_lines), "line counts differ"
+    for number, (line, wanted) in enumerate(zip(actual_lines, expected_lines)):
+        assert line == wanted, f"first difference at line {number}"
+
+
 def rendered(records, config) -> str:
     buffer = io.StringIO()
     write_stream_csv(buffer, records, config)
@@ -189,7 +201,7 @@ def test_chunked_runs_equal_the_monolithic_reference(config, chunk):
         streams = run_experiment(config)
         assert streams == expected
         for records in streams:
-            assert rendered(records, config) == reference_csv(records, config)
+            assert_same_text(rendered(records, config), reference_csv(records, config))
 
 
 def selections(draw, shots: int) -> np.ndarray:
@@ -216,7 +228,7 @@ def test_chunked_writer_bytes_on_reordered_streams(data, config, chunk):
     order = selections(data.draw, config.shots)
     with mock.patch.object(sampler, "_CHUNK", chunk):
         for records in (system[order], control[order]):
-            assert rendered(records, config) == reference_csv(records, config)
+            assert_same_text(rendered(records, config), reference_csv(records, config))
 
 
 INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -240,7 +252,7 @@ def test_chunked_writer_renders_every_int64_index(indices, chunk):
     streams = (system, ControlStream(shots, signs, 0.3), ControlStream(shots, signs, None))
     with mock.patch.object(sampler, "_CHUNK", chunk):
         for records in streams:
-            assert rendered(records, config) == reference_csv(records, config)
+            assert_same_text(rendered(records, config), reference_csv(records, config))
 
 
 def test_writer_rejects_foreign_control_outcomes():
@@ -316,8 +328,10 @@ def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mod
     files = (io.BytesIO(), io.BytesIO())
     with mock.patch.object(sampler, "_CHUNK", chunk):
         sampler._write_csv_chunks(sampler._sample(config), config, *files)
-        assert [rendered(records, config) for records in run_experiment(config)] == expected
-    assert [handle.getvalue().decode("utf-8") for handle in files] == expected
+        for records, wanted in zip(run_experiment(config), expected):
+            assert_same_text(rendered(records, config), wanted)
+    for handle, wanted in zip(files, expected):
+        assert_same_text(handle.getvalue().decode("utf-8"), wanted)
 
 
 def join_outcome(system_indices, control_indices):

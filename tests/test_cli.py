@@ -5,6 +5,7 @@ these tests pin the exit-code contract, the file formats and the golden
 values a user sees, without spawning subprocesses.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -49,9 +50,16 @@ class TestExitCodes:
     def test_theta_and_scan_conflict(self, capsys):
         assert main(["phase-est", "--theta", "0", "--theta-scan", "0:1:4"]) == 2
 
-    @pytest.mark.parametrize("scan", ["0:1", "a:b:3", "0:1:0"])
+    @pytest.mark.parametrize(
+        "scan",
+        # past 2**53 linspace raises for the first count and returns no points for the second
+        ["0:1", "a:b:3", "0:1:0", "0:1:100000000000000000000", "0:1:9223372036854775807"],
+    )
     def test_malformed_theta_scan(self, scan, capsys):
         assert main(["phase-est", "--theta-scan", scan]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: ")
+        assert captured.out == ""
 
     def test_malformed_angles(self, capsys):
         assert main(["chsh", "--angles", "0,1,2"]) == 2
@@ -162,17 +170,36 @@ class TestExitCodes:
     def test_closed_stdout_exits_1_without_a_diagnostic(self):
         # 5000 scan rows are far more than a pipe buffers, so the command is
         # still writing when its reader goes away after the first line
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "qeraser.cli", "phase-est", "--theta-scan", "0:6:5000"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-        )
-        assert process.stdout.readline().startswith(b"# ")
-        process.stdout.close()
-        stderr = process.stderr.read()
-        assert process.wait(timeout=60) == 1
+        ) as process:
+            try:
+                assert process.stdout.readline().startswith(b"# ")
+                process.stdout.close()
+                _, stderr = process.communicate(timeout=60)
+            finally:
+                process.kill()  # a no-op once the child is reaped
+        assert process.returncode == 1
         assert stderr == b""
+
+    @pytest.mark.parametrize(
+        "argv, code", [(["hom", "--phi", "0.8"], 0), (["hom", "--wavelength", "3"], 2)]
+    )
+    def test_only_run_freezes_the_heap(self, argv, code, monkeypatch, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(argv) == code
+        assert gc.get_freeze_count() == frozen
+        monkeypatch.setattr(sys, "argv", ["qeraser", *argv])
+        try:
+            with pytest.raises(SystemExit) as exit_request:
+                cli.run()
+            assert gc.get_freeze_count() > frozen
+        finally:
+            gc.unfreeze()
+        assert exit_request.value.code == code
 
     def test_unwritable_output_is_a_runtime_error(self, capsys):
         code = main(["hom", "--output", "/no-such-directory/out.csv"])
