@@ -30,8 +30,7 @@ import os
 import sys
 from typing import IO, Callable, Iterator, Sequence, TypeVar
 
-import numpy as np
-
+from . import _numpy as np
 from ._version import __version__
 from .fock import Statistics
 from .protocols import (
@@ -178,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_theta_scan(text: str) -> np.ndarray:
+def _parse_theta_scan(text: str) -> list[float]:
+    """The points of ``np.linspace(START, STOP, COUNT, endpoint=False)``, bit for bit."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"--theta-scan wants START:STOP:COUNT, got {text!r}")
@@ -187,13 +187,25 @@ def _parse_theta_scan(text: str) -> np.ndarray:
         count = int(parts[2])
     except ValueError as error:
         raise UsageError(f"bad --theta-scan value: {error}") from None
+    delta = stop - start  # not finite when START or STOP is not, or when it overflows
+    if not math.isfinite(delta):
+        raise UsageError(
+            f"--theta-scan START, STOP and STOP - START must be finite, got {text!r}"
+        )
     if count < 1:
         raise UsageError("--theta-scan count must be at least 1")
-    # linspace counts in float64, exact for integers up to 2**53; past that it
-    # raises for some counts and returns an empty scan for others
+    # point indices are exact in float64 only up to 2**53
     if count > 2**53:
         raise UsageError(f"--theta-scan count must be at most {2**53}")
-    return np.linspace(start, stop, count, endpoint=False)
+    try:
+        points = [0.0] * count  # a count too large to hold fails here, not after hours
+    except MemoryError:
+        raise MemoryError(f"no memory for {count} theta points") from None
+    step = delta / count
+    for i in range(count):
+        # linspace's arithmetic, which scales the index first when the step underflows to 0
+        points[i] = (i * step if step != 0 else i / count * delta) + start
+    return points
 
 
 def _parse_angles(text: str) -> tuple[float, float, float, float]:
@@ -501,15 +513,17 @@ def _safe_parity(records: sampler.SystemStream) -> tuple[float, float]:
     return sampler.empirical_parity(records)
 
 
-def _phase_points(args: argparse.Namespace) -> np.ndarray:
+def _phase_points(args: argparse.Namespace) -> list[float]:
     if args.theta_scan is not None and args.theta is not None:
         raise UsageError("--theta and --theta-scan are mutually exclusive")
     if args.theta_scan is not None:
         points = _parse_theta_scan(args.theta_scan)
     else:
-        points = np.array([args.theta if args.theta is not None else 0.0])
+        points = [args.theta if args.theta is not None else 0.0]
     if args.degrees:
-        points = points * math.pi / 180.0
+        points = [theta * math.pi / 180.0 for theta in points]
+        if not all(map(math.isfinite, points)):  # a finite angle in degrees can overflow
+            raise UsageError("theta must be finite")
     return points
 
 
@@ -533,15 +547,13 @@ def _run_phase_est(args: argparse.Namespace) -> int:
         )
         rows = []
         for theta in thetas:
-            setup = _from_flags(
-                MetrologySetup, args.n, float(theta), args.phi, args.control_angle
-            )
+            setup = _from_flags(MetrologySetup, args.n, theta, args.phi, args.control_angle)
             variance = ""
             if erasing:
-                variance = repr(float(phase_sensitivity(setup)))
+                variance = repr(phase_sensitivity(setup))
             rows.append(
                 (
-                    float(theta),
+                    theta,
                     parity_expectation(setup, +1),
                     parity_expectation(setup, -1),
                     parity_expectation(setup, None),
@@ -579,20 +591,20 @@ def _run_phase_est(args: argparse.Namespace) -> int:
         seed=args.seed,
         phi=args.phi,
         n=args.n,
-        theta=float(thetas[0]),
+        theta=thetas[0],
         control_basis_angle=args.control_angle,
         mode=_SAMPLER_MODE[args.mode],
     )
     rows = []
     for index, theta in enumerate(thetas):
         seed = (args.seed + index) % 2**64
-        config = _from_flags(dataclasses.replace, base_config, seed=seed, theta=float(theta))
+        config = _from_flags(dataclasses.replace, base_config, seed=seed, theta=theta)
         system, control = sampler.run_experiment(config)
         joined = sampler.delayed_join(system, control)
         up = _safe_parity(joined.labeled(+1))
         down = _safe_parity(joined.labeled(-1))
         raw = _safe_parity(joined.system)
-        rows.append((float(theta), *up, *down, *raw))
+        rows.append((theta, *up, *down, *raw))
 
     header_payload = {
         "config": sampler.config_to_dict(base_config),

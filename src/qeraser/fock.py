@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+from . import _numpy as np
 
 __all__ = [
     "Statistics",

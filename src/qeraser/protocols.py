@@ -23,8 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _numpy as np
 from . import fock
 from .fock import Statistics
 from .qubits import (
@@ -32,8 +31,6 @@ from .qubits import (
     bell_relative_state,
     expectation,
     identity,
-    phase_rotation,
-    rotation_y,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -270,6 +267,11 @@ class MetrologySetup:
                 raise ValueError(f"{name} must be finite")
 
 
+def _exp_imaginary(argument: complex) -> complex:
+    """numpy's exp of a complex with zero real part: (cos, sin) of the imaginary part."""
+    return complex(math.cos(argument.imag), math.sin(argument.imag))
+
+
 def parity_branch_statistics(
     setup: MetrologySetup,
 ) -> dict[int, tuple[float, float]]:
@@ -288,16 +290,26 @@ def parity_branch_statistics(
     parity, read the way the interferometer closes (exp(-i sigma_y pi/4)
     on every register spin, then the product of the sigma_z readouts), is
     (-1)**n 2 Re(conj(alpha) beta) / p.
+
+    The amplitudes are Python complex numbers, combined in the order of
+    numpy's scalar arithmetic on the phase shift exp(-i sigma_z theta / 2)
+    and the rotation matrix, so every bit matches that route (kept as
+    the oracle of the tests) without importing numpy.
     """
-    low, high = 1.0 / math.sqrt(2.0), np.exp(1.0j * setup.phi) / math.sqrt(2.0)
-    shift = phase_rotation(setup.theta)
+    scale = 1.0 / math.sqrt(2.0)
+    phase = _exp_imaginary(1.0j * setup.phi)
+    # numpy divides a complex by a real as a product with its reciprocal
+    low, high = complex(scale, 0.0), complex(phase.real * scale, phase.imag * scale)
+    shift_low, shift_high = _exp_imaginary(-0.5j * setup.theta), _exp_imaginary(0.5j * setup.theta)
     for _ in range(setup.n):
-        low, high = low * shift[0, 0], high * shift[1, 1]
-    rotation = rotation_y(-setup.control_angle)
+        low, high = low * shift_low, high * shift_high
+    # rows of the control rotation exp(+i sigma_y control_angle / 2), real entries
+    half = -setup.control_angle / 2.0
+    c, s = math.cos(half), math.sin(half)
     sign = (-1.0) ** setup.n
     branches: dict[int, tuple[float, float]] = {}
-    for outcome, row in ((+1, rotation[0]), (-1, rotation[1])):
-        alpha, beta = complex(row[0] * low), complex(row[1] * high)
+    for outcome, (to_low, to_high) in ((+1, (c, -s)), (-1, (s, c))):
+        alpha, beta = complex(to_low, 0.0) * low, complex(to_high, 0.0) * high
         probability = abs(alpha) ** 2 + abs(beta) ** 2
         parity = sign * 2.0 * (alpha.conjugate() * beta).real / probability
         branches[outcome] = (probability, parity)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from . import _numpy as np
 
 __all__ = [
     "StateVector",

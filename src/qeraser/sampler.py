@@ -37,8 +37,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import IO, Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
+from . import _numpy as np
 from . import fock
 from ._version import __version__
 from .fock import Statistics
@@ -757,10 +756,6 @@ def _format_field(value: float | int | str | None) -> str:
     return str(value)
 
 
-# 10**1 .. 10**19: an int64 magnitude (at most 2**63) has 1 + (powers <= it) digits
-_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
-
-
 def _decimal_bytes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """``str(int(v))`` of every int64 ``v`` as right-aligned uint8 rows.
 
@@ -772,8 +767,9 @@ def _decimal_bytes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarr
     # two's complement in uint64: exact magnitudes, -2**63 included
     magnitude = values.astype(np.uint64)
     np.negative(magnitude, out=magnitude, where=negative)
-    # a magnitude that fits has at most ``width`` digits: search only 10**1 .. 10**(width-1)
-    powers = _POWERS_OF_TEN[: width - 1]
+    # an int64 magnitude (at most 2**63) has 1 + (powers of ten <= it) digits; one
+    # that fits has at most ``width``, so search only 10**1 .. 10**(width-1), at most 10**19
+    powers = 10 ** np.arange(1, min(width, 20), dtype=np.uint64)
     lengths = 1 + np.searchsorted(powers, magnitude, side="right") + negative
     if width < 10:  # magnitudes below 10**9 fit uint32, which divides faster
         magnitude = magnitude.astype(np.uint32)

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from . import _numpy as np
 from . import fock, protocols, qubits, sampler
 from .fock import Statistics
 from .protocols import ChshSettings, MetrologySetup

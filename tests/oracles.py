@@ -87,3 +87,36 @@ def pair_marginal_density() -> np.ndarray:
     rho[0b01, 0b01] = 0.5
     rho[0b10, 0b10] = 0.5
     return rho
+
+
+def numpy_parity_branch_statistics(
+    n: int, theta: float, phi: float, control_angle: float
+) -> dict[int, tuple[float, float]]:
+    """``protocols.parity_branch_statistics`` as it was written with numpy scalars.
+
+    The package now evolves the two GHZ amplitudes with Python complex
+    numbers so analytic phase estimation never imports numpy; this is the
+    route it must reproduce bit for bit.
+    """
+    low, high = 1.0 / math.sqrt(2.0), np.exp(1.0j * phi) / math.sqrt(2.0)
+    shift = np.array(
+        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=complex
+    )
+    for _ in range(n):
+        low, high = low * shift[0, 0], high * shift[1, 1]
+    c, s = math.cos(-control_angle / 2.0), math.sin(-control_angle / 2.0)
+    rotation = np.array([[c, -s], [s, c]], dtype=complex)
+    sign = (-1.0) ** n
+    branches = {}
+    for outcome, row in ((+1, rotation[0]), (-1, rotation[1])):
+        alpha, beta = complex(row[0] * low), complex(row[1] * high)
+        probability = abs(alpha) ** 2 + abs(beta) ** 2
+        parity = sign * 2.0 * (alpha.conjugate() * beta).real / probability
+        branches[outcome] = (probability, parity)
+    return branches
+
+
+def numpy_theta_scan(start: float, stop: float, count: int, degrees: bool = False) -> np.ndarray:
+    """Phase points of ``--theta-scan START:STOP:COUNT`` as numpy built them."""
+    points = np.linspace(start, stop, count, endpoint=False)
+    return points * math.pi / 180.0 if degrees else points

@@ -10,16 +10,25 @@ import hashlib
 import json
 import math
 import os
+import re
+import select
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qeraser import cli, protocols, qubits, sampler
 from qeraser.cli import main
 from qeraser.protocols import TSIRELSON_BOUND, hom_table
+
+
+SCAN_BOUND = st.one_of(
+    st.floats(-10.0, 10.0), st.floats(-1e-306, 1e-306), st.floats(-1e300, 1e300)
+)
 
 
 def parse_csv(text):
@@ -59,6 +68,38 @@ class TestExitCodes:
         assert main(["phase-est", "--theta-scan", scan]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--theta-scan", "0:inf:2"],
+            ["--theta-scan", "nan:1:2"],
+            ["--theta-scan=-1e308:1.7e308:3"],
+            ["--theta", "1e308", "--degrees"],
+            ["--theta-scan", "0:1e308:3", "--degrees"],
+        ],
+    )
+    def test_non_finite_phase_points_are_one_usage_error_line(self, argv):
+        # a child process, so an arithmetic warning printed on the way shows too
+        result = subprocess.run(
+            [sys.executable, "-m", "qeraser.cli", "phase-est", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("usage error: ")
+        assert result.stdout == ""
+
+    def test_unallocatable_theta_scan_fails_at_once(self, capsys):
+        assert main(["phase-est", "--theta-scan", f"0:1:{2**53}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: MemoryError: no memory for {2**53} theta points"
+        ]
         assert captured.out == ""
 
     def test_malformed_angles(self, capsys):
@@ -177,6 +218,9 @@ class TestExitCodes:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         ) as process:
             try:
+                # a child that hangs before its header fails here, within the minute
+                ready, _, _ = select.select([process.stdout], [], [], 60)
+                assert ready, "no header line within 60 s"
                 assert process.stdout.readline().startswith(b"# ")
                 process.stdout.close()
                 _, stderr = process.communicate(timeout=60)
@@ -385,6 +429,41 @@ class TestPhaseEstCommand:
                     oracles.heisenberg_variance(n), rel=1e-9
                 )
         assert math.isinf(float(rows[0][4]))  # stationary fringe at theta = 0
+
+    def test_analytic_summary_matches_the_fringe(self, capsys):
+        n, phi = 5, 0.7
+        argv = ["phase-est", "--n", str(n), "--phi", str(phi), "--theta-scan", "0:6.2832:16"]
+        assert main([*argv, "--format", "summary"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[0][2:])["params"]["theta_points"] == 16
+        assert lines[1] == f"n={n} phi=0.700000 control_angle=1.570796"
+        assert len(lines) == 2 + 16
+        pattern = re.compile(
+            r"theta=(\S+): <P\|up>=(\S+) <P\|down>=(\S+) <P>=(\S+) variance=(\S+)"
+        )
+        for line, theta in zip(lines[2:], oracles.numpy_theta_scan(0.0, 6.2832, 16)):
+            fields = pattern.fullmatch(line).groups()
+            assert fields[0] == f"{theta:+.6f}"
+            up, down, raw = (float(value) for value in fields[1:4])
+            # six printed decimals: within half a unit of the last one
+            assert up == pytest.approx(oracles.parity_fringe(n, theta, phi, +1), abs=5.1e-7)
+            assert down == pytest.approx(oracles.parity_fringe(n, theta, phi, -1), abs=5.1e-7)
+            assert raw == pytest.approx(0.0, abs=5.1e-7)
+            if abs(math.sin(n * theta + phi)) > 1e-3:
+                assert float(fields[4]) == pytest.approx(oracles.heisenberg_variance(n), rel=1e-9)
+
+    @settings(max_examples=300)
+    @given(start=SCAN_BOUND, stop=SCAN_BOUND, count=st.integers(1, 400), degrees=st.booleans())
+    @example(start=0.0, stop=5e-324, count=3, degrees=False)
+    @example(start=-5e-324, stop=5e-324, count=5, degrees=True)
+    def test_scan_points_equal_numpy_linspace(self, start, stop, count, degrees):
+        # a step that underflows to 0 takes linspace's other branch, as in the examples
+        args = cli.build_parser().parse_args(
+            ["phase-est", f"--theta-scan={start!r}:{stop!r}:{count}"]
+            + (["--degrees"] if degrees else [])
+        )
+        expected = oracles.numpy_theta_scan(start, stop, count, degrees)
+        assert np.array(cli._phase_points(args)).tobytes() == expected.tobytes()
 
     def test_single_point_defaults_to_zero_phase(self, capsys):
         assert main(["phase-est", "--n", "3"]) == 0

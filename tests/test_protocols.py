@@ -6,6 +6,7 @@ under test never touches.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -49,6 +50,11 @@ from qeraser.verify import (
 
 PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
 ANGLE = st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def float_bits(value: float) -> bytes:
+    return struct.pack("<d", value)
 
 
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
@@ -407,6 +413,22 @@ class TestParityFringe:
         assert parity_expectation(setup, None) == pytest.approx(
             parity_via_rotation(state, register), abs=1e-12
         )
+
+    @settings(max_examples=500)
+    @given(
+        n=st.integers(1, 20),
+        theta=st.one_of(ANGLE, FINITE),
+        phi=st.one_of(ANGLE, FINITE),
+        control_angle=st.one_of(ANGLE, FINITE),
+    )
+    def test_branches_equal_the_numpy_route_bit_for_bit(self, n, theta, phi, control_angle):
+        # analytic and sampled outputs print these values with repr, so
+        # equal to the last bit (signed zeros included) is the contract
+        branches = parity_branch_statistics(MetrologySetup(n, theta, phi, control_angle))
+        expected = oracles.numpy_parity_branch_statistics(n, theta, phi, control_angle)
+        assert [float_bits(v) for o in (+1, -1) for v in branches[o]] == [
+            float_bits(v) for o in (+1, -1) for v in expected[o]
+        ]
 
     @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 4))
     def test_rotation_route_equals_signed_x_product(self, seed, num_qubits):

@@ -327,6 +327,11 @@ class TestEmpiricalTable:
         with pytest.raises(ValueError, match="control column covers 1 of 4 shots"):
             empirical_table(hand_records(), np.array([+1]))
 
+    @pytest.mark.parametrize("foreign", [0, 2, -2])
+    def test_control_column_must_hold_signs(self, foreign):
+        with pytest.raises(ValueError, match=r"control outcomes must be \+1 or -1"):
+            empirical_table(hand_records(), np.array([+1, -1, foreign, +1]))
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty record set"):
             empirical_table(hand_records()[:0])
