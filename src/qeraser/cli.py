@@ -24,9 +24,9 @@ import argparse
 import contextlib
 import dataclasses
 import gc
-import json
 import math
 import os
+import re
 import sys
 from typing import IO, Callable, Iterator, Sequence, TypeVar
 
@@ -53,6 +53,9 @@ __all__ = ["main", "run", "build_parser"]
 
 _MODES = ("analytic", "sample", "classical-mixture")
 _SAMPLER_MODE = {"sample": "quantum", "classical-mixture": "classical_mixture"}
+# a value that starts with "-" then a digit (-1:1:4, -1e-3, -.5) is a flag value,
+# not an unknown option; argparse's own pattern passes only plain decimals
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 _T = TypeVar("_T")
 
@@ -174,6 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands.add_parser(
         "verify", parents=[common], help="run the analytic invariant suite"
     )
+    for subcommand in commands.choices.values():
+        subcommand._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 
@@ -249,7 +254,7 @@ def _analytic_header(command: str, params: dict) -> str:
         "params": params,
         "version": __version__,
     }
-    return "# " + json.dumps(payload, sort_keys=True)
+    return sampler._header_line(payload)
 
 
 def _control_path(path: str) -> str:
@@ -257,34 +262,67 @@ def _control_path(path: str) -> str:
     return f"{root}.control{ext}" if ext else f"{path}.control"
 
 
-def _to_radians(args: argparse.Namespace, names: Sequence[str]) -> None:
-    # unset flags (None) stay None: radian-valued defaults must not be rescaled
-    scale = math.pi / 180.0
-    for name in names:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(args, name, value * scale)
+def _angle_flags(args: argparse.Namespace, default_control_angle: float) -> None:
+    """Take ``--phi`` and ``--control-angle`` to radians and default the latter.
+
+    The radian-valued default is never rescaled.  ``--control-angle`` is
+    rejected where no control is read at an angle: a classical-mixture run
+    keeps a preparation bit in place of a control particle, and analytic
+    hom/chsh tables read both control branches.
+    """
+    if args.degrees:
+        args.phi *= math.pi / 180.0
+    if args.control_angle is None:
+        args.control_angle = default_control_angle
+    elif args.mode == "classical-mixture":
+        raise UsageError(
+            "--control-angle needs a measured control: classical-mixture mode "
+            "keeps a preparation bit; use --mode sample"
+        )
+    elif args.mode == "analytic" and args.command != "phase-est":
+        raise UsageError("--control-angle is sampled-only: use --mode sample")
+    elif args.degrees:
+        args.control_angle *= math.pi / 180.0
 
 
-def _write_streams(args: argparse.Namespace, config: ExperimentConfig) -> None:
-    """Write the sampled run's system stream to ``--output``, its control stream beside it."""
-    if args.output is None:
+def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
+    """The sampled run's config: the shared flags plus the experiment's ``fields``."""
+    return _from_flags(
+        ExperimentConfig,
+        shots=args.shots,
+        seed=args.seed,
+        phi=args.phi,
+        control_basis_angle=args.control_angle,
+        mode=_SAMPLER_MODE[args.mode],
+        **fields,
+    )
+
+
+def _run_sampled(
+    args: argparse.Namespace,
+    config: ExperimentConfig,
+    summary: Callable[[ExperimentConfig, Iterator[sampler.JoinedStreams]], str],
+) -> int:
+    """Write a sampled run's two CSV streams, or ``summary`` of its chunk joins.
+
+    ``--format csv`` writes the system stream to ``--output`` and the
+    control stream beside it.  Chunks cover disjoint shot ranges, so
+    counts summed over the chunk joins equal those of the whole run's join.
+    """
+    form = _resolved_format(args)
+    if form == "csv" and args.output is None:
         raise UsageError("sampled stream output needs --output (or --format summary)")
     chunks = sampler._sample(config)  # a failing plan raises before any file opens
-    control_path = _control_path(args.output)
-    with open(args.output, "wb") as system_file, open(control_path, "wb") as control_file:
-        sampler._write_csv_chunks(chunks, config, system_file, control_file)
-    print(f"wrote {args.output} and {control_path}", file=sys.stderr)
-
-
-def _chunk_joins(config: ExperimentConfig) -> Iterator[sampler.JoinedStreams]:
-    """The delayed join of each chunk of a sampled run, in shot order.
-
-    Chunks cover disjoint shot ranges, so counts summed over the chunk
-    joins equal the counts of the whole run's join.
-    """
-    for system, control in sampler._sample(config):
-        yield sampler.delayed_join(system, control)
+    if form == "csv":
+        control_path = _control_path(args.output)
+        with open(args.output, "wb") as system_file, open(control_path, "wb") as control_file:
+            sampler._write_csv_chunks(chunks, config, system_file, control_file)
+        print(f"wrote {args.output} and {control_path}", file=sys.stderr)
+        return 0
+    text = summary(config, (sampler.delayed_join(system, control) for system, control in chunks))
+    with _output_stream(args.output) as out:
+        out.write(sampler.metadata_header(config) + "\n" + text)
+    return 0
 
 
 def _hom_reference_table(config: ExperimentConfig) -> ProbabilityTable:
@@ -296,68 +334,35 @@ def _hom_reference_table(config: ExperimentConfig) -> ProbabilityTable:
     return ProbabilityTable(sampler.HOM_OUTCOMES, TABLE_COLUMNS, values)
 
 
-def _default_control_angle(args: argparse.Namespace, default: float) -> None:
-    """Default ``--control-angle``; reject it where no control is read at an angle.
-
-    A classical-mixture run keeps a preparation bit in place of a control
-    particle, and analytic hom/chsh tables read both control branches.
-    """
-    if args.control_angle is None:
-        args.control_angle = default
-    elif args.mode == "classical-mixture":
-        raise UsageError(
-            "--control-angle needs a measured control: classical-mixture mode "
-            "keeps a preparation bit; use --mode sample"
-        )
-    elif args.mode == "analytic" and args.command != "phase-est":
-        raise UsageError("--control-angle is sampled-only: use --mode sample")
-
-
-def _run_hom(args: argparse.Namespace) -> int:
-    if args.degrees:
-        _to_radians(args, ("phi", "control_angle"))
-    _default_control_angle(args, 0.0)
-    form = _resolved_format(args)
-    if args.mode == "analytic":
-        table = hom_table(args.phi, Statistics(args.statistics))
-        header = _analytic_header(
-            "hom", {"phi": args.phi, "statistics": args.statistics}
-        )
-        with _output_stream(args.output) as out:
-            out.write(header + "\n")
-            out.write(table.to_csv() if form == "csv" else table.summary())
-        return 0
-
-    config = _from_flags(
-        ExperimentConfig,
-        experiment="hom",
-        shots=args.shots,
-        seed=args.seed,
-        phi=args.phi,
-        statistics=args.statistics,
-        control_basis_angle=args.control_angle,
-        mode=_SAMPLER_MODE[args.mode],
-    )
-    if form == "csv":
-        _write_streams(args, config)
-        return 0
+def _hom_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStreams]) -> str:
+    """Sampled hom summary: the reference, joined and unjoined tables."""
     counts = sum(
-        sampler._outcome_counts(joined.system, joined.control.outcome)
-        for joined in _chunk_joins(config)
+        sampler._outcome_counts(joined.system, joined.control.outcome) for joined in joins
     )
     empirical_joined = sampler._counts_table(sampler.HOM_OUTCOMES, counts)
     empirical_unjoined = sampler._counts_table(
         sampler.HOM_OUTCOMES, counts.sum(axis=1, keepdims=True)
     )
-    reference = _hom_reference_table(config)
+    return (
+        "reference (analytic, this control basis):\n"
+        + _hom_reference_table(config).summary()
+        + "\njoined empirical table:\n"
+        + empirical_joined.summary()
+        + "\nunjoined empirical table:\n"
+        + empirical_unjoined.summary()
+    )
+
+
+def _run_hom(args: argparse.Namespace) -> int:
+    _angle_flags(args, 0.0)
+    if args.mode != "analytic":
+        config = _config(args, experiment="hom", statistics=args.statistics)
+        return _run_sampled(args, config, _hom_summary)
+    table = hom_table(args.phi, Statistics(args.statistics))
+    header = _analytic_header("hom", {"phi": args.phi, "statistics": args.statistics})
     with _output_stream(args.output) as out:
-        out.write(sampler.metadata_header(config) + "\n")
-        out.write("reference (analytic, this control basis):\n")
-        out.write(reference.summary())
-        out.write("\njoined empirical table:\n")
-        out.write(empirical_joined.summary())
-        out.write("\nunjoined empirical table:\n")
-        out.write(empirical_unjoined.summary())
+        out.write(header + "\n")
+        out.write(table.to_csv() if _resolved_format(args) == "csv" else table.summary())
     return 0
 
 
@@ -393,81 +398,24 @@ def _chsh_analytic_rows(
     return rows
 
 
-def _run_chsh(args: argparse.Namespace) -> int:
-    if args.degrees:
-        _to_radians(args, ("phi", "control_angle"))
-    _default_control_angle(args, 0.0)
-    settings = _resolve_chsh_settings(args)
-    form = _resolved_format(args)
-    analytic = {
-        condition: chsh_value(settings, args.phi, condition)
-        for condition in ("up", "down", "?")
-    }
+def _chsh_values(settings: ChshSettings, phi: float) -> dict[str, float]:
+    """Analytic S of the C=up, C=down and unjoined (``?``) sets."""
+    return {condition: chsh_value(settings, phi, condition) for condition in ("up", "down", "?")}
 
-    if args.mode == "analytic":
-        header = _analytic_header(
-            "chsh",
-            {
-                "phi": args.phi,
-                "settings": [
-                    settings.theta_a0,
-                    settings.theta_a1,
-                    settings.theta_b0,
-                    settings.theta_b1,
-                ],
-            },
-        )
-        rows = _chsh_analytic_rows(settings, args.phi)
-        with _output_stream(args.output) as out:
-            out.write(header + "\n")
-            if form == "csv":
-                out.write("setting_a,setting_b,theta_a,theta_b,E_up,E_down,E_unjoined\n")
-                for row in rows:
-                    out.write(
-                        f"{row[0]},{row[1]},"
-                        + ",".join(repr(float(v)) for v in row[2:])
-                        + "\n"
-                    )
-                out.write(
-                    f"# S_up={analytic['up']!r} S_down={analytic['down']!r} "
-                    f"S_unjoined={analytic['?']!r} bound={TSIRELSON_BOUND!r}\n"
-                )
-            else:
-                out.write(
-                    "settings: "
-                    f"a0={settings.theta_a0:.6f} a1={settings.theta_a1:.6f} "
-                    f"b0={settings.theta_b0:.6f} b1={settings.theta_b1:.6f}\n"
-                )
-                for row in rows:
-                    out.write(
-                        f"pair ({row[0]},{row[1]}): E_up={row[4]:+.6f} "
-                        f"E_down={row[5]:+.6f} E_unjoined={row[6]:+.6f}\n"
-                    )
-                out.write(
-                    f"S (C=up) = {analytic['up']:.9f}\n"
-                    f"S (C=down) = {analytic['down']:.9f}\n"
-                    f"S (C=?) = {analytic['?']:.9f}\n"
-                    f"quantum bound 2*sqrt(2) = {TSIRELSON_BOUND:.9f}\n"
-                )
-        return 0
 
-    config = _from_flags(
-        ExperimentConfig,
-        experiment="chsh",
-        shots=args.shots,
-        seed=args.seed,
-        phi=args.phi,
-        settings=settings,
-        control_basis_angle=args.control_angle,
-        mode=_SAMPLER_MODE[args.mode],
+def _settings_line(settings: ChshSettings) -> str:
+    return (
+        "settings: "
+        f"a0={settings.theta_a0:.6f} a1={settings.theta_a1:.6f} "
+        f"b0={settings.theta_b0:.6f} b1={settings.theta_b1:.6f}\n"
     )
-    if form == "csv":
-        _write_streams(args, config)
-        return 0
+
+
+def _chsh_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStreams]) -> str:
+    """Sampled chsh summary: analytic and empirical S of each labeled set."""
     # pair sums of the C=up and C=down sets; the unjoined set is their union
     up_down = sum(
-        sampler._pair_sums(joined.system, joined.control.outcome)
-        for joined in _chunk_joins(config)
+        sampler._pair_sums(joined.system, joined.control.outcome) for joined in joins
     )
     branches = (
         ("empirical S (joined C=up):   ", up_down[0]),
@@ -475,20 +423,54 @@ def _run_chsh(args: argparse.Namespace) -> int:
         ("empirical S (unjoined):      ", up_down[0] + up_down[1]),
     )
     estimates = [_chsh_estimate(sums) for _, sums in branches]
+    analytic = _chsh_values(config.settings, config.phi)
+    text = _settings_line(config.settings) + (
+        f"analytic S: up={analytic['up']:.6f} down={analytic['down']:.6f} "
+        f"unjoined={analytic['?']:.6f}\n"
+    )
+    for (prefix, sums), (value, _) in zip(branches, estimates):
+        text += f"{prefix}{value} ({int(sums[0].sum())} shots)\n"
+    return text + f"violation of |S| <= 2 (C=up branch): {estimates[0][1]}\n"
+
+
+def _run_chsh(args: argparse.Namespace) -> int:
+    _angle_flags(args, 0.0)
+    settings = _resolve_chsh_settings(args)
+    if args.mode != "analytic":
+        config = _config(args, experiment="chsh", settings=settings)
+        return _run_sampled(args, config, _chsh_summary)
+    analytic = _chsh_values(settings, args.phi)
+    header = _analytic_header(
+        "chsh", {"phi": args.phi, "settings": list(dataclasses.astuple(settings))}
+    )
+    rows = _chsh_analytic_rows(settings, args.phi)
     with _output_stream(args.output) as out:
-        out.write(sampler.metadata_header(config) + "\n")
-        out.write(
-            "settings: "
-            f"a0={settings.theta_a0:.6f} a1={settings.theta_a1:.6f} "
-            f"b0={settings.theta_b0:.6f} b1={settings.theta_b1:.6f}\n"
-        )
-        out.write(
-            f"analytic S: up={analytic['up']:.6f} down={analytic['down']:.6f} "
-            f"unjoined={analytic['?']:.6f}\n"
-        )
-        for (prefix, sums), (value, _) in zip(branches, estimates):
-            out.write(f"{prefix}{value} ({int(sums[0].sum())} shots)\n")
-        out.write(f"violation of |S| <= 2 (C=up branch): {estimates[0][1]}\n")
+        out.write(header + "\n")
+        if _resolved_format(args) == "csv":
+            out.write("setting_a,setting_b,theta_a,theta_b,E_up,E_down,E_unjoined\n")
+            for row in rows:
+                out.write(
+                    f"{row[0]},{row[1]},"
+                    + ",".join(repr(float(v)) for v in row[2:])
+                    + "\n"
+                )
+            out.write(
+                f"# S_up={analytic['up']!r} S_down={analytic['down']!r} "
+                f"S_unjoined={analytic['?']!r} bound={TSIRELSON_BOUND!r}\n"
+            )
+        else:
+            out.write(_settings_line(settings))
+            for row in rows:
+                out.write(
+                    f"pair ({row[0]},{row[1]}): E_up={row[4]:+.6f} "
+                    f"E_down={row[5]:+.6f} E_unjoined={row[6]:+.6f}\n"
+                )
+            out.write(
+                f"S (C=up) = {analytic['up']:.9f}\n"
+                f"S (C=down) = {analytic['down']:.9f}\n"
+                f"S (C=?) = {analytic['?']:.9f}\n"
+                f"quantum bound 2*sqrt(2) = {TSIRELSON_BOUND:.9f}\n"
+            )
     return 0
 
 
@@ -528,9 +510,7 @@ def _phase_points(args: argparse.Namespace) -> list[float]:
 
 
 def _run_phase_est(args: argparse.Namespace) -> int:
-    if args.degrees:
-        _to_radians(args, ("phi", "control_angle"))
-    _default_control_angle(args, math.pi / 2)
+    _angle_flags(args, math.pi / 2)
     thetas = _phase_points(args)
     form = _resolved_format(args)
     erasing = abs(args.control_angle - math.pi / 2) <= 1e-9
@@ -584,17 +564,7 @@ def _run_phase_est(args: argparse.Namespace) -> int:
                     )
         return 0
 
-    base_config = _from_flags(
-        ExperimentConfig,
-        experiment="metrology",
-        shots=args.shots,
-        seed=args.seed,
-        phi=args.phi,
-        n=args.n,
-        theta=thetas[0],
-        control_basis_angle=args.control_angle,
-        mode=_SAMPLER_MODE[args.mode],
-    )
+    base_config = _config(args, experiment="metrology", n=args.n, theta=thetas[0])
     rows = []
     for index, theta in enumerate(thetas):
         seed = (args.seed + index) % 2**64
@@ -606,14 +576,15 @@ def _run_phase_est(args: argparse.Namespace) -> int:
         raw = _safe_parity(joined.system)
         rows.append((theta, *up, *down, *raw))
 
-    header_payload = {
-        "config": sampler.config_to_dict(base_config),
-        "generator": sampler.GENERATOR_ID,
-        "seed_rule": "seed + theta point index",
-        "theta_points": len(thetas),
-        "version": __version__,
-    }
-    header = "# " + json.dumps(header_payload, sort_keys=True)
+    header = sampler._header_line(
+        {
+            "config": sampler.config_to_dict(base_config),
+            "generator": sampler.GENERATOR_ID,
+            "seed_rule": "seed + theta point index",
+            "theta_points": len(thetas),
+            "version": __version__,
+        }
+    )
     with _output_stream(args.output) as out:
         out.write(header + "\n")
         if form == "csv":

@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _numpy as np
@@ -716,26 +716,15 @@ def empirical_parity(records: SystemStream) -> tuple[float, float]:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-ready view of a config; sufficient to rebuild it exactly."""
-    settings = None
+    view = {field.name: getattr(config, field.name) for field in fields(config)}
     if config.settings is not None:
-        settings = [
-            config.settings.theta_a0,
-            config.settings.theta_a1,
-            config.settings.theta_b0,
-            config.settings.theta_b1,
-        ]
-    return {
-        "experiment": config.experiment,
-        "shots": config.shots,
-        "seed": config.seed,
-        "phi": config.phi,
-        "statistics": config.statistics,
-        "n": config.n,
-        "theta": config.theta,
-        "settings": settings,
-        "control_basis_angle": config.control_basis_angle,
-        "mode": config.mode,
-    }
+        view["settings"] = list(astuple(config.settings))
+    return view
+
+
+def _header_line(metadata: dict) -> str:
+    """The first line of every output: ``# `` and ``metadata`` as sorted-key JSON."""
+    return "# " + json.dumps(metadata, sort_keys=True)
 
 
 def metadata_header(config: ExperimentConfig) -> str:
@@ -745,7 +734,7 @@ def metadata_header(config: ExperimentConfig) -> str:
         "generator": GENERATOR_ID,
         "version": __version__,
     }
-    return "# " + json.dumps(metadata, sort_keys=True)
+    return _header_line(metadata)
 
 
 def _format_field(value: float | int | str | None) -> str:

@@ -251,6 +251,74 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+def run_main(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def in_radians(degrees):
+    """The radian value the CLI computes for an angle flag given in degrees."""
+    return repr(degrees * (math.pi / 180.0))
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["phase-est"], "--theta-scan", "-1:1:4"),
+            (["chsh"], "--angles", "-1,0,1,2"),
+            (["hom"], "--phi", "-1e-3"),
+            (["phase-est"], "--theta", "-2e-1"),
+            (["hom", "--mode", "sample", "--shots", "500"], "--control-angle", "-1e-2"),
+            (["hom"], "--phi", "-0.5"),
+        ],
+    )
+    def test_a_negative_value_parses_as_its_equals_spelling(self, argv, flag, value, capsys):
+        spaced = run_main([*argv, flag, value], capsys)
+        assert spaced[0] == 0, spaced[2]
+        assert spaced == run_main([*argv, f"{flag}={value}"], capsys)
+
+    def test_an_unknown_short_option_is_still_rejected(self, capsys):
+        code, out, err = run_main(["hom", "-x"], capsys)
+        assert code == 2
+        assert "unrecognized arguments: -x" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, degree_flags, radian_flags",
+        [
+            (["hom", "--mode", "sample", "--shots", "300"], [], []),
+            (
+                ["chsh", "--mode", "sample", "--shots", "300"],
+                ["--angles", "10,100,55,145"],
+                ["--angles", ",".join(repr(a * math.pi / 180.0) for a in (10, 100, 55, 145))],
+            ),
+            (
+                ["phase-est", "--n", "3"],
+                ["--theta", "40"],
+                ["--theta", repr(40 * math.pi / 180.0)],
+            ),
+            (
+                ["phase-est", "--n", "3", "--mode", "sample", "--shots", "300"],
+                ["--theta", "40"],
+                ["--theta", repr(40 * math.pi / 180.0)],
+            ),
+        ],
+    )
+    def test_degrees_convert_phi_and_the_control_angle(
+        self, argv, degree_flags, radian_flags, capsys
+    ):
+        in_degrees = run_main(
+            [*argv, "--degrees", *degree_flags, "--phi", "30", "--control-angle", "25"], capsys
+        )
+        assert in_degrees[0] == 0, in_degrees[2]
+        radian_argv = [*argv, *radian_flags, "--phi", in_radians(30)]
+        assert in_degrees == run_main(
+            [*radian_argv, "--control-angle", in_radians(25)], capsys
+        )
+
+
 class TestHomCommand:
     def test_analytic_csv_matches_the_table(self, capsys):
         assert main(["hom", "--phi", "0.7", "--statistics", "fermion"]) == 0

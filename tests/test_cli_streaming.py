@@ -256,13 +256,14 @@ def test_summed_pair_sums_give_the_whole_run_statistic(run, label):
             assert sampler._chsh_from_sums(sums) == expected  # bit for bit
 
 
-def test_a_failing_plan_opens_no_file(tmp_path, capsys):
+@pytest.mark.parametrize("form", ["csv", "summary"])
+def test_a_failing_plan_opens_no_file(form, tmp_path, capsys):
     def unnormalized(config):
         return sampler._Plan(np.full((1, 6), 0.5), sampler.HOM_OUTCOMES, [{}])
 
     output = tmp_path / "run.csv"
     with mock.patch.dict(sampler._PLANS, {("hom", "quantum"): unnormalized}):
-        code = main(sampled_argv("hom", "sample", 10, 0, "csv") + ["--output", str(output)])
+        code = main(sampled_argv("hom", "sample", 10, 0, form) + ["--output", str(output)])
     assert code == 1
     assert "does not sum to 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
