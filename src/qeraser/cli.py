@@ -316,11 +316,12 @@ def _run_sampled(
     if form == "csv":
         control_path = _control_path(args.output)
         with open(args.output, "wb") as system_file, open(control_path, "wb") as control_file:
-            sampler._write_csv_chunks(chunks, config, system_file, control_file)
+            writes = (system_file.write, control_file.write)
+            sampler._write_csv_chunks(writes, chunks, config, len(str(config.shots - 1)))
         print(f"wrote {args.output} and {control_path}", file=sys.stderr)
         return 0
-    text = summary(config, (sampler.delayed_join(system, control) for system, control in chunks))
-    with _output_stream(args.output) as out:
+    with _output_stream(args.output) as out:  # an unwritable path fails before sampling
+        text = summary(config, (sampler.delayed_join(*pair) for pair in chunks))
         out.write(sampler.metadata_header(config) + "\n" + text)
     return 0
 

@@ -507,7 +507,9 @@ def delayed_join(
 
 
 def _signs_only(values: np.ndarray) -> bool:
-    """Whether every entry is +1 or -1, checked without a per-shot temporary."""
+    """Whether every entry is +1 or -1; an integer column builds no per-shot temporary."""
+    if values.dtype.kind not in "iu":
+        return bool(np.all((values == 1) | (values == -1)))
     return len(values) == 0 or bool(
         values.min() >= -1 and values.max() <= 1 and np.count_nonzero(values) == len(values)
     )
@@ -610,11 +612,9 @@ def _outcome_counts(
     Without ``control_outcome`` every shot counts as +1.  Counts of
     disjoint shot sets add up to the counts of their union.
     """
-    codes = records.outcome
-    if np.any((codes < 0) | (codes >= len(records.labels))):
-        raise ValueError(f"unknown outcome code for {records.experiment}")
-    down = _down_mask(records, control_outcome)
-    return np.bincount(2 * codes + down, minlength=2 * len(records.labels)).reshape(-1, 2)
+    _check_codes(records)
+    codes = 2 * records.outcome + _down_mask(records, control_outcome)
+    return np.bincount(codes, minlength=2 * len(records.labels)).reshape(-1, 2)
 
 
 def _down_mask(records: SystemStream, control_outcome: np.ndarray | None) -> np.ndarray | int:
@@ -624,10 +624,19 @@ def _down_mask(records: SystemStream, control_outcome: np.ndarray | None) -> np.
     control_outcome = np.asarray(control_outcome)
     if control_outcome.shape != records.outcome.shape:
         raise ValueError(f"control column covers {control_outcome.size} of {len(records)} shots")
-    down = control_outcome == -1
-    if not np.all(down | (control_outcome == 1)):
+    if not _signs_only(control_outcome):
         raise ValueError("control outcomes must be +1 or -1")
-    return down
+    return control_outcome == -1
+
+
+def _check_codes(records: SystemStream) -> None:
+    """ValueError unless outcomes index ``labels`` and rows ``settings``; no per-shot temporary."""
+    for name, codes, size in (
+        ("outcome code", records.outcome, len(records.labels)),
+        ("setting row", records.setting_row, len(records.settings)),
+    ):
+        if codes.dtype.kind not in "iu" or len(codes) and (codes.min() < 0 or codes.max() >= size):
+            raise ValueError(f"unknown {name} for {records.experiment}")
 
 
 def _counts_table(labels: Sequence[str], counts: np.ndarray) -> EmpiricalTable:
@@ -676,6 +685,7 @@ def _pair_sums(records: SystemStream, control_outcome: np.ndarray | None = None)
     """
     if records.experiment != "chsh":
         raise ValueError("chsh_statistic needs chsh records")
+    _check_codes(records)
     pair_of_row = np.array(
         [2 * int(s["setting_a"]) + int(s["setting_b"]) for s in records.settings]
     )
@@ -706,6 +716,7 @@ def empirical_parity(records: SystemStream) -> tuple[float, float]:
     """Mean register parity of a system stream and its standard error."""
     if len(records) == 0:
         raise ValueError("cannot estimate parity from an empty record set")
+    _check_codes(records)
     parity_of = np.array([int(label) for label in records.labels], dtype=float)
     outcomes = parity_of[records.outcome]
     mean = float(outcomes.mean())
@@ -819,6 +830,7 @@ def _csv_renderer(
         outcomes = len(records.labels)
 
         def codes_of(chunk: SystemStream) -> np.ndarray:
+            _check_codes(chunk)
             return chunk.setting_row * outcomes + chunk.outcome
 
     else:
@@ -829,7 +841,7 @@ def _csv_renderer(
         def codes_of(chunk: ControlStream) -> np.ndarray:
             if not _signs_only(chunk.outcome):
                 raise ValueError("control outcomes must be +1 or -1")
-            return (1 - chunk.outcome) >> 1  # +1 -> 0, -1 -> 1
+            return chunk.outcome == -1  # +1 -> 0, -1 -> 1
 
     tail_bytes, tail_mask = _padded(tails)
     equal_tails = bool(tail_mask.all())
@@ -861,44 +873,41 @@ def write_stream_csv(
     config: ExperimentConfig,
 ) -> None:
     """CSV serialization with the metadata header; byte-deterministic."""
-    stream.write(metadata_header(config) + "\n")
     if len(records) == 0:
+        stream.write(metadata_header(config) + "\n")
         return
     shots = records.shot_index
     # the longest decimal belongs to the smallest or the largest index
     width = max(len(str(int(shots.min()))), len(str(int(shots.max()))))
-    columns, render = _csv_renderer(records, width)
-    stream.write(columns)
-    for part in _chunks(len(records)):
-        chunk = records[part]
-        stream.write(str(render(chunk, *_decimal_bytes(chunk.shot_index, width)), "utf-8"))
+    chunks = ((records[part],) for part in _chunks(len(records)))
+    _write_csv_chunks((lambda data: stream.write(str(data, "utf-8")),), chunks, config, width)
 
 
 def _write_csv_chunks(
-    chunks: Iterator[tuple[SystemStream, ControlStream]],
+    writes: Sequence[Callable[[bytes], object]],
+    chunks: Iterator[tuple[SystemStream | ControlStream, ...]],
     config: ExperimentConfig,
-    system_file: IO[bytes],
-    control_file: IO[bytes],
+    width: int,
 ) -> None:
-    """Write a run's (system, control) chunks as its two CSV streams.
+    """Write streams whose chunks share shot indices as CSV, one ``write`` per stream.
 
-    ``chunks`` are the chunks of :func:`_sample`; each binary file gets the
-    bytes :func:`write_stream_csv` writes for that stream of the whole run.
+    ``chunks`` yields at least one tuple of stream chunks, one per stream,
+    such as the (system, control) chunks of :func:`_sample`; every shot
+    index has at most ``width`` characters.  Each ``write`` gets the
+    header line and the column line, then the bytes of each chunk.
     """
     first = next(chunks)
-    width = len(str(config.shots - 1))  # of the run's largest shot index
-    files = (system_file, control_file)
+    header = metadata_header(config) + "\n"
     renderers = []
-    for handle, records in zip(files, first):
+    for write, records in zip(writes, first):
         columns, render = _csv_renderer(records, width)
-        handle.write((metadata_header(config) + "\n" + columns).encode("utf-8"))
+        write((header + columns).encode("utf-8"))
         renderers.append(render)
     chunks = itertools.chain([first], chunks)
     del first
-    for pair in chunks:
-        # both streams of a chunk share its shot indices, so their digits too
-        digits, lengths = _decimal_bytes(pair[0].shot_index, width)
-        for handle, render, records in zip(files, renderers, pair):
-            handle.write(render(records, digits, lengths))
-        del pair, records, digits, lengths  # hold no chunk while the next is drawn
-
+    for parts in chunks:
+        # the streams of a chunk share its shot indices, so their digits too
+        digits, lengths = _decimal_bytes(parts[0].shot_index, width)
+        for write, render, records in zip(writes, renderers, parts):
+            write(render(records, digits, lengths))
+        del parts, records, digits, lengths  # hold no chunk while the next is drawn

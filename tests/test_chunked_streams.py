@@ -318,8 +318,9 @@ def test_mask_selection_equals_index_selection(data, config):
 def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mode, shots, chunk):
     """Short, mixed-width and full-width chunks, with equal (hom) and ragged (chsh) tails.
 
-    The CLI writer renders each chunk's index digits once for both files;
-    ``write_stream_csv`` renders them per stream.
+    The CLI writes both files in one pass of the chunk writer, which renders
+    each chunk's index digits once for both; ``write_stream_csv`` is its
+    one-stream case.
     """
     config = ExperimentConfig(
         experiment=experiment, shots=shots, seed=SEED, mode=mode, **BASE[experiment]
@@ -327,7 +328,8 @@ def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mod
     expected = [reference_csv(records, config) for records in run_experiment(config)]
     files = (io.BytesIO(), io.BytesIO())
     with mock.patch.object(sampler, "_CHUNK", chunk):
-        sampler._write_csv_chunks(sampler._sample(config), config, *files)
+        writes = [handle.write for handle in files]
+        sampler._write_csv_chunks(writes, sampler._sample(config), config, len(str(shots - 1)))
         for records, wanted in zip(run_experiment(config), expected):
             assert_same_text(rendered(records, config), wanted)
     for handle, wanted in zip(files, expected):

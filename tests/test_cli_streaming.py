@@ -267,3 +267,12 @@ def test_a_failing_plan_opens_no_file(form, tmp_path, capsys):
     assert code == 1
     assert "does not sum to 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_summary_opens_its_output_before_sampling(tmp_path, capsys):
+    output = tmp_path / "missing" / "run.txt"
+    drawing = mock.patch.object(sampler, "_shot_uniforms", side_effect=AssertionError("drew"))
+    with drawing:
+        code = main(sampled_argv("hom", "sample", 10, 0, "summary") + ["--output", str(output)])
+    assert code == 1
+    assert "FileNotFoundError" in capsys.readouterr().err
