@@ -11,18 +11,18 @@ before hashing, so a version bump alone changes no digest.
 
 Usage, from the repository root::
 
-    PYTHONPATH=src python scripts/cli_matrix.py [--output tests/cli_matrix.json]
+    PYTHONPATH=src python scripts/cli_matrix.py
 
-``tests/test_cli_matrix.py`` replays the matrix.  A change that alters
-output bytes on purpose regenerates the file and names every changed
-command.  Errors that argparse reports itself are left out: their usage
-line wraps at the terminal width and their wording varies across Python
-versions; usage errors that the CLI raises are in.
+It rewrites ``tests/cli_matrix.json``, which ``tests/test_cli_matrix.py``
+replays.  A change that alters output bytes on purpose regenerates the
+file and names every changed command.  Errors that argparse reports
+itself are left out: their usage line wraps at the terminal width and
+their wording varies across Python versions; usage errors that the CLI
+raises are in.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -36,6 +36,7 @@ from pathlib import Path
 
 from qeraser import cli
 
+MATRIX = Path(__file__).resolve().parents[1] / "tests" / "cli_matrix.json"
 CHSH_ANGLES = "--angles=0,1.5708,0.7854,-0.7854"
 
 COMMANDS = [
@@ -121,20 +122,14 @@ def record(command: str, workdir: Path) -> dict:
     }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--output", default="tests/cli_matrix.json", help="matrix file")
-    args = parser.parse_args(argv)
+def main() -> None:
     matrix = {}
     for command in COMMANDS:
         with tempfile.TemporaryDirectory() as workdir:
             matrix[command] = record(command, Path(workdir))
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(matrix, handle, indent=1)
-        handle.write("\n")
-    print(f"wrote {len(matrix)} commands to {args.output}", file=sys.stderr)
-    return 0
+    MATRIX.write_text(json.dumps(matrix, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(matrix)} commands to {MATRIX}", file=sys.stderr)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

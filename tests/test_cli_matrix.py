@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MATRIX = json.loads((ROOT / "tests" / "cli_matrix.json").read_text(encoding="utf-8"))
 
 _spec = importlib.util.spec_from_file_location("cli_matrix", ROOT / "scripts" / "cli_matrix.py")
 cli_matrix = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_matrix)
+
+MATRIX = json.loads(cli_matrix.MATRIX.read_text(encoding="utf-8"))
 
 
 def test_the_matrix_records_every_command_of_the_script():
