@@ -49,6 +49,7 @@ COMMANDS = [
     "hom --mode sample --shots 500 --seed 3 --control-angle 90 --degrees --format csv"
     " --output s.csv",
     "hom --mode sample --shots 20000 --seed 11 --phi 0.3 --format csv --output big.csv",
+    "hom --mode sample --shots 500 --seed 3 --statistics fermion --control-angle 0.7",
     "hom --mode classical-mixture --shots 400 --seed 5 --statistics distinguishable",
     "hom --mode classical-mixture --shots 300 --seed 5 --phi 1.1 --format csv --output m.csv",
     "hom --mode sample --shots 300 --output missing/x.txt",
@@ -62,6 +63,7 @@ COMMANDS = [
     "chsh --phi 0.2 --optimize --format summary",
     f"chsh --mode sample --shots 20000 --seed 2 {CHSH_ANGLES}",
     f"chsh --mode sample --shots 8 --seed 1 {CHSH_ANGLES}",
+    "chsh --mode sample --shots 400 --seed 2 --control-angle 0.4",
     "chsh --mode sample --shots 400 --seed 2 --control-angle 0.4 --format csv --output c.csv",
     f"chsh --mode classical-mixture --shots 400 --seed 9 {CHSH_ANGLES} --format csv"
     " --output cm.csv",
@@ -71,6 +73,7 @@ COMMANDS = [
     # phase-est
     "phase-est --n 4 --theta-scan 0:6.2832:8",
     "phase-est --n 3 --theta 0.3 --control-angle 0 --format summary",
+    "phase-est --n 3 --theta-scan 0:3:4 --control-angle 0.9",
     "phase-est --n 2 --theta-scan -1:1:4 --degrees --output p.csv",
     "phase-est --n 3 --mode sample --shots 300 --theta-scan 0:3:3",
     "phase-est --n 3 --mode sample --shots 300 --theta 0.5 --control-angle 1.2 --format csv"
@@ -78,6 +81,7 @@ COMMANDS = [
     "phase-est --n 2 --mode classical-mixture --shots 300 --theta 0.5",
     "phase-est --n 2 --mode classical-mixture --shots 200 --theta-scan 0:1:2 --format csv"
     " --output pm.csv",
+    "phase-est --n 2 --mode classical-mixture --control-angle 0.3",
     "phase-est --n 30",
     "phase-est --theta 1 --theta-scan 0:1:2",
     "phase-est --theta-scan 0:1:0",
