@@ -34,11 +34,14 @@ from . import _numpy as np
 from ._version import __version__
 from .fock import Statistics
 from .protocols import (
+    _ERASING_ANGLE,
+    HOM_OUTCOMES,
     TSIRELSON_BOUND,
     ChshSettings,
     MetrologySetup,
     ProbabilityTable,
     TABLE_COLUMNS,
+    _hom_columns,
     chsh_value,
     conditional_correlator,
     hom_table,
@@ -262,18 +265,19 @@ def _control_path(path: str) -> str:
     return f"{root}.control{ext}" if ext else f"{path}.control"
 
 
-def _angle_flags(args: argparse.Namespace, default_control_angle: float) -> None:
+def _angle_flags(args: argparse.Namespace, experiment: str) -> None:
     """Take ``--phi`` and ``--control-angle`` to radians and default the latter.
 
-    The radian-valued default is never rescaled.  ``--control-angle`` is
-    rejected where no control is read at an angle: a classical-mixture run
-    keeps a preparation bit in place of a control particle, and analytic
-    hom/chsh tables read both control branches.
+    The default is the ``experiment``'s erasing angle, in radians and
+    never rescaled.  ``--control-angle`` is rejected where no control is
+    read at an angle: a classical-mixture run keeps a preparation bit in
+    place of a control particle, and analytic hom/chsh tables read both
+    control branches.
     """
     if args.degrees:
         args.phi *= math.pi / 180.0
     if args.control_angle is None:
-        args.control_angle = default_control_angle
+        args.control_angle = _ERASING_ANGLE[experiment]
     elif args.mode == "classical-mixture":
         raise UsageError(
             "--control-angle needs a measured control: classical-mixture mode "
@@ -326,27 +330,17 @@ def _run_sampled(
     return 0
 
 
-def _hom_reference_table(config: ExperimentConfig) -> ProbabilityTable:
-    if config.mode == "classical_mixture":
-        return hom_table(config.phi, Statistics(config.statistics))
-    joint = sampler.sampling_table(config)[0]
-    up, down = joint[0::2], joint[1::2]
-    values = np.column_stack([up, down, up + down])
-    return ProbabilityTable(sampler.HOM_OUTCOMES, TABLE_COLUMNS, values)
-
-
 def _hom_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStreams]) -> str:
     """Sampled hom summary: the reference, joined and unjoined tables."""
     counts = sum(
         sampler._outcome_counts(joined.system, joined.control.outcome) for joined in joins
     )
-    empirical_joined = sampler._counts_table(sampler.HOM_OUTCOMES, counts)
-    empirical_unjoined = sampler._counts_table(
-        sampler.HOM_OUTCOMES, counts.sum(axis=1, keepdims=True)
-    )
+    empirical_joined = sampler._counts_table(HOM_OUTCOMES, counts)
+    empirical_unjoined = sampler._counts_table(HOM_OUTCOMES, counts.sum(axis=1, keepdims=True))
+    reference = _hom_columns(config.phi, config.statistics, config.control_basis_angle)
     return (
         "reference (analytic, this control basis):\n"
-        + _hom_reference_table(config).summary()
+        + ProbabilityTable(HOM_OUTCOMES, TABLE_COLUMNS, reference).summary()
         + "\njoined empirical table:\n"
         + empirical_joined.summary()
         + "\nunjoined empirical table:\n"
@@ -355,7 +349,7 @@ def _hom_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStreams
 
 
 def _run_hom(args: argparse.Namespace) -> int:
-    _angle_flags(args, 0.0)
+    _angle_flags(args, "hom")
     if args.mode != "analytic":
         config = _config(args, experiment="hom", statistics=args.statistics)
         return _run_sampled(args, config, _hom_summary)
@@ -435,7 +429,7 @@ def _chsh_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStream
 
 
 def _run_chsh(args: argparse.Namespace) -> int:
-    _angle_flags(args, 0.0)
+    _angle_flags(args, "chsh")
     settings = _resolve_chsh_settings(args)
     if args.mode != "analytic":
         config = _config(args, experiment="chsh", settings=settings)
@@ -511,10 +505,10 @@ def _phase_points(args: argparse.Namespace) -> list[float]:
 
 
 def _run_phase_est(args: argparse.Namespace) -> int:
-    _angle_flags(args, math.pi / 2)
+    _angle_flags(args, "metrology")
     thetas = _phase_points(args)
     form = _resolved_format(args)
-    erasing = abs(args.control_angle - math.pi / 2) <= 1e-9
+    erasing = abs(args.control_angle - _ERASING_ANGLE["metrology"]) <= 1e-9
 
     if args.mode == "analytic":
         header = _analytic_header(

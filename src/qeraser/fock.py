@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import _numpy as np
+from .qubits import _control_amplitudes
 
 __all__ = [
     "Statistics",
@@ -286,21 +287,6 @@ def beam_splitter_substitute(poly: FockPolynomial) -> FockPolynomial:
     return _substitute(poly, _SPLITTER_MAP)
 
 
-def _control_amplitudes(control_angle: float, outcome: int) -> tuple[complex, complex]:
-    """(up, down) components of the control analyzer eigenstates.
-
-    The analyzer basis is the sigma_z basis rotated by exp(-i sigma_y
-    control_angle / 2): angle 0 measures up/down, angle pi/2 measures
-    right/left with the +1 outcome on ``right``.
-    """
-    half = control_angle / 2.0
-    if outcome == +1:
-        return (math.cos(half), math.sin(half))
-    if outcome == -1:
-        return (-math.sin(half), math.cos(half))
-    raise ValueError("control outcome must be +1 or -1")
-
-
 def _split_system_control(
     key: tuple,
 ) -> tuple[tuple, tuple | None]:
@@ -342,6 +328,8 @@ def event_probability(
         )
     if state.ports_used() & set(INPUT_PORTS):
         raise ValueError("state still references input ports; apply the splitter")
+    if control_outcome not in (None, +1, -1):
+        raise ValueError("control outcome must be +1 or -1")
     wanted_ports = tuple(sorted(ports))
     wanted_pattern = None
     if spins is not None:
@@ -384,7 +372,7 @@ def event_probability(
         if control_outcome is None:
             probability += sum(abs(c) ** 2 for c in by_spin.values()) * weight
         else:
-            up, down = _control_amplitudes(control_angle, control_outcome)
+            up, down = _control_amplitudes(control_angle)[control_outcome]
             amp = (
                 np.conj(up) * by_spin.get("up", 0.0)
                 + np.conj(down) * by_spin.get("down", 0.0)

@@ -27,13 +27,14 @@ from . import _numpy as np
 from . import fock
 from .fock import Statistics
 from .qubits import (
+    _control_amplitudes,
+    _control_projectors,
     analyzer_observable,
     bell_relative_state,
     expectation,
     identity,
     sigma_x,
     sigma_y,
-    sigma_z,
     spectral_projectors,
     tripartite_spin_state,
 )
@@ -64,6 +65,11 @@ CHSH_OUTCOMES = ("dd", "du", "ud", "uu")
 _OUTCOME_SIGN = {"d": -1, "u": +1}
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
+
+# control readout angle that erases which-way information, per experiment:
+# the analytic tables read the control there, and a classical mixture mixes
+# the two branches it heralds
+_ERASING_ANGLE = {"hom": 0.0, "chsh": 0.0, "metrology": math.pi / 2}
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,21 @@ class ProbabilityTable:
         return "\n".join(lines) + "\n"
 
 
+def _hom_columns(phi: float, statistics: Statistics | str, control_angle: float) -> np.ndarray:
+    """(patterns, 3) joint probabilities with the control read at ``control_angle``.
+
+    Rows follow ``HOM_OUTCOMES`` and columns ``TABLE_COLUMNS``: the control
+    read +1, read -1, and their sum, which no control angle changes.  The
+    one route to a hom table, analytic or sampled.
+    """
+    state = fock.beam_splitter_substitute(fock.hom_input_state(phi, Statistics(statistics)))
+    up, down = (
+        np.array([fock.event_probability(state, ports, c, control_angle) for ports in HOM_OUTCOMES])
+        for c in (+1, -1)
+    )
+    return np.column_stack([up, down, up + down])
+
+
 def hom_table(phi: float, statistics: Statistics | str) -> ProbabilityTable:
     """Coincidence table behind the splitter, conditioned on the control spin.
 
@@ -129,14 +150,7 @@ def hom_table(phi: float, statistics: Statistics | str) -> ProbabilityTable:
     The table is derived by pushing the input state through the operator
     substitution of the splitter, never from a closed-form shortcut.
     """
-    state = fock.beam_splitter_substitute(
-        fock.hom_input_state(phi, Statistics(statistics))
-    )
-    values = np.zeros((len(HOM_OUTCOMES), 3))
-    for i, ports in enumerate(HOM_OUTCOMES):
-        values[i, 0] = fock.event_probability(state, ports, control_outcome=+1)
-        values[i, 1] = fock.event_probability(state, ports, control_outcome=-1)
-        values[i, 2] = fock.event_probability(state, ports, control_outcome=None)
+    values = _hom_columns(phi, statistics, _ERASING_ANGLE["hom"])
     return ProbabilityTable(HOM_OUTCOMES, TABLE_COLUMNS, values)
 
 
@@ -179,7 +193,7 @@ def chsh_table(theta_a: float, theta_b: float, phi: float) -> ProbabilityTable:
     """
     state = tripartite_spin_state(phi)
     analyzers = _analyzer_projectors(theta_a, theta_b)
-    proj_c = {**spectral_projectors(sigma_z()), 0: identity()}
+    proj_c = {**_control_projectors(_ERASING_ANGLE["chsh"]), 0: identity()}
     values = np.zeros((4, 3))
     for i, outcome in enumerate(CHSH_OUTCOMES):
         for j, c in enumerate((+1, -1, 0)):
@@ -285,8 +299,9 @@ def parity_branch_statistics(
     |0...0>|0> and |1...1>|1>, so the state is evolved as those two
     amplitudes: O(n) work in place of a 2**(n+1) state vector.  The
     rotation's sense makes the +1 readout at control_angle = pi/2 herald
-    the branch carrying phase ``phi`` (rather than phi + pi).  Control
-    outcome k leaves the register in alpha |0...0> + beta |1...1>.  Its
+    the branch carrying phase ``phi`` (rather than phi + pi).  The rows of
+    that rotation are the readout vectors of ``qubits._control_amplitudes``;
+    control outcome k leaves the register in alpha |0...0> + beta |1...1>.  Its
     parity, read the way the interferometer closes (exp(-i sigma_y pi/4)
     on every register spin, then the product of the sigma_z readouts), is
     (-1)**n 2 Re(conj(alpha) beta) / p.
@@ -303,12 +318,9 @@ def parity_branch_statistics(
     shift_low, shift_high = _exp_imaginary(-0.5j * setup.theta), _exp_imaginary(0.5j * setup.theta)
     for _ in range(setup.n):
         low, high = low * shift_low, high * shift_high
-    # rows of the control rotation exp(+i sigma_y control_angle / 2), real entries
-    half = -setup.control_angle / 2.0
-    c, s = math.cos(half), math.sin(half)
     sign = (-1.0) ** setup.n
     branches: dict[int, tuple[float, float]] = {}
-    for outcome, (to_low, to_high) in ((+1, (c, -s)), (-1, (s, c))):
+    for outcome, (to_low, to_high) in _control_amplitudes(setup.control_angle).items():
         alpha, beta = complex(to_low, 0.0) * low, complex(to_high, 0.0) * high
         probability = abs(alpha) ** 2 + abs(beta) ** 2
         parity = sign * 2.0 * (alpha.conjugate() * beta).real / probability
@@ -345,7 +357,7 @@ def phase_sensitivity(setup: MetrologySetup) -> float:
     a stationary fringe point (|slope| < 1e-9) the sensitivity diverges
     and ``inf`` is returned instead of a meaningless large number.
     """
-    if abs(setup.control_angle - math.pi / 2) > 1e-9:
+    if abs(setup.control_angle - _ERASING_ANGLE["metrology"]) > 1e-9:
         raise ValueError("phase sensitivity is defined for the erasing readout")
     fringe = parity_expectation(setup, +1)
     n = setup.n

@@ -103,6 +103,29 @@ def spectral_projectors(observable: np.ndarray) -> dict[int, np.ndarray]:
     return {o: 0.5 * (identity() + o * observable) for o in (+1, -1)}
 
 
+def _control_amplitudes(control_angle: float) -> dict[int, tuple[float, float]]:
+    """(up, down) components of the control readout's +1 and -1 eigenstates.
+
+    The control is read in the sigma_z basis rotated by exp(-i sigma_y
+    control_angle / 2): angle 0 reads up/down, pi/2 reads right/left with
+    +1 on right.  Plain ``math``, so analytic phase estimation loads no
+    numpy; :func:`_control_projectors` is the same readout as matrices.
+    """
+    half = control_angle / 2.0
+    c, s = math.cos(half), math.sin(half)
+    return {+1: (c, s), -1: (-s, c)}
+
+
+def _control_projectors(control_angle: float) -> dict[int, np.ndarray]:
+    """Projectors {+1: P+, -1: P-} of the readout of :func:`_control_amplitudes`.
+
+    Angle 0 gives ``spectral_projectors(sigma_z())`` bit for bit.
+    """
+    rotation = rotation_y(-control_angle)
+    observable = rotation.conj().T @ sigma_z() @ rotation
+    return spectral_projectors(0.5 * (observable + observable.conj().T))
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Normalized pure state of ``num_qubits`` spins.

@@ -38,10 +38,10 @@ from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _numpy as np
-from . import fock
 from ._version import __version__
 from .fock import Statistics
 from .protocols import (
+    _ERASING_ANGLE,
     _OUTCOME_SIGN,
     CHSH_OUTCOMES,
     HOM_OUTCOMES,
@@ -49,17 +49,10 @@ from .protocols import (
     MetrologySetup,
     ProbabilityTable,
     _analyzer_projectors,
-    hom_table,
+    _hom_columns,
     parity_branch_statistics,
 )
-from .qubits import (
-    bell_relative_state,
-    expectation,
-    rotation_y,
-    sigma_z,
-    spectral_projectors,
-    tripartite_spin_state,
-)
+from .qubits import _control_projectors, bell_relative_state, expectation, tripartite_spin_state
 
 __all__ = [
     "GENERATOR_ID",
@@ -154,10 +147,11 @@ class ExperimentConfig:
     """Full parameter set of a sampled run.
 
     ``control_basis_angle`` is the analyzer angle of the late control
-    measurement (ignored in classical-mixture mode, where a preparation
-    bit replaces the control particle).  ``settings`` is required for the
-    chsh experiment, ``n``/``theta`` apply to metrology, ``statistics``
-    to hom.
+    measurement.  In classical-mixture mode, where a preparation bit
+    replaces the control particle, it must be the experiment's erasing
+    angle, the readout whose two branches the bit mixes.  ``settings``
+    is required for the chsh experiment, ``n``/``theta`` apply to
+    metrology, ``statistics`` to hom.
     """
 
     experiment: str
@@ -183,6 +177,12 @@ class ExperimentConfig:
         for name in ("phi", "theta", "control_basis_angle"):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
+        erasing = _ERASING_ANGLE[self.experiment]
+        if self.mode == "classical_mixture" and self.control_basis_angle != erasing:
+            raise ValueError(
+                f"control_basis_angle of a classical_mixture {self.experiment} run "
+                f"must be its erasing angle {erasing!r}"
+            )
         if self.experiment == "hom":
             Statistics(self.statistics)  # raises on unknown value
         if self.experiment == "chsh" and not isinstance(self.settings, ChshSettings):
@@ -242,16 +242,6 @@ def _cell_indices(uniforms: np.ndarray, cumulative: np.ndarray, rows: np.ndarray
     return np.minimum(indices, len(bounds) - 1)
 
 
-def _control_projectors(basis_angle: float) -> dict[int, np.ndarray]:
-    """Projectors of the control analyzer rotated by ``basis_angle``.
-
-    Angle 0 reads sigma_z (up/down); pi/2 reads sigma_x with +1 on right.
-    """
-    rotation = rotation_y(-basis_angle)
-    observable = rotation.conj().T @ sigma_z() @ rotation
-    return spectral_projectors(0.5 * (observable + observable.conj().T))
-
-
 class _Plan(NamedTuple):
     """What one (experiment, mode) pair hands to the shared sampling body.
 
@@ -268,23 +258,16 @@ class _Plan(NamedTuple):
 
 
 def _hom_quantum(config: ExperimentConfig) -> _Plan:
-    state = fock.beam_splitter_substitute(
-        fock.hom_input_state(config.phi, Statistics(config.statistics))
-    )
-    cells = [(pattern, c) for pattern in HOM_OUTCOMES for c in (+1, -1)]
-    joint = [
-        fock.event_probability(state, pattern, c, config.control_basis_angle)
-        for pattern, c in cells
-    ]
+    columns = _hom_columns(config.phi, config.statistics, config.control_basis_angle)
     settings = {"phi": config.phi, "statistics": config.statistics}
-    return _Plan(np.array([joint]), HOM_OUTCOMES, [settings])
+    # one row of joint cells: pattern-major, control +1 first
+    return _Plan(columns[:, :2].reshape(1, -1), HOM_OUTCOMES, [settings])
 
 
 def _hom_classical(config: ExperimentConfig) -> _Plan:
-    table = hom_table(config.phi, Statistics(config.statistics))
-    branches = 2.0 * np.stack([table.column("C=up"), table.column("C=down")])
+    columns = _hom_columns(config.phi, config.statistics, config.control_basis_angle)
     settings = {"phi": config.phi, "statistics": config.statistics}
-    return _Plan(branches, HOM_OUTCOMES, [settings] * 2)
+    return _Plan(2.0 * columns[:, :2].T, HOM_OUTCOMES, [settings] * 2)
 
 
 def _chsh_pairs(config: ExperimentConfig) -> list[dict[str, float | int]]:
@@ -321,12 +304,10 @@ def _chsh_classical(config: ExperimentConfig) -> _Plan:
     return _Plan(np.array(table), CHSH_OUTCOMES, pairs * 2)
 
 
-def _parity_branches(
-    config: ExperimentConfig, control_angle: float
-) -> dict[int, tuple[float, list[float]]]:
+def _parity_branches(config: ExperimentConfig) -> dict[int, tuple[float, list[float]]]:
     """Per control outcome: its probability and the parity distribution given it."""
     branches = parity_branch_statistics(
-        MetrologySetup(config.n, config.theta, config.phi, control_angle)
+        MetrologySetup(config.n, config.theta, config.phi, config.control_basis_angle)
     )
     return {
         c: (probability, [0.5 * (1.0 + int(parity) * value) for parity in _PARITY_ROWS])
@@ -335,7 +316,7 @@ def _parity_branches(
 
 
 def _metrology_quantum(config: ExperimentConfig) -> _Plan:
-    branches = _parity_branches(config, config.control_basis_angle)
+    branches = _parity_branches(config)
     cells = [(k, c) for k in range(len(_PARITY_ROWS)) for c in (+1, -1)]
     joint = [branches[c][0] * branches[c][1][k] for k, c in cells]
     settings = {"n": config.n, "theta": config.theta, "phi": config.phi}
@@ -343,7 +324,7 @@ def _metrology_quantum(config: ExperimentConfig) -> _Plan:
 
 
 def _metrology_classical(config: ExperimentConfig) -> _Plan:
-    branches = _parity_branches(config, math.pi / 2)
+    branches = _parity_branches(config)
     table = np.array([branches[c][1] for c in (+1, -1)])
     settings = {"n": config.n, "theta": config.theta, "phi": config.phi}
     return _Plan(table, _PARITY_ROWS, [settings] * 2)
@@ -415,8 +396,15 @@ def _sampled_chunks(
         )
 
 
-def _whole_run(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
-    """The chunks of :func:`_sample` gathered into whole-run columns."""
+def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
+    """Sample a run, returning the system stream and the control stream.
+
+    Each shot's joint (system, control) outcome is drawn from the exact
+    joint distribution of the requested experiment; the two halves are
+    then written to separate streams that share only the shot index.
+    Identical (config, seed) reproduces identical streams.  The chunks of
+    :func:`_sample` are gathered into whole-run columns, in either mode.
+    """
     shots = np.arange(config.shots)
     outcome = np.empty(config.shots, dtype=int)
     rows = np.empty(config.shots, dtype=int)
@@ -431,20 +419,6 @@ def _whole_run(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
     )
 
 
-def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
-    """Sample a run, returning the system stream and the control stream.
-
-    Each shot's joint (system, control) outcome is drawn from the exact
-    joint distribution of the requested experiment; the two halves are
-    then written to separate streams that share only the shot index.
-    Identical (config, seed) reproduces identical streams.  A
-    classical-mixture config is delegated to :func:`classical_mixture_run`.
-    """
-    if config.mode == "classical_mixture":
-        return classical_mixture_run(config)
-    return _whole_run(config)
-
-
 def classical_mixture_run(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
     """Sample the classical baseline: a random preparation instead of a control.
 
@@ -456,7 +430,7 @@ def classical_mixture_run(config: ExperimentConfig) -> tuple[SystemStream, Contr
     """
     if config.mode != "classical_mixture":
         raise ValueError("classical_mixture_run requires mode='classical_mixture'")
-    return _whole_run(config)
+    return run_experiment(config)
 
 
 class JoinError(ValueError):

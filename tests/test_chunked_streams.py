@@ -20,7 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qeraser import sampler
-from qeraser.protocols import ChshSettings
+from qeraser.protocols import _ERASING_ANGLE, ChshSettings
 from qeraser.sampler import (
     ControlStream,
     ExperimentConfig,
@@ -44,6 +44,14 @@ BASE = {
     ),
     "metrology": dict(n=3, theta=0.7, phi=0.2, control_basis_angle=1.1),
 }
+
+
+def base_config(experiment: str, mode: str, **fields) -> ExperimentConfig:
+    """``BASE[experiment]`` in ``mode``; a classical mixture takes the erasing angle."""
+    base = dict(BASE[experiment], **fields)
+    if mode == "classical_mixture":
+        base["control_basis_angle"] = _ERASING_ANGLE[experiment]
+    return ExperimentConfig(experiment=experiment, mode=mode, **base)
 
 # (system CSV, control CSV) body digests
 GOLDEN = {
@@ -82,9 +90,7 @@ def body_digest(records, config):
 @pytest.mark.parametrize("mode", ["quantum", "classical_mixture"])
 @pytest.mark.parametrize("experiment", ["hom", "chsh", "metrology"])
 def test_multi_chunk_stream_bodies_are_pinned(experiment, mode):
-    config = ExperimentConfig(
-        experiment=experiment, shots=SHOTS, seed=SEED, mode=mode, **BASE[experiment]
-    )
+    config = base_config(experiment, mode, shots=SHOTS, seed=SEED)
     system, control = run_experiment(config)
     assert (
         body_digest(system, config),
@@ -184,13 +190,11 @@ def rendered(records, config) -> str:
 
 @st.composite
 def configs(draw, max_shots=300):
-    experiment = draw(st.sampled_from(["hom", "chsh", "metrology"]))
-    return ExperimentConfig(
-        experiment=experiment,
+    return base_config(
+        draw(st.sampled_from(["hom", "chsh", "metrology"])),
+        draw(st.sampled_from(["quantum", "classical_mixture"])),
         shots=draw(st.integers(1, max_shots)),
         seed=draw(st.integers(0, 2**64 - 1)),
-        mode=draw(st.sampled_from(["quantum", "classical_mixture"])),
-        **BASE[experiment],
     )
 
 
@@ -322,9 +326,7 @@ def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mod
     each chunk's index digits once for both; ``write_stream_csv`` is its
     one-stream case.
     """
-    config = ExperimentConfig(
-        experiment=experiment, shots=shots, seed=SEED, mode=mode, **BASE[experiment]
-    )
+    config = base_config(experiment, mode, shots=shots, seed=SEED)
     expected = [reference_csv(records, config) for records in run_experiment(config)]
     files = (io.BytesIO(), io.BytesIO())
     with mock.patch.object(sampler, "_CHUNK", chunk):

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from qeraser import sampler
 from qeraser.cli import main
-from qeraser.protocols import ChshSettings
+from qeraser.protocols import _ERASING_ANGLE, ChshSettings
 from qeraser.sampler import (
     ExperimentConfig,
     chsh_statistic,
@@ -195,12 +195,17 @@ def test_streamed_cli_equals_the_whole_run_route(command, mode, shots, seed, chu
 @st.composite
 def chunked_runs(draw, experiment):
     """A whole run beside its shots cut into consecutive parts."""
+    shots = draw(st.integers(1, 400))
+    seed = draw(st.integers(0, 2**64 - 1))
+    mode = draw(st.sampled_from(sorted(MODES.values())))
+    # a classical mixture mixes the branches of the erasing readout
+    angle = CONTROL_ANGLES[experiment] if mode == "quantum" else _ERASING_ANGLE[experiment]
     config = ExperimentConfig(
         experiment=experiment,
-        shots=draw(st.integers(1, 400)),
-        seed=draw(st.integers(0, 2**64 - 1)),
-        mode=draw(st.sampled_from(sorted(MODES.values()))),
-        control_basis_angle=CONTROL_ANGLES[experiment],
+        shots=shots,
+        seed=seed,
+        mode=mode,
+        control_basis_angle=angle,
         **BASE[experiment],
     )
     cuts = sorted(draw(st.sets(st.integers(0, config.shots), max_size=6)))

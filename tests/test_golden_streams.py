@@ -13,13 +13,14 @@ import io
 
 import pytest
 
-from qeraser.protocols import ChshSettings
+from qeraser.protocols import _ERASING_ANGLE, ChshSettings
 from qeraser.sampler import ExperimentConfig, run_experiment, write_stream_csv
 
 SHOTS = 3000
 SEEDS = (0, 18446744073709551557)
 
-# non-default angles everywhere, so every table entry matters
+# non-default angles everywhere, so every table entry matters; a classical
+# mixture takes the erasing angle instead
 BASE = {
     "hom": dict(phi=0.8, statistics="fermion", control_basis_angle=0.3),
     "chsh": dict(
@@ -93,9 +94,10 @@ def body_digest(records, config):
 @pytest.mark.parametrize("mode", ["quantum", "classical_mixture"])
 @pytest.mark.parametrize("experiment", ["hom", "chsh", "metrology"])
 def test_csv_stream_bodies_are_pinned(experiment, mode, seed):
-    config = ExperimentConfig(
-        experiment=experiment, shots=SHOTS, seed=seed, mode=mode, **BASE[experiment]
-    )
+    fields = dict(BASE[experiment])
+    if mode == "classical_mixture":  # it mixes the branches of the erasing readout
+        fields["control_basis_angle"] = _ERASING_ANGLE[experiment]
+    config = ExperimentConfig(experiment=experiment, shots=SHOTS, seed=seed, mode=mode, **fields)
     system, control = run_experiment(config)
     assert (
         body_digest(system, config),

@@ -22,6 +22,7 @@ from qeraser.qubits import (
     sigma_x,
     sigma_y,
     sigma_z,
+    spectral_projectors,
     tripartite_spin_state,
 )
 from qeraser.verify import partial_trace
@@ -212,6 +213,24 @@ class TestMeasurement:
             project_qubit(StateVector(1, UP), 0, np.diag([1.0, 2.0]), +1)
         with pytest.raises(ValueError, match="Hermitian"):
             project_qubit(StateVector(1, UP), 0, np.array([[0, 1], [0, 0.0]]), +1)
+
+
+class TestControlReadout:
+    """The control readout's two forms: amplitudes in ``math``, dense projectors."""
+
+    @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
+    def test_projectors_are_the_outer_products_of_the_amplitudes(self, angle):
+        amplitudes = qubits._control_amplitudes(angle)
+        projectors = qubits._control_projectors(angle)
+        for outcome in (+1, -1):
+            outer = np.outer(amplitudes[outcome], amplitudes[outcome])
+            assert np.abs(projectors[outcome] - outer).max() <= 1e-15
+
+    def test_angle_zero_reads_sigma_z_bit_for_bit(self):
+        projectors = qubits._control_projectors(0.0)
+        for outcome, expected in spectral_projectors(sigma_z()).items():
+            assert projectors[outcome].tobytes() == expected.tobytes()
+        assert qubits._control_amplitudes(0.0) == {+1: (1.0, 0.0), -1: (-0.0, 1.0)}
 
 
 class TestExpectation:

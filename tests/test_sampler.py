@@ -19,6 +19,7 @@ from scipy.stats import chi2_contingency
 import oracles
 from qeraser import fock
 from qeraser.protocols import (
+    _ERASING_ANGLE,
     CHSH_OUTCOMES,
     HOM_OUTCOMES,
     ChshSettings,
@@ -113,6 +114,15 @@ class TestConfigValidation:
     def test_metrology_register_bounds(self, n):
         with pytest.raises(ValueError, match="outside supported range"):
             metrology_config(n=n)
+
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_classical_mixture_takes_only_the_erasing_angle(self, experiment):
+        # the mixture's plan reads the erasing readout, so the header must say so
+        erasing = _ERASING_ANGLE[experiment]
+        config = ALL_CONFIGS[experiment](mode="classical_mixture", control_basis_angle=erasing)
+        assert config_to_dict(config)["control_basis_angle"] == erasing
+        with pytest.raises(ValueError, match="control_basis_angle .* erasing angle"):
+            ALL_CONFIGS[experiment](mode="classical_mixture", control_basis_angle=erasing + 0.3)
 
 
 class TestDeterminism:
