@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import gc
 import math
 import os
@@ -31,6 +30,7 @@ import sys
 from typing import IO, Callable, Iterator, Sequence, TypeVar
 
 from . import _numpy as np
+from ._record import astuple, replace
 from ._version import __version__
 from .fock import Statistics
 from .protocols import (
@@ -436,7 +436,7 @@ def _run_chsh(args: argparse.Namespace) -> int:
         return _run_sampled(args, config, _chsh_summary)
     analytic = _chsh_values(settings, args.phi)
     header = _analytic_header(
-        "chsh", {"phi": args.phi, "settings": list(dataclasses.astuple(settings))}
+        "chsh", {"phi": args.phi, "settings": list(astuple(settings))}
     )
     rows = _chsh_analytic_rows(settings, args.phi)
     with _output_stream(args.output) as out:
@@ -563,7 +563,7 @@ def _run_phase_est(args: argparse.Namespace) -> int:
     rows = []
     for index, theta in enumerate(thetas):
         seed = (args.seed + index) % 2**64
-        config = _from_flags(dataclasses.replace, base_config, seed=seed, theta=theta)
+        config = _from_flags(replace, base_config, seed=seed, theta=theta)
         system, control = sampler.run_experiment(config)
         joined = sampler.delayed_join(system, control)
         up = _safe_parity(joined.labeled(+1))

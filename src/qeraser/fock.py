@@ -25,10 +25,10 @@ label), so equal-state terms always merge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import _numpy as np
+from ._record import Record
 from .qubits import _control_amplitudes
 
 __all__ = [
@@ -62,8 +62,7 @@ class Statistics(str, Enum):
     DISTINGUISHABLE = "distinguishable"
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(Record):
     """One creation-operator mode: an output/input port plus a spin."""
 
     port: str
@@ -82,8 +81,7 @@ class Mode:
         return f"{self.port}_{self.spin}"
 
 
-@dataclass(frozen=True)
-class FockMonomial:
+class FockMonomial(Record):
     """Product of creation operators with a complex coefficient.
 
     ``labels`` attaches a particle identity to each factor and is used

@@ -21,10 +21,10 @@ the ``C=?`` column is the sum of the other two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _numpy as np
 from . import fock
+from ._record import Record
 from .fock import Statistics
 from .qubits import (
     _control_amplitudes,
@@ -72,8 +72,7 @@ TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 _ERASING_ANGLE = {"hom": 0.0, "chsh": 0.0, "metrology": math.pi / 2}
 
 
-@dataclass(frozen=True)
-class ProbabilityTable:
+class ProbabilityTable(Record):
     """Joint outcome probabilities, rows = system outcomes, columns = control."""
 
     row_labels: tuple[str, ...]
@@ -154,8 +153,7 @@ def hom_table(phi: float, statistics: Statistics | str) -> ProbabilityTable:
     return ProbabilityTable(HOM_OUTCOMES, TABLE_COLUMNS, values)
 
 
-@dataclass(frozen=True)
-class ChshSettings:
+class ChshSettings(Record):
     """Two analyzer angles per side; stored reduced into [0, 2pi)."""
 
     theta_a0: float
@@ -168,7 +166,9 @@ class ChshSettings:
             angle = float(getattr(self, name))
             if not math.isfinite(angle):
                 raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, angle % (2.0 * math.pi))
+            reduced = angle % (2.0 * math.pi)
+            # a negative angle nearer 0 than half an ulp of 2pi reduces to 2pi itself
+            object.__setattr__(self, name, reduced if reduced < 2.0 * math.pi else 0.0)
 
     def pair(self, a_index: int, b_index: int) -> tuple[float, float]:
         return (
@@ -258,8 +258,12 @@ def optimal_chsh_angles(phi: float) -> ChshSettings:
     return ChshSettings(*(math.atan2(y, x) for x, y in vectors))
 
 
-@dataclass(frozen=True)
-class MetrologySetup:
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is an int and not a bool, the values an integer field takes."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class MetrologySetup(Record):
     """Phase-estimation run: n register spins plus one control spin.
 
     ``theta`` is the phase accumulated per register spin, ``phi`` the
@@ -274,6 +278,8 @@ class MetrologySetup:
     control_angle: float
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if not 1 <= self.n <= 20:
             raise ValueError(f"register size {self.n} outside supported range 1..20")
         for name in ("theta", "phi", "control_angle"):

@@ -19,9 +19,9 @@ States are immutable: every operation returns a new ``StateVector``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import _numpy as np
+from ._record import Record
 
 __all__ = [
     "StateVector",
@@ -126,8 +126,7 @@ def _control_projectors(control_angle: float) -> dict[int, np.ndarray]:
     return spectral_projectors(0.5 * (observable + observable.conj().T))
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(Record):
     """Normalized pure state of ``num_qubits`` spins.
 
     ``amplitudes[i]`` is the coefficient of the basis state whose bits,

@@ -34,10 +34,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import astuple, dataclass, fields, replace
-from typing import IO, Callable, ClassVar, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _numpy as np
+from ._record import Record, astuple, replace
 from ._version import __version__
 from .fock import Statistics
 from .protocols import (
@@ -50,6 +50,7 @@ from .protocols import (
     ProbabilityTable,
     _analyzer_projectors,
     _hom_columns,
+    _is_integer,
     parity_branch_statistics,
 )
 from .qubits import _control_projectors, bell_relative_state, expectation, tripartite_spin_state
@@ -82,8 +83,7 @@ MODES = ("quantum", "classical_mixture")
 _PARITY_ROWS = ("+1", "-1")
 
 
-@dataclass(frozen=True, eq=False)
-class _Stream:
+class _Stream(Record):
     """Read-only per-shot numpy columns (``_COLUMNS``) beside per-run values.
 
     Row k of every column is one shot; indexing with a slice, an index
@@ -93,7 +93,7 @@ class _Stream:
     shot_index: np.ndarray
     outcome: np.ndarray
 
-    _COLUMNS: ClassVar[tuple[str, ...]] = ("shot_index", "outcome")
+    _COLUMNS = ("shot_index", "outcome")
 
     def __post_init__(self) -> None:
         for name in self._COLUMNS:
@@ -111,12 +111,10 @@ class _Stream:
 
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and all(
-            np.array_equal(getattr(self, field.name), getattr(other, field.name))
-            for field in fields(self)
+            np.array_equal(mine, theirs) for mine, theirs in zip(astuple(self), astuple(other))
         )
 
 
-@dataclass(frozen=True, eq=False)
 class SystemStream(_Stream):
     """System half of a run.  ``settings`` never includes the control basis.
 
@@ -132,7 +130,6 @@ class SystemStream(_Stream):
     _COLUMNS = ("shot_index", "outcome", "setting_row")
 
 
-@dataclass(frozen=True, eq=False)
 class ControlStream(_Stream):
     """Control half of a run: ``outcome`` is +1 or -1 per shot.
 
@@ -142,8 +139,7 @@ class ControlStream(_Stream):
     basis_angle: float | None
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Full parameter set of a sampled run.
 
     ``control_basis_angle`` is the analyzer angle of the late control
@@ -170,10 +166,12 @@ class ExperimentConfig:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not isinstance(self.shots, int) or self.shots < 1:
+        if not _is_integer(self.shots) or self.shots < 1:
             raise ValueError("shots must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
+        if not _is_integer(self.n):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         for name in ("phi", "theta", "control_basis_angle"):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -447,8 +445,7 @@ class JoinError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class JoinedStreams:
+class JoinedStreams(Record):
     """Both streams in shot order; ``control.outcome`` labels each system shot."""
 
     system: SystemStream
@@ -525,7 +522,6 @@ def _sorted_pair(
     return system_stream[system_order], control_stream[control_order]
 
 
-@dataclass(frozen=True)
 class EmpiricalTable(ProbabilityTable):
     """Relative frequencies with per-cell binomial errors and zero-count flags."""
 
@@ -701,7 +697,7 @@ def empirical_parity(records: SystemStream) -> tuple[float, float]:
 
 def config_to_dict(config: ExperimentConfig) -> dict:
     """JSON-ready view of a config; sufficient to rebuild it exactly."""
-    view = {field.name: getattr(config, field.name) for field in fields(config)}
+    view = dict(zip(ExperimentConfig._fields, astuple(config)))
     if config.settings is not None:
         view["settings"] = list(astuple(config.settings))
     return view

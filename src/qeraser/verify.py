@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from . import _numpy as np
 from . import fock, protocols, qubits, sampler
+from ._record import Record
 from .fock import Statistics
 from .protocols import ChshSettings, MetrologySetup
 from .sampler import ExperimentConfig
@@ -535,8 +535,7 @@ def _check_no_signaling_analytic() -> None:
             )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     detail: str

@@ -334,6 +334,12 @@ class TestMetrologySetup:
         with pytest.raises(ValueError, match="finite"):
             MetrologySetup(2, math.inf, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True])
+    def test_register_size_is_an_integer(self, n):
+        # True would compute as n = 1, a float fail later in the engine
+        with pytest.raises(ValueError, match="n must be an integer"):
+            MetrologySetup(n, 0.0, 0.0, 0.0)
+
 
 def eraser_setup(n: int, theta: float, phi: float) -> MetrologySetup:
     return MetrologySetup(n, theta, phi, math.pi / 2)

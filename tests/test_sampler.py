@@ -110,6 +110,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="analyzer settings"):
             ExperimentConfig("chsh", 10, 0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shots", True), ("shots", 3.0), ("seed", False), ("seed", True), ("n", 2.5), ("n", True)],
+    )
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_integer_fields_take_only_integers(self, experiment, field, value):
+        # a bool would be written to the header as true/false, a float fail in the engine
+        with pytest.raises(ValueError, match=field):
+            ALL_CONFIGS[experiment](**{field: value})
+
     @pytest.mark.parametrize("n", [0, 21])
     def test_metrology_register_bounds(self, n):
         with pytest.raises(ValueError, match="outside supported range"):

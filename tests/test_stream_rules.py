@@ -9,11 +9,11 @@ the run cannot hold.
 
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qeraser._record import replace
 from qeraser.protocols import ChshSettings
 from qeraser.sampler import (
     ExperimentConfig,
