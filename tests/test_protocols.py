@@ -5,6 +5,7 @@ so these tests check the operator pipelines against expressions the code
 under test never touches.
 """
 
+import hashlib
 import math
 import struct
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qeraser.fock import Statistics
 from qeraser.protocols import (
     CHSH_OUTCOMES,
     CONDITIONS,
@@ -23,6 +25,7 @@ from qeraser.protocols import (
     ChshSettings,
     MetrologySetup,
     ProbabilityTable,
+    _hom_columns,
     chsh_table,
     chsh_value,
     conditional_correlator,
@@ -51,6 +54,8 @@ from qeraser.verify import (
 PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
 ANGLE = st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# SHA-256 of the _hom_columns bytes over the grid of test_columns_are_pinned_to_the_bit
+HOM_COLUMNS_SHA256 = "3dae7cbf161d96e0c9ef6eea3594076a96bfb4e16b6be032d01a6761cc3d54ee"
 
 
 def float_bits(value: float) -> bytes:
@@ -165,6 +170,18 @@ class TestHomTable:
 
     def test_row_labels(self):
         assert hom_table(0.0, "boson").row_labels == HOM_OUTCOMES == ("AB", "AA", "BB")
+
+    def test_columns_are_pinned_to_the_bit(self):
+        # the byte matrix pins a handful of phases; this pins 2007 of them at
+        # four readout angles, so a reordered product or sum in fock shows
+        phases = [0.0, -0.0, math.pi, -math.pi, 1e6, -1e6]
+        phases += [-50.0 + 0.05 * k for k in range(2001)]
+        digest = hashlib.sha256()
+        for phi in phases:
+            for statistics in Statistics:
+                for angle in (0.0, math.pi / 2, 0.7, -2.3):
+                    digest.update(_hom_columns(phi, statistics, angle).tobytes())
+        assert digest.hexdigest() == HOM_COLUMNS_SHA256
 
 
 class TestChshSettings:
