@@ -63,6 +63,7 @@ COMMANDS = [
     "chsh --phi 0.2 --optimize --format summary",
     f"chsh --mode sample --shots 20000 --seed 2 {CHSH_ANGLES}",
     f"chsh --mode sample --shots 8 --seed 1 {CHSH_ANGLES}",
+    f"chsh --mode sample --shots 6 --seed 79 {CHSH_ANGLES}",
     "chsh --mode sample --shots 400 --seed 2 --control-angle 0.4",
     "chsh --mode sample --shots 400 --seed 2 --control-angle 0.4 --format csv --output c.csv",
     f"chsh --mode classical-mixture --shots 400 --seed 9 {CHSH_ANGLES} --format csv"
@@ -70,11 +71,13 @@ COMMANDS = [
     "chsh --mode classical-mixture --shots 400 --seed 9 --phi 0.5",
     "chsh --angles 1,2",
     "chsh --angles=0,1,2,3 --optimize",
+    "chsh --angles=1e308,0,0,0 --degrees",
     # phase-est
     "phase-est --n 4 --theta-scan 0:6.2832:8",
     "phase-est --n 3 --theta 0.3 --control-angle 0 --format summary",
     "phase-est --n 3 --theta-scan 0:3:4 --control-angle 0.9",
     "phase-est --n 2 --theta-scan -1:1:4 --degrees --output p.csv",
+    "phase-est --n 2 --theta 1e308 --degrees",
     "phase-est --n 3 --mode sample --shots 300 --theta-scan 0:3:3",
     "phase-est --n 3 --mode sample --shots 300 --theta 0.5 --control-angle 1.2 --format csv"
     " --output ps.csv",

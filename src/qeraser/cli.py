@@ -79,8 +79,9 @@ def _finite_float(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", metavar="PATH", help="write here instead of stdout")
+    common = argparse.ArgumentParser(add_help=False, parents=[output])
     common.add_argument(
         "--format",
         choices=("csv", "summary"),
@@ -178,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     commands.add_parser(
-        "verify", parents=[common], help="run the analytic invariant suite"
+        "verify", parents=[output], help="run the analytic invariant suite"
     )
     for subcommand in commands.choices.values():
         subcommand._negative_number_matcher = _NEGATIVE_VALUE
@@ -275,7 +276,7 @@ def _angle_flags(args: argparse.Namespace, experiment: str) -> None:
     control branches.
     """
     if args.degrees:
-        args.phi *= math.pi / 180.0
+        args.phi = math.radians(args.phi)
     if args.control_angle is None:
         args.control_angle = _ERASING_ANGLE[experiment]
     elif args.mode == "classical-mixture":
@@ -286,7 +287,7 @@ def _angle_flags(args: argparse.Namespace, experiment: str) -> None:
     elif args.mode == "analytic" and args.command != "phase-est":
         raise UsageError("--control-angle is sampled-only: use --mode sample")
     elif args.degrees:
-        args.control_angle *= math.pi / 180.0
+        args.control_angle = math.radians(args.control_angle)
 
 
 def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
@@ -367,7 +368,7 @@ def _resolve_chsh_settings(args: argparse.Namespace) -> ChshSettings:
     if args.angles is not None:
         angles = _parse_angles(args.angles)
         if args.degrees:
-            angles = tuple(a * math.pi / 180.0 for a in angles)
+            angles = tuple(map(math.radians, angles))
         return _from_flags(ChshSettings, *angles)
     return optimal_chsh_angles(args.phi)
 
@@ -474,14 +475,17 @@ def _chsh_estimate(sums: np.ndarray) -> tuple[str, str]:
 
     ``sums`` are the set's per-pair counts and +-1 sums.  A small run can
     leave a set without records for some setting pair; both then read
-    n/a with the reason instead of failing the run.
+    n/a with the reason instead of failing the run.  When every correlator
+    is +-1 the standard error is zero and the significance reads n/a.
     """
     try:
         s, err = sampler._chsh_from_sums(sums)
     except ValueError as error:
         return (f"n/a ({error})",) * 2
-    sigmas = (abs(s) - 2.0) / err if err > 0 else math.inf
-    return f"{s:+.4f} +- {err:.4f}", f"{sigmas:.2f} standard errors"
+    estimate = f"{s:+.4f} +- {err:.4f}"
+    if err == 0:
+        return estimate, "n/a (zero standard error)"
+    return estimate, f"{(abs(s) - 2.0) / err:.2f} standard errors"
 
 
 def _safe_parity(records: sampler.SystemStream) -> tuple[float, float]:
@@ -497,11 +501,7 @@ def _phase_points(args: argparse.Namespace) -> list[float]:
         points = _parse_theta_scan(args.theta_scan)
     else:
         points = [args.theta if args.theta is not None else 0.0]
-    if args.degrees:
-        points = [theta * math.pi / 180.0 for theta in points]
-        if not all(map(math.isfinite, points)):  # a finite angle in degrees can overflow
-            raise UsageError("theta must be finite")
-    return points
+    return list(map(math.radians, points)) if args.degrees else points
 
 
 def _run_phase_est(args: argparse.Namespace) -> int:

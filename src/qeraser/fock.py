@@ -18,25 +18,25 @@ exchange statistics enter only through the canonical ordering rules:
               (anti)symmetrization is applied, which reproduces
               first-quantized propagation of labeled particles.
 
-Monomials are kept in canonical order (port-major, spin-minor, then
-label), so equal-state terms always merge.
+A term is a tuple of ``(port, spin, label)`` factors, where ``label`` is
+the particle label of distinguishable statistics and ``None`` otherwise.
+``FockPolynomial(statistics, terms)`` builds a state from
+``(factors, coefficient)`` pairs and keeps each term in canonical order
+(port-major, spin-minor, then label), so equal-state terms always merge.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from enum import Enum
 
 from . import _numpy as np
-from ._record import Record
 from .qubits import _control_amplitudes
 
 __all__ = [
     "Statistics",
-    "Mode",
-    "FockMonomial",
     "FockPolynomial",
-    "canonicalize",
     "beam_splitter_substitute",
     "event_probability",
     "hom_input_state",
@@ -62,101 +62,65 @@ class Statistics(str, Enum):
     DISTINGUISHABLE = "distinguishable"
 
 
-class Mode(Record):
-    """One creation-operator mode: an output/input port plus a spin."""
-
-    port: str
-    spin: str
-
-    def __post_init__(self) -> None:
-        if self.port not in _PORT_RANK:
-            raise ValueError(f"unknown port {self.port!r}")
-        if self.spin not in _SPIN_RANK:
-            raise ValueError(f"unknown spin {self.spin!r}")
-
-    def rank(self) -> tuple[int, int]:
-        return (_PORT_RANK[self.port], _SPIN_RANK[self.spin])
-
-    def __str__(self) -> str:
-        return f"{self.port}_{self.spin}"
+def _rank(factor: tuple) -> tuple[int, int, int]:
+    port, spin, label = factor
+    return (_PORT_RANK[port], _SPIN_RANK[spin], -1 if label is None else label)
 
 
-class FockMonomial(Record):
-    """Product of creation operators with a complex coefficient.
-
-    ``labels`` attaches a particle identity to each factor and is used
-    only with distinguishable statistics.
-    """
-
-    factors: tuple[Mode, ...]
-    coefficient: complex
-    labels: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.labels is not None and len(self.labels) != len(self.factors):
-            raise ValueError("labels must align with factors")
-
-
-def _sort_rank(mode: Mode, label: int | None) -> tuple[int, int, int]:
-    return (*mode.rank(), -1 if label is None else label)
+def _checked_factor(factor: tuple, statistics: Statistics) -> tuple:
+    """``(port, spin)`` or ``(port, spin, label)`` as a checked ``(port, spin, label)``."""
+    port, spin, label = factor if len(factor) == 3 else (*factor, None)
+    if port not in _PORT_RANK:
+        raise ValueError(f"unknown port {port!r}")
+    if spin not in _SPIN_RANK:
+        raise ValueError(f"unknown spin {spin!r}")
+    if statistics is Statistics.DISTINGUISHABLE:
+        if label is None:
+            raise ValueError("distinguishable factors need particle labels")
+    elif label is not None:
+        raise ValueError(f"particle labels are invalid for {statistics.value} factors")
+    return (port, spin, label)
 
 
-def canonicalize(monomial: FockMonomial, statistics: Statistics) -> FockMonomial:
-    """Reorder the factors into canonical order.
+def _canonical(
+    factors: tuple, coefficient: complex, statistics: Statistics
+) -> tuple[tuple, complex]:
+    """Reorder the factors into canonical order; return them and the coefficient.
 
     Bosonic factors commute freely.  Fermionic reordering multiplies the
     coefficient by the transposition parity, and a repeated fermionic mode
     collapses the coefficient to zero (Pauli exclusion).  Labeled factors
     (distinguishable statistics) commute and sort by (mode, label).
     """
-    statistics = Statistics(statistics)
-    if statistics is Statistics.DISTINGUISHABLE:
-        if monomial.labels is None and monomial.factors:
-            raise ValueError("distinguishable monomials need particle labels")
-    elif monomial.labels is not None:
-        raise ValueError(f"particle labels are invalid for {statistics.value} factors")
-
-    labels = monomial.labels or (None,) * len(monomial.factors)
-    pairs = list(zip(monomial.factors, labels))
+    ranked = [(_rank(factor), factor) for factor in factors]
     swaps = 0
     # insertion sort; registers stay tiny so the quadratic cost is irrelevant
-    for i in range(1, len(pairs)):
+    for i in range(1, len(ranked)):
         j = i
-        while j > 0 and _sort_rank(*pairs[j - 1]) > _sort_rank(*pairs[j]):
-            pairs[j - 1], pairs[j] = pairs[j], pairs[j - 1]
+        while j > 0 and ranked[j - 1][0] > ranked[j][0]:
+            ranked[j - 1], ranked[j] = ranked[j], ranked[j - 1]
             swaps += 1
             j -= 1
 
-    coefficient = complex(monomial.coefficient)
+    coefficient = complex(coefficient)
     if statistics is Statistics.FERMION:
         if swaps % 2:
             coefficient = -coefficient
-        for first, second in zip(pairs, pairs[1:]):
-            if first[0] == second[0]:
+        for first, second in zip(ranked, ranked[1:]):
+            if first[1] == second[1]:
                 coefficient = 0.0
                 break
-
-    factors = tuple(mode for mode, _ in pairs)
-    sorted_labels = tuple(label for _, label in pairs)
-    if monomial.labels is None:
-        return FockMonomial(factors, coefficient)
-    return FockMonomial(factors, coefficient, sorted_labels)
-
-
-def _term_key(monomial: FockMonomial) -> tuple:
-    labels = monomial.labels or (None,) * len(monomial.factors)
-    return tuple(zip(monomial.factors, labels))
+    return tuple(factor for _, factor in ranked), coefficient
 
 
 def _basis_norm_squared(key: tuple, statistics: Statistics) -> float:
     """Squared norm of the canonical basis state key applied to the vacuum."""
     if statistics is Statistics.FERMION:
         return 1.0
+    # a factor carries its label, so distinguishable particles count per species
     counts: dict = {}
-    for entry in key:
-        # distinguishable particles are distinct species: count (mode, label)
-        counter_key = entry if statistics is Statistics.DISTINGUISHABLE else entry[0]
-        counts[counter_key] = counts.get(counter_key, 0) + 1
+    for factor in key:
+        counts[factor] = counts.get(factor, 0) + 1
     weight = 1.0
     for count in counts.values():
         weight *= math.factorial(count)
@@ -164,47 +128,33 @@ def _basis_norm_squared(key: tuple, statistics: Statistics) -> float:
 
 
 class FockPolynomial:
-    """Linear combination of canonical creation-operator monomials."""
+    """Linear combination of canonical creation-operator terms.
 
-    def __init__(self, statistics: Statistics) -> None:
+    ``terms`` holds ``(factors, coefficient)`` pairs; a factor is
+    ``(port, spin)``, or ``(port, spin, label)`` for distinguishable
+    particles.  Terms equal after canonical ordering merge.
+    """
+
+    def __init__(
+        self, statistics: Statistics, terms: Iterable[tuple[tuple, complex]] = ()
+    ) -> None:
         self.statistics = Statistics(statistics)
         self._terms: dict[tuple, complex] = {}
+        for factors, coefficient in terms:
+            checked = tuple(_checked_factor(f, self.statistics) for f in factors)
+            self._add(*_canonical(checked, coefficient, self.statistics))
+        self._prune()
 
-    @classmethod
-    def from_monomials(
-        cls, monomials: list[FockMonomial], statistics: Statistics
-    ) -> "FockPolynomial":
-        poly = cls(statistics)
-        for monomial in monomials:
-            poly._add(canonicalize(monomial, poly.statistics))
-        poly._prune()
-        return poly
-
-    def _add(self, canonical: FockMonomial) -> None:
-        key = _term_key(canonical)
-        self._terms[key] = self._terms.get(key, 0.0) + canonical.coefficient
+    def _add(self, key: tuple, coefficient: complex) -> None:
+        self._terms[key] = self._terms.get(key, 0.0) + coefficient
 
     def _prune(self) -> None:
         self._terms = {k: c for k, c in self._terms.items() if c != 0.0}
 
-    def monomials(self) -> list[FockMonomial]:
-        """Canonical terms in a deterministic order."""
-        out = []
-        for key in sorted(self._terms, key=lambda k: [_sort_rank(m, l) for m, l in k]):
-            modes = tuple(mode for mode, _ in key)
-            labels = tuple(label for _, label in key)
-            if all(label is None for label in labels):
-                out.append(FockMonomial(modes, self._terms[key]))
-            else:
-                out.append(FockMonomial(modes, self._terms[key], labels))
-        return out
-
-    def coefficient(
-        self, factors: tuple[Mode, ...], labels: tuple[int, ...] | None = None
-    ) -> complex:
-        canonical = canonicalize(FockMonomial(factors, 1.0, labels), self.statistics)
-        key = _term_key(canonical)
-        return canonical.coefficient * self._terms.get(key, 0.0)
+    def terms(self) -> dict[tuple, complex]:
+        """``{canonical factors: coefficient}`` in canonical order."""
+        order = sorted(self._terms, key=lambda key: [_rank(f) for f in key])
+        return {key: self._terms[key] for key in order}
 
     def norm_squared(self) -> float:
         total = 0.0
@@ -213,7 +163,7 @@ class FockPolynomial:
         return total
 
     def ports_used(self) -> set[str]:
-        return {mode.port for key in self._terms for mode, _ in key}
+        return {port for key in self._terms for port, _, _ in key}
 
 
 def _substitute(
@@ -226,36 +176,24 @@ def _substitute(
     """
     result = FockPolynomial(poly.statistics)
     for key, coeff in poly._terms.items():
-        expansions: list[list[tuple[complex, Mode, int | None]]] = []
-        for mode, label in key:
-            if mode.port in port_map:
+        expansions: list[list[tuple[complex, tuple]]] = []
+        for port, spin, label in key:
+            if port in port_map:
                 expansions.append(
-                    [
-                        (weight, Mode(new_port, mode.spin), label)
-                        for weight, new_port in port_map[mode.port]
-                    ]
+                    [(weight, (new_port, spin, label)) for weight, new_port in port_map[port]]
                 )
             else:
-                expansions.append([(1.0, mode, label)])
+                expansions.append([(1.0, (port, spin, label))])
         # distribute the product of per-factor superpositions
-        partial: list[tuple[complex, list[Mode], list[int | None]]] = [
-            (coeff, [], [])
-        ]
+        partial: list[tuple[complex, tuple]] = [(coeff, ())]
         for options in expansions:
             partial = [
-                (c * w, modes + [m], labels + [l])
-                for c, modes, labels in partial
-                for w, m, l in options
+                (c * w, factors + (factor,))
+                for c, factors in partial
+                for w, factor in options
             ]
-        for c, modes, labels in partial:
-            label_tuple = (
-                tuple(labels) if any(l is not None for l in labels) else None
-            )
-            result._add(
-                canonicalize(
-                    FockMonomial(tuple(modes), c, label_tuple), poly.statistics
-                )
-            )
+        for c, factors in partial:
+            result._add(*_canonical(factors, c, poly.statistics))
     result._prune()
     return result
 
@@ -290,13 +228,13 @@ def _split_system_control(
 ) -> tuple[tuple, tuple | None]:
     system = []
     control = None
-    for mode, label in key:
-        if mode.port == CONTROL_PORT:
+    for factor in key:
+        if factor[0] == CONTROL_PORT:
             if control is not None:
                 raise ValueError("state carries more than one control excitation")
-            control = (mode, label)
+            control = factor
         else:
-            system.append((mode, label))
+            system.append(factor)
     return tuple(system), control
 
 
@@ -316,9 +254,9 @@ def event_probability(
     (0 = up/down basis, pi/2 = right/left basis); ``None`` sums over the
     control, which also covers states carrying no control particle.
 
-    Distinct canonical monomials are orthogonal, so the probability is the
+    Distinct canonical terms are orthogonal, so the probability is the
     squared coefficient times the basis-state norm, accumulated over every
-    monomial compatible with the pattern.
+    term compatible with the pattern.
     """
     if ports not in DETECTION_PATTERNS:
         raise ValueError(
@@ -338,17 +276,17 @@ def event_probability(
                 raise ValueError(f"unknown spin {spin!r}")
         wanted_pattern = tuple(sorted(zip(ports, spins)))
 
-    # group coefficients of matching monomials by everything except the
+    # group coefficients of matching terms by everything except the
     # control spin, so conditioning can superpose the two control components
     groups: dict[tuple, dict[str, complex]] = {}
     weights: dict[tuple, float] = {}
     for key, coeff in state._terms.items():
         system, control = _split_system_control(key)
-        system_ports = tuple(sorted(mode.port for mode, _ in system))
+        system_ports = tuple(sorted(port for port, _, _ in system))
         if system_ports != wanted_ports:
             continue
         if wanted_pattern is not None:
-            found = tuple(sorted((mode.port, mode.spin) for mode, _ in system))
+            found = tuple(sorted((port, spin) for port, spin, _ in system))
             if found != wanted_pattern:
                 continue
         if control is None:
@@ -359,8 +297,8 @@ def event_probability(
             group_key = (system, None)
             spin_slot = "none"
         else:
-            group_key = (system, control[1])
-            spin_slot = control[0].spin
+            _, spin_slot, control_label = control
+            group_key = (system, control_label)
         groups.setdefault(group_key, {})[spin_slot] = coeff
         weights[group_key] = _basis_norm_squared(key, state.statistics)
 
@@ -401,13 +339,7 @@ def hom_input_state(phi: float, statistics: Statistics) -> FockPolynomial:
         (half * phase, ("down", "up", "up")),
         (-half * phase, ("down", "up", "down")),
     ]
-    labels = (0, 1, 2) if statistics is Statistics.DISTINGUISHABLE else None
-    monomials = [
-        FockMonomial(
-            (Mode("a", sa), Mode("b", sb), Mode("c", sc)),
-            coefficient,
-            labels,
-        )
-        for coefficient, (sa, sb, sc) in specs
-    ]
-    return FockPolynomial.from_monomials(monomials, statistics)
+    ports = (*INPUT_PORTS, CONTROL_PORT)
+    labels = (0, 1, 2) if statistics is Statistics.DISTINGUISHABLE else (None,) * 3
+    terms = [(tuple(zip(ports, spins, labels)), coefficient) for coefficient, spins in specs]
+    return FockPolynomial(statistics, terms)

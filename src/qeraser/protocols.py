@@ -184,6 +184,25 @@ def _analyzer_projectors(theta_a: float, theta_b: float) -> dict[str, list[np.nd
     return {o: [proj_a[_OUTCOME_SIGN[o[0]]], proj_b[_OUTCOME_SIGN[o[1]]]] for o in CHSH_OUTCOMES}
 
 
+def _chsh_columns(
+    theta_a: float, theta_b: float, phi: float, control_angle: float
+) -> np.ndarray:
+    """(outcomes, 3) joint probabilities with the control read at ``control_angle``.
+
+    Rows follow ``CHSH_OUTCOMES`` and columns ``TABLE_COLUMNS``: the control
+    read +1, read -1, and their sum.  The one route to a chsh table,
+    analytic or sampled.
+    """
+    state = tripartite_spin_state(phi)
+    analyzers = _analyzer_projectors(theta_a, theta_b)
+    projectors = _control_projectors(control_angle)
+    up, down = (
+        np.array([expectation(state, [*analyzers[o], projectors[c]]) for o in CHSH_OUTCOMES])
+        for c in (+1, -1)
+    )
+    return np.column_stack([up, down, up + down])
+
+
 def chsh_table(theta_a: float, theta_b: float, phi: float) -> ProbabilityTable:
     """Joint analyzer-outcome probabilities for one pair of settings.
 
@@ -191,13 +210,7 @@ def chsh_table(theta_a: float, theta_b: float, phi: float) -> ProbabilityTable:
     axes while the control is read in the up/down basis.  Rows order the
     (A, B) outcomes as dd, du, ud, uu.
     """
-    state = tripartite_spin_state(phi)
-    analyzers = _analyzer_projectors(theta_a, theta_b)
-    proj_c = {**_control_projectors(_ERASING_ANGLE["chsh"]), 0: identity()}
-    values = np.zeros((4, 3))
-    for i, outcome in enumerate(CHSH_OUTCOMES):
-        for j, c in enumerate((+1, -1, 0)):
-            values[i, j] = expectation(state, [*analyzers[outcome], proj_c[c]])
+    values = _chsh_columns(theta_a, theta_b, phi, _ERASING_ANGLE["chsh"])
     return ProbabilityTable(CHSH_OUTCOMES, TABLE_COLUMNS, values)
 
 

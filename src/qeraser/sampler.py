@@ -49,11 +49,12 @@ from .protocols import (
     MetrologySetup,
     ProbabilityTable,
     _analyzer_projectors,
+    _chsh_columns,
     _hom_columns,
     _is_integer,
     parity_branch_statistics,
 )
-from .qubits import _control_projectors, bell_relative_state, expectation, tripartite_spin_state
+from .qubits import bell_relative_state, expectation
 
 __all__ = [
     "GENERATOR_ID",
@@ -281,13 +282,11 @@ def _chsh_pairs(config: ExperimentConfig) -> list[dict[str, float | int]]:
 
 
 def _chsh_quantum(config: ExperimentConfig) -> _Plan:
-    state = tripartite_spin_state(config.phi)
-    proj_c = _control_projectors(config.control_basis_angle)
     pairs = _chsh_pairs(config)
-    analyzers = [_analyzer_projectors(pair["theta_a"], pair["theta_b"]) for pair in pairs]
-    cells = [(outcome, c) for outcome in CHSH_OUTCOMES for c in (+1, -1)]
-    table = [[expectation(state, [*a[o], proj_c[c]]) for o, c in cells] for a in analyzers]
-    return _Plan(np.array(table), CHSH_OUTCOMES, pairs)
+    angle = config.control_basis_angle
+    columns = [_chsh_columns(p["theta_a"], p["theta_b"], config.phi, angle) for p in pairs]
+    # per pair, the cells (outcome, +1), (outcome, -1) in outcome order
+    return _Plan(np.array([c[:, :2].ravel() for c in columns]), CHSH_OUTCOMES, pairs)
 
 
 def _chsh_classical(config: ExperimentConfig) -> _Plan:

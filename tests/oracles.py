@@ -119,4 +119,4 @@ def numpy_parity_branch_statistics(
 def numpy_theta_scan(start: float, stop: float, count: int, degrees: bool = False) -> np.ndarray:
     """Phase points of ``--theta-scan START:STOP:COUNT`` as numpy built them."""
     points = np.linspace(start, stop, count, endpoint=False)
-    return points * math.pi / 180.0 if degrees else points
+    return points * (math.pi / 180.0) if degrees else points

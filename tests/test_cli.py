@@ -76,8 +76,6 @@ class TestExitCodes:
             ["--theta-scan", "0:inf:2"],
             ["--theta-scan", "nan:1:2"],
             ["--theta-scan=-1e308:1.7e308:3"],
-            ["--theta", "1e308", "--degrees"],
-            ["--theta-scan", "0:1e308:3", "--degrees"],
         ],
     )
     def test_non_finite_phase_points_are_one_usage_error_line(self, argv):
@@ -292,17 +290,17 @@ class TestFlagValues:
             (
                 ["chsh", "--mode", "sample", "--shots", "300"],
                 ["--angles", "10,100,55,145"],
-                ["--angles", ",".join(repr(a * math.pi / 180.0) for a in (10, 100, 55, 145))],
+                ["--angles", ",".join(in_radians(a) for a in (10, 100, 55, 145))],
             ),
             (
                 ["phase-est", "--n", "3"],
                 ["--theta", "40"],
-                ["--theta", repr(40 * math.pi / 180.0)],
+                ["--theta", in_radians(40)],
             ),
             (
                 ["phase-est", "--n", "3", "--mode", "sample", "--shots", "300"],
                 ["--theta", "40"],
-                ["--theta", repr(40 * math.pi / 180.0)],
+                ["--theta", in_radians(40)],
             ),
         ],
     )
@@ -317,6 +315,22 @@ class TestFlagValues:
         assert in_degrees == run_main(
             [*radian_argv, "--control-angle", in_radians(25)], capsys
         )
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["hom", "--phi", "1e308"], 1e308),
+            (["hom", "--mode", "sample", "--shots", "10", "--control-angle=-1e308"], -1e308),
+            (["chsh", "--angles=1e308,0,0,-1e308"], None),
+            (["phase-est", "--n", "2", "--theta", "1e308"], 1e308),
+            (["phase-est", "--n", "2", "--theta-scan=-1e308:0:1"], -1e308),
+        ],
+    )
+    def test_degrees_take_every_finite_angle(self, argv, written, capsys):
+        # one multiplication by pi/180 cannot overflow; x * pi / 180 did past 5.7e307
+        code, out, err = run_main([*argv, "--degrees"], capsys)
+        assert (code, err) == (0, "")
+        assert written is None or in_radians(written) in out
 
 
 class TestHomCommand:
@@ -416,6 +430,17 @@ class TestChshCommand:
         out = capsys.readouterr().out
         assert "empirical S (joined C=up)" in out
         assert "standard errors" in out
+
+    def test_zero_standard_error_has_no_significance(self, capsys):
+        # the C=up set holds 4 shots whose correlators are all +-1
+        code, out, _ = run_main(
+            ["chsh", "--mode", "sample", "--shots", "6", "--seed", "79",
+             "--angles=0,1.5708,0.7854,-0.7854"],
+            capsys,
+        )
+        assert code == 0
+        assert "empirical S (joined C=up):   +2.0000 +- 0.0000 (4 shots)\n" in out
+        assert out.endswith("(C=up branch): n/a (zero standard error)\n")
 
     def test_analytic_summary_format(self, capsys):
         assert main(["chsh", "--format", "summary"]) == 0
@@ -629,6 +654,12 @@ class TestByteDeterminism:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("flag", ["--degrees", "--format=csv", "--format=summary"])
+    def test_takes_no_flag_it_would_ignore(self, flag, capsys):
+        code, out, err = run_main(["verify", flag], capsys)
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag}" in err
+
     def test_full_invariant_suite_passes(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

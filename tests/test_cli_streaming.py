@@ -13,7 +13,6 @@ few shots and compare the streamed CLI with the whole-run route:
 import contextlib
 import hashlib
 import io
-import math
 import os
 import re
 import tempfile
@@ -146,8 +145,10 @@ def whole_run_chsh_lines(config):
             value = sigmas = f"n/a ({error})"
         else:
             value = f"{s:+.4f} +- {err:.4f}"
-            ratio = (abs(s) - 2.0) / err if err > 0 else math.inf
-            sigmas = f"{ratio:.2f} standard errors"
+            if err == 0:
+                sigmas = "n/a (zero standard error)"
+            else:
+                sigmas = f"{(abs(s) - 2.0) / err:.2f} standard errors"
         lines.append(f"{prefix}{value} ({len(records)} shots)")
         significance.append(sigmas)
     return [*lines, f"violation of |S| <= 2 (C=up branch): {significance[0]}"]

@@ -29,10 +29,7 @@ def every_record():
     """One instance of each record class of the package, keyed by class name."""
     system, control = sampler.run_experiment(CONFIG)
     joined = sampler.delayed_join(system, control)
-    mode = fock.Mode("a", "up")
     return {
-        "Mode": mode,
-        "FockMonomial": fock.FockMonomial((mode,), 1.0),
         "ProbabilityTable": protocols.hom_table(0.4, fock.Statistics.BOSON),
         "ChshSettings": SETTINGS,
         "MetrologySetup": MetrologySetup(3, 0.2, 0.1, math.pi / 2),
@@ -51,7 +48,7 @@ RECORDS = every_record()
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 13
+    assert len(RECORDS) == 11
     for name, record in RECORDS.items():
         assert type(record).__name__ == name
         assert isinstance(record, Record)
