@@ -327,7 +327,7 @@ class TestFlagValues:
         ],
     )
     def test_degrees_take_every_finite_angle(self, argv, written, capsys):
-        # one multiplication by pi/180 cannot overflow; x * pi / 180 did past 5.7e307
+        # math.radians multiplies once by pi/180 < 1, so no finite angle overflows
         code, out, err = run_main([*argv, "--degrees"], capsys)
         assert (code, err) == (0, "")
         assert written is None or in_radians(written) in out
