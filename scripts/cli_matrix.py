@@ -68,6 +68,8 @@ COMMANDS = [
     "chsh --mode sample --shots 400 --seed 2 --control-angle 0.4 --format csv --output c.csv",
     f"chsh --mode classical-mixture --shots 400 --seed 9 {CHSH_ANGLES} --format csv"
     " --output cm.csv",
+    f"chsh --mode classical-mixture --shots 20000 --seed 9 {CHSH_ANGLES} --format csv"
+    " --output cm.csv",
     "chsh --mode classical-mixture --shots 400 --seed 9 --phi 0.5",
     "chsh --angles 1,2",
     "chsh --angles=0,1,2,3 --optimize",
