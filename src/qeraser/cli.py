@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
+import itertools
 import math
 import os
 import re
@@ -326,16 +327,15 @@ def _run_sampled(
         print(f"wrote {args.output} and {control_path}", file=sys.stderr)
         return 0
     with _output_stream(args.output) as out:  # an unwritable path fails before sampling
-        text = summary(config, (sampler.delayed_join(*pair) for pair in chunks))
+        text = summary(config, itertools.starmap(sampler.delayed_join, chunks))
         out.write(sampler.metadata_header(config) + "\n" + text)
     return 0
 
 
 def _hom_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStreams]) -> str:
     """Sampled hom summary: the reference, joined and unjoined tables."""
-    counts = sum(
-        sampler._outcome_counts(joined.system, joined.control.outcome) for joined in joins
-    )
+    # map, unlike a generator expression, holds no chunk while it draws the next
+    counts = sum(map(lambda j: sampler._outcome_counts(j.system, j.control.outcome), joins))
     empirical_joined = sampler._counts_table(HOM_OUTCOMES, counts)
     empirical_unjoined = sampler._counts_table(HOM_OUTCOMES, counts.sum(axis=1, keepdims=True))
     reference = _hom_columns(config.phi, config.statistics, config.control_basis_angle)
@@ -410,9 +410,7 @@ def _settings_line(settings: ChshSettings) -> str:
 def _chsh_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStreams]) -> str:
     """Sampled chsh summary: analytic and empirical S of each labeled set."""
     # pair sums of the C=up and C=down sets; the unjoined set is their union
-    up_down = sum(
-        sampler._pair_sums(joined.system, joined.control.outcome) for joined in joins
-    )
+    up_down = sum(map(lambda j: sampler._pair_sums(j.system, j.control.outcome), joins))
     branches = (
         ("empirical S (joined C=up):   ", up_down[0]),
         ("empirical S (joined C=down): ", up_down[1]),

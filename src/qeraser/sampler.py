@@ -193,6 +193,8 @@ class ExperimentConfig(Record):
 # shots per chunk of draws, selection, joins, counts and line writing:
 # every per-shot temporary is O(_CHUNK); only whole-run columns are O(shots)
 _CHUNK = 1 << 14
+_RAW_BLOCK = 1 << 12  # shots whose raw Philox words (128 KiB) are drawn at once
+_ROW_BLOCK = 1 << 10  # CSV lines rendered at once, into buffers each block reuses
 
 
 def _chunks(total: int) -> Iterator[slice]:
@@ -209,10 +211,12 @@ def _shot_uniforms(generator: np.random.Philox, shots: int, columns: int) -> np.
     sequence.  All four words of every block are drawn, so the counter
     moves on by ``shots`` blocks; only the leading ``columns`` are converted.
     """
-    raw = generator.random_raw(4 * shots).reshape(shots, 4)
     uniforms = np.empty((columns, shots))
-    for k, row in enumerate(uniforms):
-        np.multiply(raw[:, k] >> np.uint64(11), 2.0**-53, out=row)
+    for start in range(0, shots, _RAW_BLOCK):
+        part = uniforms[:, start : start + _RAW_BLOCK]
+        raw = generator.random_raw(4 * part.shape[1]).reshape(-1, 4)
+        for k, row in enumerate(part):
+            np.multiply(raw[:, k] >> np.uint64(11), 2.0**-53, out=row)
     return uniforms
 
 
@@ -230,15 +234,17 @@ def _cell_indices(uniforms: np.ndarray, cumulative: np.ndarray, rows: np.ndarray
     """Half-open cumulative-interval selection, vectorized over shots.
 
     ``cumulative`` comes from :func:`_cumulative`; ``rows`` picks the
-    distribution per shot.  Cell c is selected when the scaled draw lands
-    in [cum[c-1], cum[c]); a zero-width interval is unselectable.
+    distribution per shot.  Cell c is selected when the draw, scaled in
+    place, lands in [cum[c-1], cum[c]); a zero-width interval is unselectable.
     """
     bounds = cumulative.T  # bounds[c] holds cum[c] of every distribution
-    scaled = uniforms * bounds[-1].take(rows)
-    indices = np.zeros(len(rows), dtype=int)
-    for bound in bounds:
-        indices += scaled >= bound.take(rows)
-    return np.minimum(indices, len(bounds) - 1)
+    rows = rows.astype(np.intp)
+    bound = bounds[-1].take(rows)
+    scaled = np.multiply(uniforms, bound, out=uniforms)
+    indices = np.zeros(len(rows), dtype=np.int8)  # a plan has at most 8 cells
+    for column in bounds:
+        indices += scaled >= column.take(rows, out=bound, mode="clip")
+    return np.minimum(indices, len(bounds) - 1, out=indices)
 
 
 class _Plan(NamedTuple):
@@ -353,44 +359,43 @@ def _sample(config: ExperimentConfig) -> Iterator[tuple[SystemStream, ControlStr
 
     Builds and checks the run's plan at once, then returns an iterator of
     each chunk's (system, control) pair in shot order; chunk k covers
-    ``shot_index`` ``k * _CHUNK`` up to the next chunk's first shot.
+    ``shot_index`` ``k * _CHUNK`` up to the next chunk's first shot, with
+    int8 rows, outcomes and control signs.  A chunk the consumer drops is
+    freed before the next one is drawn.
     """
     plan = _PLANS[config.experiment, config.mode](config)
-    return _sampled_chunks(config, plan, _cumulative(plan.table))
-
-
-def _sampled_chunks(
-    config: ExperimentConfig, plan: _Plan, cumulative: np.ndarray
-) -> Iterator[tuple[SystemStream, ControlStream]]:
+    cumulative = _cumulative(plan.table)
     keyed = config.mode == "classical_mixture"
     basis_angle = None if keyed else config.control_basis_angle
     settings = tuple(plan.settings)
     paired = config.experiment == "chsh"
     generator = np.random.Philox(key=config.seed)
-    for part in _chunks(config.shots):
+
+    def drawn(part: slice) -> tuple[SystemStream, ControlStream]:
         count = part.stop - part.start
         uniforms = _shot_uniforms(generator, count, keyed + paired + 1)
         # leading uniforms pick the row in the frozen layout: key bit, then pair
-        row = np.zeros(count, dtype=int)
-        column = 0
+        row = np.zeros(count, dtype=np.int8)
         if keyed:  # key +1 (row block 0) below 1/2
-            row = (uniforms[column] >= 0.5).astype(int)
-            column += 1
+            row = (uniforms[0] >= 0.5).astype(np.int8)
         if paired:
-            row = row * 4 + np.minimum((uniforms[column] * 4).astype(int), 3)
-            column += 1
-        chosen = _cell_indices(uniforms[column], cumulative, row)
+            pair = uniforms[int(keyed)]
+            pair *= 4
+            row = row * 4 + np.minimum(pair.astype(np.int8), 3)
+        chosen = _cell_indices(uniforms[-1], cumulative, row)
         if keyed:  # the key bit of the row is the control outcome
             outcome = chosen
-            control = np.where(row < len(plan.table) // 2, 1, -1)
+            control = np.where(row < len(plan.table) // 2, np.int8(1), np.int8(-1))
         else:  # joint cells: system-major, control +1 first
             outcome = chosen >> 1
             control = 1 - 2 * (chosen & 1)
         shots = np.arange(part.start, part.stop)
-        yield (
+        return (
             SystemStream(shots, outcome, row, config.experiment, plan.labels, settings),
             ControlStream(shots, control, basis_angle),
         )
+
+    return map(drawn, _chunks(config.shots))
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
@@ -582,7 +587,9 @@ def _outcome_counts(
     disjoint shot sets add up to the counts of their union.
     """
     _check_codes(records)
-    codes = 2 * records.outcome + _down_mask(records, control_outcome)
+    # intp codes are what bincount reads, so it makes no copy of its own
+    codes = np.multiply(records.outcome, 2, dtype=np.intp)
+    codes += _down_mask(records, control_outcome)
     return np.bincount(codes, minlength=2 * len(records.labels)).reshape(-1, 2)
 
 
@@ -655,14 +662,14 @@ def _pair_sums(records: SystemStream, control_outcome: np.ndarray | None = None)
     if records.experiment != "chsh":
         raise ValueError("chsh_statistic needs chsh records")
     _check_codes(records)
-    pair_of_row = np.array(
-        [2 * int(s["setting_a"]) + int(s["setting_b"]) for s in records.settings]
-    )
-    product_of = np.array([_OUTCOME_SIGN[a] * _OUTCOME_SIGN[b] for a, b in records.labels])
-    codes = pair_of_row[records.setting_row] + 4 * _down_mask(records, control_outcome)
-    weights = product_of[records.outcome]
-    sums = np.stack([np.bincount(codes, minlength=8), np.bincount(codes, weights, minlength=8)])
-    return sums.reshape(2, 2, 4).swapaxes(0, 1)
+    # code = 8 * (product is -1) + 2 * pair + (control is -1), counted as intp
+    pair_of_row = [4 * int(s["setting_a"]) + 2 * int(s["setting_b"]) for s in records.settings]
+    negative_of = [8 * (_OUTCOME_SIGN[a] != _OUTCOME_SIGN[b]) for a, b in records.labels]
+    codes = np.array(pair_of_row, dtype=np.intp).take(records.setting_row)
+    codes += np.array(negative_of, dtype=np.int8).take(records.outcome)
+    codes += _down_mask(records, control_outcome)
+    signed = np.bincount(codes, minlength=16).reshape(2, 4, 2)  # (product, pair, control)
+    return np.stack([signed[0] + signed[1], signed[0] - signed[1]]).transpose(2, 0, 1)
 
 
 def _chsh_from_sums(sums: np.ndarray) -> tuple[float, float]:
@@ -769,7 +776,7 @@ def _padded(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def _csv_renderer(
     records: SystemStream | ControlStream, width: int
-) -> tuple[str, Callable[[SystemStream | ControlStream, np.ndarray, np.ndarray], np.ndarray]]:
+) -> tuple[str, Callable[[SystemStream | ControlStream, np.ndarray, np.ndarray], Iterator]]:
     """Column header line and ``render(chunk, digits, lengths)``: a chunk's CSV lines.
 
     A line is the shot's decimal index followed by a tail that only the
@@ -779,11 +786,12 @@ def _csv_renderer(
     those per-run values whose shot indices have at most ``width``
     characters, and ``digits, lengths`` is ``_decimal_bytes(chunk.shot_index,
     width)``, so streams that share their shot indices share it too.
-    Per chunk, each shot's right-aligned index digits and its tail fill
-    one row of a uint8 matrix; dropping the padding bytes leaves the
-    chunk's UTF-8 text, returned as a 1-D uint8 array.  When every tail
-    has one length and every index fills ``width``, no row has padding
-    and the matrix already is the text.
+    Per block of ``_ROW_BLOCK`` shots, each shot's right-aligned index
+    digits and its tail fill one row of a uint8 matrix; dropping the
+    padding bytes leaves the block's UTF-8 text, yielded as a 1-D uint8
+    array.  When every tail has one length and every index fills
+    ``width``, no row has padding and the matrix already is the text,
+    valid until the next block refills that buffer.
     """
     if isinstance(records, SystemStream):
         keys = sorted(records.settings[0])
@@ -797,20 +805,24 @@ def _csv_renderer(
             for label in records.labels
         ]
         outcomes = len(records.labels)
+        check = _check_codes
 
-        def codes_of(chunk: SystemStream) -> np.ndarray:
-            _check_codes(chunk)
-            return chunk.setting_row * outcomes + chunk.outcome
+        def codes_of(chunk: SystemStream, rows: slice) -> np.ndarray:
+            codes = np.multiply(chunk.setting_row[rows], outcomes, dtype=np.intp)
+            codes += chunk.outcome[rows]
+            return codes
 
     else:
         columns = "shot_index,control_outcome,basis_angle\n"
         angle = _format_field(records.basis_angle)
         tails = [f",{value:+d},{angle}\n" for value in (1, -1)]
 
-        def codes_of(chunk: ControlStream) -> np.ndarray:
+        def check(chunk: ControlStream) -> None:
             if not _signs_only(chunk.outcome):
                 raise ValueError("control outcomes must be +1 or -1")
-            return chunk.outcome == -1  # +1 -> 0, -1 -> 1
+
+        def codes_of(chunk: ControlStream, rows: slice) -> np.ndarray:
+            return (chunk.outcome[rows] == -1).astype(np.intp)  # +1 -> 0, -1 -> 1
 
     tail_bytes, tail_mask = _padded(tails)
     equal_tails = bool(tail_mask.all())
@@ -823,15 +835,25 @@ def _csv_renderer(
         axis=1,
     )
 
+    lines = np.empty((_ROW_BLOCK, templates.shape[1]), dtype=np.uint8)
+    keep = np.empty(lines.shape, dtype=bool)
+
     def render(
         chunk: SystemStream | ControlStream, digits: np.ndarray, lengths: np.ndarray
-    ) -> np.ndarray:
-        codes = codes_of(chunk)
-        text = templates.take(codes, axis=0)
-        text[:, :width] = digits
-        if equal_tails and np.all(lengths == width):
-            return text.reshape(-1)
-        return text[masks.take(codes * (width + 1) + lengths, axis=0)]
+    ) -> Iterator[np.ndarray]:
+        check(chunk)
+        padded = not equal_tails or lengths.min(initial=width) < width
+        for start in range(0, len(chunk), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            codes = codes_of(chunk, rows)
+            # mode="clip" fills ``out`` itself; checked codes are in range anyway
+            text = templates.take(codes, axis=0, out=lines[: len(codes)], mode="clip")
+            text[:, :width] = digits[rows]
+            if padded:
+                codes *= width + 1
+                codes += lengths[rows]
+                text = text[masks.take(codes, axis=0, out=keep[: len(codes)], mode="clip")]
+            yield text.reshape(-1)
 
     return columns, render
 
@@ -863,7 +885,8 @@ def _write_csv_chunks(
     ``chunks`` yields at least one tuple of stream chunks, one per stream,
     such as the (system, control) chunks of :func:`_sample`; every shot
     index has at most ``width`` characters.  Each ``write`` gets the
-    header line and the column line, then the bytes of each chunk.
+    header line and the column line, then the bytes of each block of
+    ``_ROW_BLOCK`` lines, in a buffer that the next block reuses.
     """
     first = next(chunks)
     header = metadata_header(config) + "\n"
@@ -878,5 +901,6 @@ def _write_csv_chunks(
         # the streams of a chunk share its shot indices, so their digits too
         digits, lengths = _decimal_bytes(parts[0].shot_index, width)
         for write, render, records in zip(writes, renderers, parts):
-            write(render(records, digits, lengths))
+            for text in render(records, digits, lengths):
+                write(text)
         del parts, records, digits, lengths  # hold no chunk while the next is drawn

@@ -120,3 +120,36 @@ def numpy_theta_scan(start: float, stop: float, count: int, degrees: bool = Fals
     """Phase points of ``--theta-scan START:STOP:COUNT`` as numpy built them."""
     points = np.linspace(start, stop, count, endpoint=False)
     return points * (math.pi / 180.0) if degrees else points
+
+
+def _csv_field(value) -> str:
+    if value is None:
+        return ""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def stream_csv(records, header: str) -> str:
+    """The CSV text of a stream, formatted shot by shot with one f-string each.
+
+    ``header`` is the metadata line; a stream with a ``basis_angle`` is a
+    control stream, any other one a system stream.
+    """
+    text = header + "\n"
+    if len(records) == 0:
+        return text
+    shots = records.shot_index.tolist()
+    if hasattr(records, "basis_angle"):
+        angle = _csv_field(records.basis_angle)
+        text += "shot_index,control_outcome,basis_angle\n"
+        return text + "".join(
+            f"{shot},{value:+d},{angle}\n" for shot, value in zip(shots, records.outcome.tolist())
+        )
+    keys = sorted(records.settings[0])
+    text += "shot_index,experiment,outcome," + ",".join(keys) + "\n"
+    return text + "".join(
+        f"{shot},{records.experiment},{records.labels[outcome]},"
+        f"{','.join(_csv_field(records.settings[row][k]) for k in keys)}\n"
+        for shot, outcome, row in zip(
+            shots, records.outcome.tolist(), records.setting_row.tolist()
+        )
+    )

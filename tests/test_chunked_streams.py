@@ -15,11 +15,13 @@ import io
 from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qeraser import sampler
+from qeraser._record import replace
 from qeraser.protocols import _ERASING_ANGLE, ChshSettings
 from qeraser.sampler import (
     ControlStream,
@@ -99,6 +101,14 @@ def test_multi_chunk_stream_bodies_are_pinned(experiment, mode):
 
 
 CHUNKS = st.sampled_from([1, 7, 64, sampler._CHUNK])
+# lines per CSV render block, so that blocks also end inside a chunk
+ROW_BLOCK_SIZES = [1, 7, 64, sampler._ROW_BLOCK]
+ROW_BLOCKS = st.sampled_from(ROW_BLOCK_SIZES)
+
+
+def chunked(chunk: int, row_block: int = sampler._ROW_BLOCK):
+    """Patch the sampler's chunk and CSV row block sizes together."""
+    return mock.patch.multiple(sampler, _CHUNK=chunk, _ROW_BLOCK=row_block)
 
 
 def test_golden_runs_span_several_chunks():
@@ -141,33 +151,9 @@ def reference_streams(config: ExperimentConfig) -> tuple[SystemStream, ControlSt
     return system, ControlStream(shots, control, basis_angle)
 
 
-def reference_field(value) -> str:
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def reference_csv(records: SystemStream | ControlStream, config: ExperimentConfig) -> str:
     """The CSV text of a stream, formatted shot by shot with one f-string each."""
-    text = metadata_header(config) + "\n"
-    if len(records) == 0:
-        return text
-    shots = records.shot_index.tolist()
-    if isinstance(records, ControlStream):
-        angle = reference_field(records.basis_angle)
-        text += "shot_index,control_outcome,basis_angle\n"
-        return text + "".join(
-            f"{shot},{value:+d},{angle}\n" for shot, value in zip(shots, records.outcome.tolist())
-        )
-    keys = sorted(records.settings[0])
-    text += "shot_index,experiment,outcome," + ",".join(keys) + "\n"
-    return text + "".join(
-        f"{shot},{records.experiment},{records.labels[outcome]},"
-        f"{','.join(reference_field(records.settings[row][k]) for k in keys)}\n"
-        for shot, outcome, row in zip(
-            shots, records.outcome.tolist(), records.setting_row.tolist()
-        )
-    )
+    return oracles.stream_csv(records, metadata_header(config))
 
 
 def assert_same_text(actual: str, expected: str) -> None:
@@ -198,10 +184,10 @@ def configs(draw, max_shots=300):
     )
 
 
-@given(configs(), CHUNKS)
-def test_chunked_runs_equal_the_monolithic_reference(config, chunk):
+@given(configs(), CHUNKS, ROW_BLOCKS)
+def test_chunked_runs_equal_the_monolithic_reference(config, chunk, row_block):
     expected = reference_streams(config)
-    with mock.patch.object(sampler, "_CHUNK", chunk):
+    with chunked(chunk, row_block):
         streams = run_experiment(config)
         assert streams == expected
         for records in streams:
@@ -226,11 +212,11 @@ def selections(draw, shots: int) -> np.ndarray:
     return positions
 
 
-@given(st.data(), configs(max_shots=150), CHUNKS)
-def test_chunked_writer_bytes_on_reordered_streams(data, config, chunk):
+@given(st.data(), configs(max_shots=150), CHUNKS, ROW_BLOCKS)
+def test_chunked_writer_bytes_on_reordered_streams(data, config, chunk, row_block):
     system, control = run_experiment(config)
     order = selections(data.draw, config.shots)
-    with mock.patch.object(sampler, "_CHUNK", chunk):
+    with chunked(chunk, row_block):
         for records in (system[order], control[order]):
             assert_same_text(rendered(records, config), reference_csv(records, config))
 
@@ -238,10 +224,11 @@ def test_chunked_writer_bytes_on_reordered_streams(data, config, chunk):
 INT64 = st.integers(-(2**63), 2**63 - 1)
 
 
-@given(st.lists(INT64, max_size=40), CHUNKS)
-@example([0, -1, 2**63 - 1, -(2**63), 10**18, -(10**18) + 1, 9, -10], 1)
-@example([0], 64)
-def test_chunked_writer_renders_every_int64_index(indices, chunk):
+@given(st.lists(INT64, max_size=40), CHUNKS, ROW_BLOCKS)
+@example([0, -1, 2**63 - 1, -(2**63), 10**18, -(10**18) + 1, 9, -10], 1, 1)
+@example([0, -1, 2**63 - 1, -(2**63), 10**18, -(10**18) + 1, 9, -10], 64, 7)
+@example([0], 64, 64)
+def test_chunked_writer_renders_every_int64_index(indices, chunk, row_block):
     config = ExperimentConfig(experiment="hom", shots=1, seed=0, **BASE["hom"])
     shots = np.array(indices, dtype=np.int64)
     signs = np.where(np.arange(len(shots)) % 3 == 0, -1, 1)
@@ -254,7 +241,7 @@ def test_chunked_writer_renders_every_int64_index(indices, chunk):
         ({"phi": 0.8, "statistics": "fermion"},),
     )
     streams = (system, ControlStream(shots, signs, 0.3), ControlStream(shots, signs, None))
-    with mock.patch.object(sampler, "_CHUNK", chunk):
+    with chunked(chunk, row_block):
         for records in streams:
             assert_same_text(rendered(records, config), reference_csv(records, config))
 
@@ -324,18 +311,48 @@ def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mod
 
     The CLI writes both files in one pass of the chunk writer, which renders
     each chunk's index digits once for both; ``write_stream_csv`` is its
-    one-stream case.
+    one-stream case.  Every row block size is tried, so render blocks end
+    inside chunks and at their seams.
     """
     config = base_config(experiment, mode, shots=shots, seed=SEED)
     expected = [reference_csv(records, config) for records in run_experiment(config)]
-    files = (io.BytesIO(), io.BytesIO())
-    with mock.patch.object(sampler, "_CHUNK", chunk):
-        writes = [handle.write for handle in files]
-        sampler._write_csv_chunks(writes, sampler._sample(config), config, len(str(shots - 1)))
-        for records, wanted in zip(run_experiment(config), expected):
-            assert_same_text(rendered(records, config), wanted)
-    for handle, wanted in zip(files, expected):
-        assert_same_text(handle.getvalue().decode("utf-8"), wanted)
+    for row_block in ROW_BLOCK_SIZES:
+        files = (io.BytesIO(), io.BytesIO())
+        with chunked(chunk, row_block):
+            writes = [handle.write for handle in files]
+            width = len(str(shots - 1))
+            sampler._write_csv_chunks(writes, sampler._sample(config), config, width)
+            for records, wanted in zip(run_experiment(config), expected):
+                assert_same_text(rendered(records, config), wanted)
+        for handle, wanted in zip(files, expected):
+            assert_same_text(handle.getvalue().decode("utf-8"), wanted)
+
+
+@given(st.integers(1, 19), st.integers(0, 2**64 - 1), ROW_BLOCKS)
+@example(19, 0, 7)
+def test_narrow_chunk_codes_render_at_every_index_width(width, seed, row_block):
+    """A classical-mixture chsh chunk has 8 setting rows of 4 outcomes: tail codes 0..31.
+
+    Its rows and outcomes are int8, and the render's mask index reaches
+    31 * (width + 1) + width, so any index product formed in int8 wraps.
+    """
+    config = base_config("chsh", "classical_mixture", shots=300, seed=seed)
+    system, control = next(sampler._sample(config))
+    assert system.outcome.dtype == system.setting_row.dtype == np.int8
+    rows, outcomes = system.setting_row.copy(), system.outcome.copy()
+    rows[-1], outcomes[-1] = 7, 3  # the largest code
+    # indices of every length up to ``width``, the first one that long
+    generator = np.random.default_rng(seed)
+    shots = generator.integers(0, min(10**width, 2**63 - 1), size=len(system), dtype=np.int64)
+    shots[0] = 10 ** (width - 1)
+    shots[1:20] //= 10 ** generator.integers(0, width, size=19)
+    streams = (
+        replace(system, shot_index=shots, setting_row=rows, outcome=outcomes),
+        replace(control, shot_index=shots),
+    )
+    with chunked(sampler._CHUNK, row_block):
+        for records in streams:
+            assert_same_text(rendered(records, config), reference_csv(records, config))
 
 
 def join_outcome(system_indices, control_indices):

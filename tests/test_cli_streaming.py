@@ -5,9 +5,10 @@ streams in memory, at 3 * 2**16 + 17 shots, so every run spans several
 sampling chunks and ends in a ragged one.  They cover the bodies (the
 metadata header line skipped) of both ``--format csv`` files and of the
 ``--format summary`` output.  The properties then shrink the chunk to a
-few shots and compare the streamed CLI with the whole-run route:
-``run_experiment``, ``delayed_join``, then ``empirical_table`` or
-``chsh_statistic``, and ``write_stream_csv``.
+few shots, and the CSV render block to a few lines, and compare the
+streamed CLI with the whole-run route: ``run_experiment``, ``delayed_join``,
+then ``empirical_table`` or ``chsh_statistic``, and the CSV of each stream
+written line by line with an f-string (``oracles.stream_csv``).
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import tempfile
 from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -33,7 +35,6 @@ from qeraser.sampler import (
     empirical_table,
     metadata_header,
     run_experiment,
-    write_stream_csv,
 )
 
 SHOTS = 3 * (1 << 16) + 17
@@ -106,6 +107,7 @@ BASE = {
 }
 MODES = {"sample": "quantum", "classical-mixture": "classical_mixture"}
 CHUNKS = st.sampled_from([1, 7, 64, sampler._CHUNK])
+ROW_BLOCKS = st.sampled_from([1, 7, 64, sampler._ROW_BLOCK])
 
 
 def run_cli(argv) -> str:
@@ -160,9 +162,11 @@ def whole_run_chsh_lines(config):
     st.integers(1, 300),
     st.integers(0, 2**64 - 1),
     CHUNKS,
+    ROW_BLOCKS,
 )
-@example("chsh", "classical-mixture", 1, 0, 1)  # C=down and its pairs are empty
-def test_streamed_cli_equals_the_whole_run_route(command, mode, shots, seed, chunk):
+@example("chsh", "classical-mixture", 1, 0, 1, 1)  # C=down and its pairs are empty
+@example("chsh", "classical-mixture", 150, 0, 64, 7)  # blocks end inside and at seams
+def test_streamed_cli_equals_the_whole_run_route(command, mode, shots, seed, chunk, row_block):
     angle = CONTROL_ANGLES[command] if mode == "sample" else 0.0
     config = ExperimentConfig(
         experiment=command,
@@ -172,7 +176,8 @@ def test_streamed_cli_equals_the_whole_run_route(command, mode, shots, seed, chu
         control_basis_angle=angle,
         **BASE[command],
     )
-    with mock.patch.object(sampler, "_CHUNK", chunk), tempfile.TemporaryDirectory() as tmp:
+    blocks = mock.patch.multiple(sampler, _CHUNK=chunk, _ROW_BLOCK=row_block)
+    with blocks, tempfile.TemporaryDirectory() as tmp:
         summary = run_cli(sampled_argv(command, mode, shots, seed, "summary"))
         output = os.path.join(tmp, "run.csv")
         run_cli([*sampled_argv(command, mode, shots, seed, "csv"), "--output", output])
@@ -180,11 +185,8 @@ def test_streamed_cli_equals_the_whole_run_route(command, mode, shots, seed, chu
             system_text = handle.read()
         with open(os.path.join(tmp, "run.control.csv"), encoding="utf-8") as handle:
             control_text = handle.read()
-    expected = []
-    for records in run_experiment(config):
-        buffer = io.StringIO()
-        write_stream_csv(buffer, records, config)
-        expected.append(buffer.getvalue())
+    header = metadata_header(config)
+    expected = [oracles.stream_csv(records, header) for records in run_experiment(config)]
     assert [system_text, control_text] == expected
     assert summary.startswith(metadata_header(config) + "\n")
     if command == "hom":
