@@ -71,6 +71,9 @@ COMMANDS = [
     f"chsh --mode classical-mixture --shots 20000 --seed 9 {CHSH_ANGLES} --format csv"
     " --output cm.csv",
     "chsh --mode classical-mixture --shots 400 --seed 9 --phi 0.5",
+    # default settings at phases whose optimal angles reduce into [0, 2pi)
+    "chsh --mode sample --shots 300 --seed 4 --phi -0.4 --format csv --output neg.csv",
+    "chsh --mode classical-mixture --shots 300 --seed 4 --phi 4.0 --format summary",
     "chsh --angles 1,2",
     "chsh --angles=0,1,2,3 --optimize",
     "chsh --angles=1e308,0,0,0 --degrees",

@@ -20,6 +20,7 @@ the ``C=?`` column is the sum of the other two.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import _numpy as np
@@ -33,8 +34,6 @@ from .qubits import (
     bell_relative_state,
     expectation,
     identity,
-    sigma_x,
-    sigma_y,
     spectral_projectors,
     tripartite_spin_state,
 )
@@ -126,6 +125,18 @@ class ProbabilityTable(Record):
         return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=64)
+def _routed_hom_state(phi: float, statistics: Statistics) -> fock.FockPolynomial:
+    """The hom input state pushed through the splitter, once per (phi, statistics).
+
+    The routed state does not depend on the control readout angle, so the
+    table, a sampled run's plan and its summary's reference share it.
+    Callers only read it.  The two floats that compare equal, 0.0 and
+    -0.0, route to the same bits.
+    """
+    return fock.beam_splitter_substitute(fock.hom_input_state(phi, statistics))
+
+
 def _hom_columns(phi: float, statistics: Statistics | str, control_angle: float) -> np.ndarray:
     """(patterns, 3) joint probabilities with the control read at ``control_angle``.
 
@@ -133,7 +144,7 @@ def _hom_columns(phi: float, statistics: Statistics | str, control_angle: float)
     read +1, read -1, and their sum, which no control angle changes.  The
     one route to a hom table, analytic or sampled.
     """
-    state = fock.beam_splitter_substitute(fock.hom_input_state(phi, Statistics(statistics)))
+    state = _routed_hom_state(float(phi), Statistics(statistics))
     up, down = (
         np.array([fock.event_probability(state, ports, c, control_angle) for ports in HOM_OUTCOMES])
         for c in (+1, -1)
@@ -249,26 +260,27 @@ def optimal_chsh_angles(phi: float) -> ChshSettings:
     """Analyzer settings maximizing the CHSH value on both control branches.
 
     With n(theta) = (cos theta, sin theta), E(a, b) = n(a)^T T n(b) for
-    the 2x2 block T = <P_i x P_j>, P in (sigma_x, -sigma_y), read off the
-    C=up pair state; no angle set is assumed.  The optimum follows from
-    the SVD T = U diag(s1, s2) V^T (Horodecki criterion in a plane):
-    a0, a1 = u1, u2 and b0,1 = -(cos beta v1 +- sin beta v2) with
-    beta = atan2(s2, s1), giving |S| = 2 sqrt(s1^2 + s2^2) = 2 sqrt(2).
-    The C=down block is -T, so the same settings reach 2 sqrt(2) there
-    too.  The leading minus fixes the degenerate optimum so that phi = 0
-    yields (0, pi/2, 5pi/4, 3pi/4) bit for bit, the settings of sampled
-    streams written without --angles.  The unconditioned ensemble is flat
-    at 0 and has no optimum.
+    the 2x2 block T = <P_i x P_j>, P in (sigma_x, -sigma_y), of the C=up
+    pair state ``bell_relative_state(phi, +1)`` =
+    (|up down> + e^{i phi} |down up>)/sqrt(2).  Its only nonzero
+    amplitudes are the swapped pair, so <sigma_x sigma_x> = <sigma_y
+    sigma_y> = Re e^{i phi} = cos phi and <sigma_x sigma_y> =
+    -<sigma_y sigma_x> = -Im e^{i phi} = -sin phi, which makes T the
+    rotation [[cos phi, sin phi], [-sin phi, cos phi]] and
+    E(a, b) = cos(a - b + phi).  Both singular values of T are 1, so the
+    optimum (Horodecki et al., Phys. Lett. A 200, 340 (1995)) is
+    degenerate and phi only relabels it: with alpha_i = a_i + phi = 0 and
+    pi/2, S = E00 + E01 + E10 - E11 = sqrt(2) (cos(b0 - pi/4) +
+    cos(b1 + pi/4)), whose extreme -2 sqrt(2) sits at b0 = 5pi/4 and
+    b1 = 3pi/4.  So a0 = -phi, a1 = pi/2 - phi, reduced into [0, 2pi) by
+    :class:`ChshSettings`.  The C=down block is -T, so the same settings
+    reach |S| = 2 sqrt(2) there too.  phi = 0 gives
+    (0, pi/2, 5pi/4, 3pi/4) bit for bit, the settings of sampled streams
+    written without --angles.  The unconditioned ensemble is flat at 0
+    and has no optimum.  Closed form, so no LAPACK pick of a degenerate
+    SVD makes the settings depend on the machine, and no array is built.
     """
-    state = bell_relative_state(phi, +1)
-    axes = (sigma_x(), -sigma_y())
-    correlations = np.array([[expectation(state, [p, q]) for q in axes] for p in axes])
-    left, singular, right = np.linalg.svd(correlations)
-    beta = math.atan2(singular[1], singular[0])
-    even = -math.cos(beta) * right[0]
-    odd = -math.sin(beta) * right[1]
-    vectors = (left[:, 0], left[:, 1], even + odd, even - odd)
-    return ChshSettings(*(math.atan2(y, x) for x, y in vectors))
+    return ChshSettings(-phi, math.pi / 2 - phi, 5 * math.pi / 4, 3 * math.pi / 4)
 
 
 def _is_integer(value: object) -> bool:

@@ -31,6 +31,7 @@ zero-probability cell is never selected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -732,35 +733,61 @@ def _format_field(value: float | int | str | None) -> str:
     return str(value)
 
 
+@functools.cache
+def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of the 10**4 groups 0000 .. 9999 and the powers of ten.
+
+    Group ``g``'s four digits are the bytes of entry ``g`` of the uint32
+    table.  The powers are 0, 10, 10**2, ..., 10**19 in uint64: the
+    number of them at most a magnitude is its count of decimal digits.
+    Built once, at the first CSV line.
+    """
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    table = np.empty((10,) * 4 + (4,), dtype=np.uint8)  # 40 KB, and no larger temporary
+    for place in range(4):
+        table[..., place] = digits.reshape((1,) * place + (10,) + (1,) * (3 - place))
+    powers = np.array([0] + [10**k for k in range(1, 20)], dtype=np.uint64)
+    return table.reshape(10_000, 4).view(np.uint32).ravel(), powers
+
+
+@functools.lru_cache(maxsize=4)
+def _full_lengths(count: int, width: int) -> np.ndarray:
+    """``count`` decimal lengths that all equal ``width``, shared and read-only."""
+    lengths = np.full(count, width)
+    lengths.setflags(write=False)
+    return lengths
+
+
 def _decimal_bytes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """``str(int(v))`` of every int64 ``v`` as right-aligned uint8 rows.
 
     Returns a (len(values), width) matrix whose row k ends with the ASCII
     decimal of ``values[k]`` (zero-padded on the left), and the length of
-    that decimal.  ``width`` must fit the longest decimal.
+    that decimal.  ``width`` must fit the longest decimal.  Each group of
+    four digits is read from the :func:`_digit_groups` table, so a row
+    block costs a few numpy calls per group and none per digit.
     """
-    negative = values < 0
-    # two's complement in uint64: exact magnitudes, -2**63 included
-    magnitude = values.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=negative)
-    # an int64 magnitude (at most 2**63) has 1 + (powers of ten <= it) digits; one
-    # that fits has at most ``width``, so search only 10**1 .. 10**(width-1), at most 10**19
-    powers = 10 ** np.arange(1, min(width, 20), dtype=np.uint64)
-    lengths = 1 + np.searchsorted(powers, magnitude, side="right") + negative
-    if width < 10:  # magnitudes below 10**9 fit uint32, which divides faster
-        magnitude = magnitude.astype(np.uint32)
-    text = np.empty((len(values), width), dtype=np.uint8)
-    quotient = np.empty_like(magnitude)
-    ten = magnitude.dtype.type(10)
-    for column in range(width - 1, -1, -1):
-        # floor_divide by a scalar has a fast path that divmod lacks
-        np.floor_divide(magnitude, ten, out=quotient)
-        magnitude -= quotient * ten
-        text[:, column] = magnitude
-        magnitude, quotient = quotient, magnitude
-    text += ord("0")
-    signed = np.flatnonzero(negative)
-    text[signed, width - lengths[signed]] = ord("-")
+    table, powers = _digit_groups()
+    values = values.astype(np.int64, copy=False)
+    low = np.minimum.reduce(values) if len(values) else 0
+    # |v| overflows only at -2**63, whose uint64 view is its exact magnitude 2**63
+    magnitude = values if low >= 0 else np.abs(values).view(np.uint64)
+    if low >= 10 ** (width - 1):
+        lengths = _full_lengths(len(values), width)
+    else:
+        lengths = powers[:width].searchsorted(magnitude.view(np.uint64), side="right")
+    groups = -(-width // 4)
+    text = np.empty((len(values), groups), dtype=np.uint32)
+    for column in range(groups - 1, 0, -1):
+        quotient = magnitude // 10_000
+        text[:, column] = table[magnitude - quotient * 10_000]
+        magnitude = quotient
+    text[:, 0] = table[magnitude]
+    text = text.view(np.uint8)[:, 4 * groups - width :]
+    if low < 0:
+        signed = np.flatnonzero(values < 0)
+        lengths[signed] += 1
+        text[signed, width - lengths[signed]] = ord("-")
     return text, lengths
 
 
@@ -776,20 +803,22 @@ def _padded(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def _csv_renderer(
     records: SystemStream | ControlStream, width: int
-) -> tuple[str, Callable[[SystemStream | ControlStream, np.ndarray, np.ndarray], Iterator]]:
-    """Column header line and ``render(chunk, digits, lengths)``: a chunk's CSV lines.
+) -> tuple[str, Callable[[SystemStream | ControlStream], None], Callable[..., np.ndarray]]:
+    """Column header line, ``check(chunk)`` and ``render(chunk, rows, digits, lengths)``.
 
     A line is the shot's decimal index followed by a tail that only the
     per-run values of ``records`` decide: one tail per (settings row,
     outcome) of a system stream, one per outcome of a control stream.
     Each tail is formatted once.  ``chunk`` is any part of a stream with
     those per-run values whose shot indices have at most ``width``
-    characters, and ``digits, lengths`` is ``_decimal_bytes(chunk.shot_index,
-    width)``, so streams that share their shot indices share it too.
-    Per block of ``_ROW_BLOCK`` shots, each shot's right-aligned index
-    digits and its tail fill one row of a uint8 matrix; dropping the
-    padding bytes leaves the block's UTF-8 text, yielded as a 1-D uint8
-    array.  When every tail has one length and every index fills
+    characters; ``check`` raises ValueError on codes the tails do not
+    cover.  ``render`` makes the lines of the block ``rows`` of a checked
+    chunk, at most ``_ROW_BLOCK`` shots, and ``digits, lengths`` is
+    ``_decimal_bytes(chunk.shot_index[rows], width)``, so streams that
+    share their shot indices share it too.  Each shot's right-aligned
+    index digits and its tail fill one row of a uint8 matrix; dropping
+    the padding bytes leaves the block's UTF-8 text, returned as a 1-D
+    uint8 array.  When every tail has one length and every index fills
     ``width``, no row has padding and the matrix already is the text,
     valid until the next block refills that buffer.
     """
@@ -837,25 +866,24 @@ def _csv_renderer(
 
     lines = np.empty((_ROW_BLOCK, templates.shape[1]), dtype=np.uint8)
     keep = np.empty(lines.shape, dtype=bool)
+    # each line's index field as one opaque item: numpy copies an item per line
+    # where a (lines, width) uint8 copy loops over every byte
+    fields = lines[:, :width].view(f"V{width}")
 
     def render(
-        chunk: SystemStream | ControlStream, digits: np.ndarray, lengths: np.ndarray
-    ) -> Iterator[np.ndarray]:
-        check(chunk)
-        padded = not equal_tails or lengths.min(initial=width) < width
-        for start in range(0, len(chunk), _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            codes = codes_of(chunk, rows)
-            # mode="clip" fills ``out`` itself; checked codes are in range anyway
-            text = templates.take(codes, axis=0, out=lines[: len(codes)], mode="clip")
-            text[:, :width] = digits[rows]
-            if padded:
-                codes *= width + 1
-                codes += lengths[rows]
-                text = text[masks.take(codes, axis=0, out=keep[: len(codes)], mode="clip")]
-            yield text.reshape(-1)
+        chunk: SystemStream | ControlStream, rows: slice, digits: np.ndarray, lengths: np.ndarray
+    ) -> np.ndarray:
+        codes = codes_of(chunk, rows)
+        # mode="clip" fills ``out`` itself; checked codes are in range anyway
+        text = templates.take(codes, axis=0, out=lines[: len(codes)], mode="clip")
+        fields[: len(codes)] = digits.view(fields.dtype)
+        if not equal_tails or np.minimum.reduce(lengths, initial=width) < width:
+            codes *= width + 1
+            codes += lengths
+            text = text[masks.take(codes, axis=0, out=keep[: len(codes)], mode="clip")]
+        return text.reshape(-1)
 
-    return columns, render
+    return columns, check, render
 
 
 def write_stream_csv(
@@ -890,17 +918,22 @@ def _write_csv_chunks(
     """
     first = next(chunks)
     header = metadata_header(config) + "\n"
-    renderers = []
+    checks, renderers = [], []
     for write, records in zip(writes, first):
-        columns, render = _csv_renderer(records, width)
+        columns, check, render = _csv_renderer(records, width)
         write((header + columns).encode("utf-8"))
+        checks.append(check)
         renderers.append(render)
     chunks = itertools.chain([first], chunks)
     del first
     for parts in chunks:
-        # the streams of a chunk share its shot indices, so their digits too
-        digits, lengths = _decimal_bytes(parts[0].shot_index, width)
-        for write, render, records in zip(writes, renderers, parts):
-            for text in render(records, digits, lengths):
-                write(text)
-        del parts, records, digits, lengths  # hold no chunk while the next is drawn
+        for check, records in zip(checks, parts):
+            check(records)
+        shots = parts[0].shot_index
+        for start in range(0, len(shots), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            # the streams of a chunk share its shot indices, so their digits too
+            digits, lengths = _decimal_bytes(shots[rows], width)
+            for write, render, records in zip(writes, renderers, parts):
+                write(render(records, rows, digits, lengths))
+        del parts, records, shots  # hold no chunk while the next is drawn

@@ -302,13 +302,24 @@ def _check_tsirelson_bound() -> None:
 
 
 def _check_chsh_optimum() -> None:
-    for phi in (0.0, 0.9):
-        settings = protocols.optimal_chsh_angles(phi)
-        for condition in ("up", "down"):
-            value = protocols.chsh_value(settings, phi, condition)
+    phis = (0.0, 0.9, -2.5, 4.0)
+    # a seeded random search over settings, blind to the optimizer's formula:
+    # rows (a0, a1, b0, b1, phi), the same 4096 settings at every phi
+    rows = 4096
+    settings = np.random.default_rng(17).uniform(0.0, TWO_PI, size=(rows, 4))
+    samples = np.concatenate([np.column_stack([settings, np.full(rows, phi)]) for phi in phis])
+    searched = dense_chsh_values(samples).reshape(2, len(phis), rows).max(axis=2)
+    for k, phi in enumerate(phis):
+        optimum = protocols.optimal_chsh_angles(phi)
+        for branch, condition in enumerate(("up", "down")):
+            value = protocols.chsh_value(optimum, phi, condition)
+            best = float(searched[branch, k])
             assert (
                 abs(value - protocols.TSIRELSON_BOUND) < 1e-9
             ), f"optimizer reached {value} at phi={phi}, {condition}"
+            assert value >= best - 1e-12, f"search found {best} > {value} at phi={phi}"
+            # the search comes near the bound, so beating it says something
+            assert best > protocols.TSIRELSON_BOUND - 0.02, f"search reached only {best}"
 
 
 def _check_ghz_decomposition() -> None:

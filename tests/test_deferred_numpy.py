@@ -68,6 +68,17 @@ def run_fresh(code):
     return result.stdout
 
 
+def test_the_chsh_optimum_needs_no_numpy():
+    # a closed form: no array, so no LAPACK and no machine-dependent SVD pick
+    output = run_fresh(
+        "import sys\n"
+        "from qeraser.protocols import optimal_chsh_angles\n"
+        "print(optimal_chsh_angles(0.3))\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    assert output.splitlines()[-1] == "False"
+
+
 def test_two_threads_making_the_first_access_both_succeed():
     # LazyLoader-style deferral fails here: one thread sees numpy half-built
     output = run_fresh(

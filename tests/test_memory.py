@@ -150,7 +150,41 @@ def test_sampled_cli_paths_hold_one_chunk_of_working_set(experiment, mode):
     _, sums = traced_peak(
         lambda: summary(config, itertools.starmap(delayed_join, sampler._sample(config)))
     )
-    assert csv <= 2.5 * MIB and sums <= 1.5 * MIB, (csv / MIB, sums / MIB)
+    assert csv <= 1.5 * MIB and sums <= 1.5 * MIB, (csv / MIB, sums / MIB)
+
+
+@MODES
+@pytest.mark.parametrize("experiment", ["hom", "chsh"])
+def test_index_digits_are_rendered_one_row_block_at_a_time(experiment, mode):
+    """Both streams of a full chunk share digits made per row block, never per chunk.
+
+    Rendered per chunk, the digits and their integer temporaries take
+    about 32 bytes per shot: a 2**14-shot chunk then peaks about 400 KB
+    above a chunk of one row block.
+    """
+    width = len(str(sampler._CHUNK - 1))
+    writes = (lambda data: None,) * 2
+    decimal_bytes, digit_rows = sampler._decimal_bytes, []
+
+    def watched(values, width):
+        digit_rows.append(len(values))
+        return decimal_bytes(values, width)
+
+    peaks = []
+    for shots in (sampler._ROW_BLOCK, sampler._CHUNK):
+        config = sampled_config(experiment, mode, shots)
+        chunks = [next(sampler._sample(config))]
+        sampler._write_csv_chunks(writes, iter(chunks), config, width)  # builds the tables
+        digit_rows.clear()
+        with mock.patch.object(sampler, "_decimal_bytes", watched):
+            _, peak = traced_peak(
+                lambda: sampler._write_csv_chunks(writes, iter(chunks), config, width)
+            )
+        assert sum(digit_rows) == shots  # once per shot, for both streams
+        peaks.append(peak)
+    assert max(digit_rows) == sampler._ROW_BLOCK
+    # the larger chunk adds no buffer bigger than a row block's digits and lengths
+    assert peaks[1] - peaks[0] < 16 * sampler._ROW_BLOCK, peaks
 
 
 def test_join_of_a_run_copies_no_column():
