@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import itertools
 import math
 import os
@@ -637,7 +636,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except BrokenPipeError:
         # the reader of stdout is gone, which is no library failure; point the
-        # fd at devnull so the exit-time flush of what is left does not raise
+        # fd at devnull so the flush of what is left, in run() or at exit,
+        # does not raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except Exception as error:  # noqa: BLE001 - single-line diagnostic contract
@@ -645,13 +645,49 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+# the builtin modules that hashlib and hmac fall back to when OpenSSL's
+# _hashlib cannot be imported, as on a CPython built without OpenSSL
+_BUILTIN_HASHES = ("_md5", "_sha1", "_sha3", "_blake2") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
+
+
+def _keep_openssl_out() -> None:
+    """Make ``import _hashlib`` fail, if the builtin hash modules can stand in.
+
+    ``numpy.random`` imports ``secrets``, which imports ``hmac`` and
+    ``hashlib``, and those load OpenSSL's libcrypto through ``_hashlib``:
+    about 3.4 MiB of a sampled run's peak RSS.  The CLI hashes nothing, and
+    every generator gets its key, so the builtins serve those imports with
+    no change to any output byte.  Without every builtin, ``hashlib`` would
+    log an error for each hash it cannot build, so then nothing is blocked.
+    """
+    if "_hashlib" in sys.modules:
+        return
+    import importlib.util  # runpy has loaded it already under -m
+
+    if all(importlib.util.find_spec(name) is not None for name in _BUILTIN_HASHES):
+        # hashlib, hmac and secrets then load as on a build without OpenSSL
+        sys.modules["_hashlib"] = None
+
+
 def run() -> None:
+    """Entry point of ``python -m qeraser.cli`` and of the console script.
+
+    Not in main(), which library callers and tests run in process: only
+    this process is the CLI's own, so only here is ``_hashlib`` blocked and
+    interpreter teardown skipped.  Teardown frees nothing the kernel would
+    not, and can raise the peak RSS by allocating fresh arenas.
+    """
+    _keep_openssl_out()
     code = main()
-    # freeze what is still alive, mostly numpy's and qeraser's import-time
-    # objects, so the shutdown collection skips it; atexit and the stdio flush
-    # still run.  Not in main(), which library callers and tests run in process.
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = 1  # the reader of stdout is gone: exit 1, nothing on stderr
+    with contextlib.suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

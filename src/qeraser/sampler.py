@@ -14,10 +14,13 @@ then setting pair) and the next one its cell.
 
 Randomness contract (``GENERATOR_ID``): Philox 4x64 keyed by the run
 seed; shot ``i`` owns counter block ``i``, i.e. the four raw 64-bit words
-``random_raw[4*i : 4*i+4]``, mapped to uniforms in [0, 1).  Substreams
-are therefore independent per shot and order-independent, and a shot is
-invariant under changes of the total shot count.  Per-shot uniform layout
-(a frozen part of the stream format):
+``random_raw[4*i : 4*i+4]``, mapped to uniforms in [0, 1) as
+``(word >> 11) * 2**-53``.  Substreams are therefore independent per
+shot and order-independent, and a shot is invariant under changes of the
+total shot count.  The key is ``(seed, 0)``, and shot ``i`` is Random123
+counter ``i + 1``, because numpy increments the counter before it
+generates; ``Philox(key=seed).advance(i)`` starts at shot ``i``.
+Per-shot uniform layout (a frozen part of the stream format):
 
     quantum      hom/metrology  u0 = joint outcome cell
                  chsh           u0 = setting pair, u1 = joint outcome cell

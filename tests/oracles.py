@@ -14,6 +14,36 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+# SC'11): the Random123 round multipliers and the Weyl increments of the key
+PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_WEYL_KEYS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_WORD = (1 << 64) - 1
+
+
+def philox_shot_words(seed: int, shot: int) -> tuple[int, int, int, int]:
+    """The four raw 64-bit words of one shot, in plain Python.
+
+    The key is ``(seed, 0)``.  Shot ``i`` is Random123 counter ``i + 1``,
+    a 256-bit integer, because numpy's Philox increments its counter before
+    it generates a block.
+    """
+    counter = shot + 1
+    x = [(counter >> (64 * k)) & _WORD for k in range(4)]
+    k0, k1 = seed, 0
+    for _ in range(10):
+        p0 = PHILOX_MULTIPLIERS[0] * x[0]
+        p1 = PHILOX_MULTIPLIERS[1] * x[2]
+        x = [(p1 >> 64) ^ x[1] ^ k0, p1 & _WORD, (p0 >> 64) ^ x[3] ^ k1, p0 & _WORD]
+        k0 = (k0 + PHILOX_WEYL_KEYS[0]) & _WORD
+        k1 = (k1 + PHILOX_WEYL_KEYS[1]) & _WORD
+    return x[0], x[1], x[2], x[3]
+
+
+def shot_uniform(word: int) -> float:
+    """The uniform in [0, 1) that the sampler reads from one raw word."""
+    return (word >> 11) * 2.0**-53
+
 
 def hom_conditioned_column(phi_prime: float) -> np.ndarray:
     """Joint (AB, AA, BB) probabilities for one control branch."""

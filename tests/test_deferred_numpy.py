@@ -1,17 +1,23 @@
 """numpy loads at the package's first array operation, not at import.
 
 Nor does any command import ``dataclasses``: the package's records derive
-from ``qeraser._record.Record``.
+from ``qeraser._record.Record``.  And no CLI process loads OpenSSL's
+``_hashlib``, which ``numpy.random`` would pull in through ``secrets``,
+while the builtin hash modules can stand in for it.
 
 Commands run as ``python -X importtime -m qeraser.cli``, the way a user
 starts them, so the module that runs as ``__main__`` is covered too.
 """
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from qeraser.cli import main
 
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
 
@@ -58,6 +64,81 @@ def test_a_sampled_run_imports_numpy():
     assert "numpy" in names
     # numpy itself imports inspect, so only dataclasses is checked here
     assert "dataclasses" not in names
+
+
+SAMPLED = [
+    ["hom", "--mode", "sample", "--shots", "2000", "--seed", "5"],
+    ["chsh", "--mode", "sample", "--shots", "2000", "--seed", "5"],
+    ["verify"],
+]
+
+
+def modules_at_exit(argv, tmp_path, prelude=""):
+    """Output and loaded modules of ``cli.run()`` in a child, read as it exits.
+
+    ``-X importtime`` cannot tell a blocked import from a loaded one, since
+    it lists every attempt, so the child records ``sys.modules`` instead:
+    at ``os._exit``, or at ``atexit`` should the run end through teardown.
+    """
+    report = tmp_path / "modules.json"
+    probe = (
+        "import atexit, json, os, sys\n"
+        f"{prelude}"
+        "from qeraser import cli\n"
+        "def write_report():\n"
+        f"    with open({str(report)!r}, 'w') as handle:\n"
+        "        json.dump([name for name, module in sys.modules.items()\n"
+        "                   if module is not None], handle)\n"
+        "def exit_with_report(code, _exit=os._exit):\n"
+        "    write_report()\n"
+        "    _exit(code)\n"
+        "atexit.register(write_report)\n"
+        "os._exit = exit_with_report\n"
+        f"sys.argv = ['qeraser', *{argv!r}]\n"
+        "cli.run()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=ENV, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result, set(json.loads(report.read_text()))
+
+
+@pytest.mark.parametrize("argv", SAMPLED, ids=lambda argv: argv[0])
+def test_sampled_cli_runs_load_no_openssl(argv, tmp_path):
+    result, names = modules_at_exit(argv, tmp_path)
+    assert result.stderr == b""
+    assert {"numpy.random", "secrets", "hmac", "hashlib"} <= names
+    assert "_hashlib" not in names
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_hashlib") is None, reason="no OpenSSL")
+@pytest.mark.parametrize("argv", SAMPLED[:2], ids=lambda argv: argv[0])
+def test_without_a_builtin_hash_module_openssl_loads_as_before(argv, tmp_path):
+    # an interpreter that lacks one of hashlib's fallbacks keeps _hashlib
+    result, names = modules_at_exit(argv, tmp_path, prelude="sys.modules['_md5'] = None\n")
+    assert result.stderr == b""
+    assert "_hashlib" in names
+    plain = subprocess.run(
+        [sys.executable, "-m", "qeraser.cli", *argv], capture_output=True, env=ENV, timeout=120
+    )
+    assert plain.returncode == 0
+    assert result.stdout == plain.stdout
+
+
+def test_main_leaves_hashlib_as_it_found_it(capsys):
+    missing = object()
+    before = sys.modules.get("_hashlib", missing)
+    assert main(SAMPLED[0]) == 0
+    assert sys.modules.get("_hashlib", missing) is before
+    # a fresh interpreter too: only run() blocks the import
+    output = run_fresh(
+        "import sys\n"
+        "from qeraser.cli import main\n"
+        f"code = main({SAMPLED[1]!r})\n"
+        "print(code, sys.modules.get('_hashlib') is not None)\n"
+    )
+    assert output.splitlines()[-1] == "0 True"
 
 
 def run_fresh(code):

@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
@@ -32,6 +32,7 @@ from qeraser.sampler import (
     ExperimentConfig,
     JoinError,
     SystemStream,
+    _shot_uniforms,
     chsh_statistic,
     classical_mixture_run,
     config_to_dict,
@@ -178,6 +179,35 @@ class TestDeterminism:
         drawn = [system.settings[row] for row in set(system.setting_row.tolist())]
         pairs = {(s["setting_a"], s["setting_b"]) for s in drawn}
         assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+class TestGeneratorContract:
+    """``philox4x64/block-per-shot/v1`` against a plain-Python Philox4x64-10."""
+
+    @given(seed=st.integers(0, 2**64 - 1))
+    @example(seed=0)
+    @example(seed=2**64 - 1)
+    def test_the_raw_words_of_the_first_shots(self, seed):
+        words = np.random.Philox(key=seed).random_raw(12).tolist()
+        assert words == [w for shot in range(3) for w in oracles.philox_shot_words(seed, shot)]
+
+    @given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**66))
+    @example(seed=0, start=0)
+    @example(seed=2**64 - 1, start=2**64 - 2)  # the counter carries into its second word
+    @example(seed=2**64 - 1, start=999)
+    def test_advance_reaches_shot_start(self, seed, start):
+        generator = np.random.Philox(key=seed)
+        generator.advance(start)
+        words = generator.random_raw(8).tolist()
+        assert words == [*oracles.philox_shot_words(seed, start),
+                         *oracles.philox_shot_words(seed, start + 1)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_shot_uniforms_read_the_leading_words(self, seed):
+        uniforms = _shot_uniforms(np.random.Philox(key=seed), 5, 3)
+        expected = [[oracles.shot_uniform(oracles.philox_shot_words(seed, shot)[k])
+                     for shot in range(5)] for k in range(3)]
+        assert uniforms.tolist() == expected
 
 
 class TestDelayedJoin:
