@@ -78,6 +78,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, as are its subcommands, whose help or version text reaches stdout or raises.
+
+    argparse 3.11+ drops an OSError of that write: unbuffered, a closed
+    pipe would lose the text and exit 0.  main() makes it exit 1.
+    """
+
+    def _print_message(self, message: str, file: IO[str] | None = None) -> None:
+        if message and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", metavar="PATH", help="write here instead of stdout")
@@ -103,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampling.add_argument("--shots", type=int, default=10000, help="shots per run")
     sampling.add_argument("--seed", type=int, default=0, help="64-bit run seed")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qeraser",
         description="Delayed-choice conditional statistics: tables, CHSH, phase estimation.",
     )
@@ -623,14 +637,12 @@ _DISPATCH = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exit_request:
+        args = build_parser().parse_args(argv)
+        return _DISPATCH[args.command](args)
+    except SystemExit as exit_request:  # --help, --version or an argparse usage error
         code = exit_request.code
         return 0 if code is None else int(code)
-    try:
-        return _DISPATCH[args.command](args)
     except UsageError as error:
         print(f"usage error: {error}", file=sys.stderr)
         return 2

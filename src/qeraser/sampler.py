@@ -8,9 +8,11 @@ angle or outcome; labeled data sets exist only after :func:`delayed_join`
 pairs the streams by shot index.  The classical baseline
 (:func:`classical_mixture_run`) replaces the control particle by a random
 preparation bit retained by a classical agent, which plays the role of
-the control stream.  Both modes run the same sampling body over a table
-of distributions: the leading uniforms of a shot pick its row (key bit,
-then setting pair) and the next one its cell.
+the control stream.  Each experiment has one plan, a table of the joint
+(system, control) distributions of its quantum run; a mixture reads the
+same table at the erasing readout, split by the key bit.  Both modes run
+the same sampling body over it: the leading uniforms of a shot pick its
+row (key bit, then setting pair) and the next one its cell.
 
 Randomness contract (``GENERATOR_ID``): Philox 4x64 keyed by the run
 seed; shot ``i`` owns counter block ``i``, i.e. the four raw 64-bit words
@@ -52,13 +54,11 @@ from .protocols import (
     ChshSettings,
     MetrologySetup,
     ProbabilityTable,
-    _analyzer_projectors,
     _chsh_columns,
     _hom_columns,
     _is_integer,
     parity_branch_statistics,
 )
-from .qubits import bell_relative_state, expectation
 
 __all__ = [
     "GENERATOR_ID",
@@ -252,13 +252,11 @@ def _cell_indices(uniforms: np.ndarray, cumulative: np.ndarray, rows: np.ndarray
 
 
 class _Plan(NamedTuple):
-    """What one (experiment, mode) pair hands to the shared sampling body.
+    """What one run hands to the shared sampling body: see :func:`_plan`.
 
-    ``table`` holds one outcome distribution per row.  A row is a setting
-    pair (a single row unless chsh); in classical mode the key bit comes
-    first, so row = key_row * pairs + pair with key +1 on key_row 0.
-    ``labels`` are the system outcomes; cells follow :func:`sampling_table`.
-    ``settings`` has one template per row.
+    ``table`` holds one outcome distribution per row, with cells as
+    :func:`sampling_table` orders them.  ``labels`` are the system
+    outcomes; ``settings`` has one template per row.
     """
 
     table: np.ndarray
@@ -273,78 +271,45 @@ def _hom_quantum(config: ExperimentConfig) -> _Plan:
     return _Plan(columns[:, :2].reshape(1, -1), HOM_OUTCOMES, [settings])
 
 
-def _hom_classical(config: ExperimentConfig) -> _Plan:
-    columns = _hom_columns(config.phi, config.statistics, config.control_basis_angle)
-    settings = {"phi": config.phi, "statistics": config.statistics}
-    return _Plan(2.0 * columns[:, :2].T, HOM_OUTCOMES, [settings] * 2)
-
-
-def _chsh_pairs(config: ExperimentConfig) -> list[dict[str, float | int]]:
-    """Settings of the four setting pairs, a-major, in sampling-row order."""
-    pairs = []
-    for i in (0, 1):
-        for j in (0, 1):
-            theta_a, theta_b = config.settings.pair(i, j)
-            pairs.append(
-                dict(setting_a=i, setting_b=j, theta_a=theta_a, theta_b=theta_b, phi=config.phi)
-            )
-    return pairs
-
-
 def _chsh_quantum(config: ExperimentConfig) -> _Plan:
-    pairs = _chsh_pairs(config)
-    angle = config.control_basis_angle
-    columns = [_chsh_columns(p["theta_a"], p["theta_b"], config.phi, angle) for p in pairs]
-    # per pair, the cells (outcome, +1), (outcome, -1) in outcome order
-    return _Plan(np.array([c[:, :2].ravel() for c in columns]), CHSH_OUTCOMES, pairs)
-
-
-def _chsh_classical(config: ExperimentConfig) -> _Plan:
-    pairs = _chsh_pairs(config)
-    analyzers = [_analyzer_projectors(pair["theta_a"], pair["theta_b"]) for pair in pairs]
-    branches = [bell_relative_state(config.phi, sign) for sign in (+1, -1)]
-    table = [
-        [expectation(branch, a[o]) for o in CHSH_OUTCOMES]
-        for branch in branches
-        for a in analyzers
-    ]
-    return _Plan(np.array(table), CHSH_OUTCOMES, pairs * 2)
-
-
-def _parity_branches(config: ExperimentConfig) -> dict[int, tuple[float, list[float]]]:
-    """Per control outcome: its probability and the parity distribution given it."""
-    branches = parity_branch_statistics(
-        MetrologySetup(config.n, config.theta, config.phi, config.control_basis_angle)
-    )
-    return {
-        c: (probability, [0.5 * (1.0 + int(parity) * value) for parity in _PARITY_ROWS])
-        for c, (probability, value) in branches.items()
-    }
+    pairs, rows = [], []
+    for i, j in itertools.product((0, 1), (0, 1)):  # a-major, in sampling-row order
+        theta_a, theta_b = config.settings.pair(i, j)
+        pair = dict(setting_a=i, setting_b=j, theta_a=theta_a, theta_b=theta_b, phi=config.phi)
+        pairs.append(pair)
+        columns = _chsh_columns(theta_a, theta_b, config.phi, config.control_basis_angle)
+        rows.append(columns[:, :2].ravel())  # cells (outcome, +1), (outcome, -1), outcome-major
+    return _Plan(np.array(rows), CHSH_OUTCOMES, pairs)
 
 
 def _metrology_quantum(config: ExperimentConfig) -> _Plan:
-    branches = _parity_branches(config)
-    cells = [(k, c) for k in range(len(_PARITY_ROWS)) for c in (+1, -1)]
-    joint = [branches[c][0] * branches[c][1][k] for k, c in cells]
+    branches = parity_branch_statistics(
+        MetrologySetup(config.n, config.theta, config.phi, config.control_basis_angle)
+    )
+    # cells parity-major, control +1 first: P(c) * P(parity | c)
+    joint = [
+        branches[c][0] * (0.5 * (1.0 + int(parity) * branches[c][1]))
+        for parity in _PARITY_ROWS
+        for c in (+1, -1)
+    ]
     settings = {"n": config.n, "theta": config.theta, "phi": config.phi}
     return _Plan(np.array([joint]), _PARITY_ROWS, [settings])
 
 
-def _metrology_classical(config: ExperimentConfig) -> _Plan:
-    branches = _parity_branches(config)
-    table = np.array([branches[c][1] for c in (+1, -1)])
-    settings = {"n": config.n, "theta": config.theta, "phi": config.phi}
-    return _Plan(table, _PARITY_ROWS, [settings] * 2)
+def _plan(config: ExperimentConfig) -> _Plan:
+    """The quantum plan of ``config``'s experiment, read in ``config``'s mode.
 
-
-_PLANS = {
-    ("hom", "quantum"): _hom_quantum,
-    ("hom", "classical_mixture"): _hom_classical,
-    ("chsh", "quantum"): _chsh_quantum,
-    ("chsh", "classical_mixture"): _chsh_classical,
-    ("metrology", "quantum"): _metrology_quantum,
-    ("metrology", "classical_mixture"): _metrology_classical,
-}
+    A classical mixture is the quantum plan of the same config, whose
+    control readout :class:`ExperimentConfig` fixes at the erasing angle:
+    its rows are (key, pair) with key +1 first, each ``2.0 *`` the joint
+    cells of control = key, and its settings templates are doubled.
+    """
+    build = {"hom": _hom_quantum, "chsh": _chsh_quantum, "metrology": _metrology_quantum}
+    plan = build[config.experiment](config)
+    if config.mode == "quantum":
+        return plan
+    table = 2.0 * np.concatenate([plan.table[:, 0::2], plan.table[:, 1::2]])
+    return _Plan(table, plan.labels, [*plan.settings] * 2)
 
 
 def sampling_table(config: ExperimentConfig) -> np.ndarray:
@@ -355,7 +320,7 @@ def sampling_table(config: ExperimentConfig) -> np.ndarray:
     system-major with control +1 first.  Classical mode: rows are (key,
     setting pair) with key +1 first, cells are system outcomes.
     """
-    return _PLANS[config.experiment, config.mode](config).table
+    return _plan(config).table
 
 
 def _sample(config: ExperimentConfig) -> Iterator[tuple[SystemStream, ControlStream]]:
@@ -367,7 +332,7 @@ def _sample(config: ExperimentConfig) -> Iterator[tuple[SystemStream, ControlStr
     int8 rows, outcomes and control signs.  A chunk the consumer drops is
     freed before the next one is drawn.
     """
-    plan = _PLANS[config.experiment, config.mode](config)
+    plan = _plan(config)
     cumulative = _cumulative(plan.table)
     keyed = config.mode == "classical_mixture"
     basis_angle = None if keyed else config.control_basis_angle
@@ -431,8 +396,10 @@ def classical_mixture_run(config: ExperimentConfig) -> tuple[SystemStream, Contr
     Per shot a fair bit selects one of the two pure preparations (+1 picks
     the branch the erasing control readout +1 would herald: the plus pair
     state, or the register phase ``phi``).  System outcomes are sampled
-    from that pure state; the bit stream is returned in place of the
-    control stream, with ``basis_angle`` None since nothing was measured.
+    from that branch, whose distribution is twice the quantum joint cells
+    of control = bit at the erasing readout; the bit stream is returned in
+    place of the control stream, with ``basis_angle`` None since nothing
+    was measured.
     """
     if config.mode != "classical_mixture":
         raise ValueError("classical_mixture_run requires mode='classical_mixture'")

@@ -123,7 +123,7 @@ def reference_uniforms(seed: int, shots: int) -> np.ndarray:
 
 def reference_streams(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
     """The one-pass sampling body that predates chunking."""
-    plan = sampler._PLANS[config.experiment, config.mode](config)
+    plan = sampler._plan(config)
     keyed = config.mode == "classical_mixture"
     uniforms = reference_uniforms(config.seed, config.shots)
     rows = np.zeros(config.shots, dtype=int)

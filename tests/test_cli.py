@@ -226,15 +226,19 @@ class TestExitCodes:
         assert process.returncode == 1
         assert stderr == b""
 
-    def test_help_into_a_closed_pipe_exits_1_without_a_diagnostic(self):
-        # the help text waits in the stdout buffer until run() flushes it;
-        # unbuffered, argparse's own write would meet the closed pipe instead
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_into_a_closed_pipe_exits_1_without_a_diagnostic(self, flag, unbuffered):
+        # buffered, the text waits in the stdout buffer until run() flushes it;
+        # unbuffered, argparse's own write meets the closed pipe
         env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "qeraser.cli", "--help"],
+                [sys.executable, "-m", "qeraser.cli", flag],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 env={**env, "PYTHONPATH": os.pathsep.join(sys.path)},

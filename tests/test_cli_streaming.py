@@ -265,13 +265,15 @@ def test_summed_pair_sums_give_the_whole_run_statistic(run, label):
 
 
 @pytest.mark.parametrize("form", ["csv", "summary"])
-def test_a_failing_plan_opens_no_file(form, tmp_path, capsys):
+@pytest.mark.parametrize("mode", ["sample", "classical-mixture"])
+def test_a_failing_plan_opens_no_file(mode, form, tmp_path, capsys):
+    # a mixture reads the quantum plan, so a bad quantum plan fails both modes
     def unnormalized(config):
         return sampler._Plan(np.full((1, 6), 0.5), sampler.HOM_OUTCOMES, [{}])
 
     output = tmp_path / "run.csv"
-    with mock.patch.dict(sampler._PLANS, {("hom", "quantum"): unnormalized}):
-        code = main(sampled_argv("hom", "sample", 10, 0, form) + ["--output", str(output)])
+    with mock.patch.object(sampler, "_hom_quantum", unnormalized):
+        code = main(sampled_argv("hom", mode, 10, 0, form) + ["--output", str(output)])
     assert code == 1
     assert "does not sum to 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -6,6 +6,7 @@ real regression in the sampling pipeline lands far outside the band.
 """
 
 import io
+import itertools
 import json
 import math
 from collections import Counter
@@ -17,9 +18,10 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 import oracles
-from qeraser import fock
+from qeraser import fock, sampler
 from qeraser.protocols import (
     _ERASING_ANGLE,
+    _OUTCOME_SIGN,
     CHSH_OUTCOMES,
     HOM_OUTCOMES,
     ChshSettings,
@@ -41,6 +43,7 @@ from qeraser.sampler import (
     empirical_table,
     metadata_header,
     run_experiment,
+    sampling_table,
     write_stream_csv,
 )
 
@@ -208,6 +211,65 @@ class TestGeneratorContract:
         expected = [[oracles.shot_uniform(oracles.philox_shot_words(seed, shot)[k])
                      for shot in range(5)] for k in range(3)]
         assert uniforms.tolist() == expected
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("mode", ["quantum", "classical_mixture"])
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_runs_rebuilt_from_the_oracle_write_the_same_csv(self, experiment, mode, seed):
+        # quantum runs read a control angle that is not the erasing one
+        angle = {"hom": 0.3, "chsh": 0.2, "metrology": 1.1}[experiment]
+        if mode == "classical_mixture":
+            angle = _ERASING_ANGLE[experiment]
+        config = ALL_CONFIGS[experiment](
+            shots=64, seed=seed, mode=mode, control_basis_angle=angle
+        )
+        header = metadata_header(config)
+        for rebuilt, records in zip(oracle_streams(config), run_experiment(config)):
+            buffer = io.StringIO()
+            write_stream_csv(buffer, records, config)
+            assert buffer.getvalue() == oracles.stream_csv(rebuilt, header)
+
+
+def oracle_streams(config):
+    """``config``'s run rebuilt shot by shot in plain Python from the oracle's words.
+
+    The uniforms follow the frozen layout of the ``sampler`` docstring,
+    and each shot's cell is selected by half-open intervals of the
+    cumulative row of the plan's table that the leading uniforms picked.
+    """
+    plan = sampler._plan(config)
+    keyed = config.mode == "classical_mixture"
+    paired = config.experiment == "chsh"
+    cumulative = [
+        list(itertools.accumulate(max(p, 0.0) for p in row)) for row in plan.table.tolist()
+    ]
+    outcomes, rows, controls = [], [], []
+    for shot in range(config.shots):
+        words = oracles.philox_shot_words(config.seed, shot)
+        uniforms = [oracles.shot_uniform(word) for word in words]
+        row = 0
+        if keyed:  # key +1 on the first block of rows
+            row = 0 if uniforms[0] < 0.5 else 1
+        if paired:
+            row = 4 * row + min(int(uniforms[keyed] * 4), 3)
+        bounds = cumulative[row]
+        scaled = uniforms[keyed + paired] * bounds[-1]
+        cell = min(sum(scaled >= bound for bound in bounds), len(bounds) - 1)
+        if keyed:
+            outcome, control = cell, 1 if row < len(cumulative) // 2 else -1
+        else:  # joint cells: system-major, control +1 first
+            outcome, control = cell // 2, 1 - 2 * (cell % 2)
+        outcomes.append(outcome)
+        rows.append(row)
+        controls.append(control)
+    shots = np.arange(config.shots)
+    return (
+        SystemStream(
+            shots, np.array(outcomes), np.array(rows), config.experiment,
+            plan.labels, tuple(plan.settings),
+        ),
+        ControlStream(shots, np.array(controls), None if keyed else config.control_basis_angle),
+    )
 
 
 class TestDelayedJoin:
@@ -568,6 +630,59 @@ class TestClassicalMixture:
             rows.append([counts.get(cell, 0) for cell in cells])
         _, p_value, _, _ = chi2_contingency(np.array(rows))
         assert p_value > 1e-3
+
+
+ANGLES = st.floats(-7.0, 7.0)
+STATISTICS = st.sampled_from([s.value for s in fock.Statistics])
+
+
+class TestMixturePlan:
+    """A mixture's rows are the quantum joint cells of its key, doubled."""
+
+    @given(
+        phi=ANGLES,
+        statistics=STATISTICS,
+        angles=st.tuples(ANGLES, ANGLES, ANGLES, ANGLES),
+        n=st.integers(1, 20),
+        theta=ANGLES,
+    )
+    @settings(deadline=None)
+    def test_rows_are_the_closed_form_conditionals(self, phi, statistics, angles, n, theta):
+        mixture = dict(mode="classical_mixture", phi=phi)
+        hom = sampling_table(hom_config(statistics=statistics, **mixture))
+        for key_row, key in enumerate((+1, -1)):
+            if statistics == "distinguishable":
+                column = oracles.hom_distinguishable_column()
+            else:
+                shift = oracles.hom_phase_shift(statistics) + (key < 0) * math.pi
+                column = oracles.hom_conditioned_column(phi + shift)
+            np.testing.assert_allclose(hom[key_row], 2.0 * column, rtol=0, atol=1e-12)
+
+        config = chsh_config(settings=ChshSettings(*angles), **mixture)
+        chsh = sampling_table(config)
+        for key_row, key in enumerate((+1, -1)):
+            for pair, (i, j) in enumerate(itertools.product((0, 1), (0, 1))):
+                theta_a, theta_b = config.settings.pair(i, j)
+                expected = [
+                    2.0 * oracles.chsh_joint_probability(
+                        _OUTCOME_SIGN[a], _OUTCOME_SIGN[b], theta_a, theta_b, phi, key
+                    )
+                    for a, b in CHSH_OUTCOMES
+                ]
+                np.testing.assert_allclose(chsh[4 * key_row + pair], expected, rtol=0, atol=1e-12)
+
+        metrology = sampling_table(metrology_config(n=n, theta=theta, **mixture))
+        for key_row, key in enumerate((+1, -1)):
+            fringe = oracles.parity_fringe(n, theta, phi, key)
+            expected = [0.5 * (1.0 + parity * fringe) for parity in (+1, -1)]
+            np.testing.assert_allclose(metrology[key_row], expected, rtol=0, atol=1e-12)
+
+    @given(phi=st.floats(-50.0, 50.0), statistics=STATISTICS)
+    def test_hom_rows_double_the_quantum_cells_bit_for_bit(self, phi, statistics):
+        fields = dict(phi=phi, statistics=statistics)
+        quantum = sampling_table(hom_config(**fields))[0]
+        mixture = sampling_table(hom_config(mode="classical_mixture", **fields))
+        assert mixture.tolist() == [(2.0 * quantum[0::2]).tolist(), (2.0 * quantum[1::2]).tolist()]
 
 
 class TestWriters:
