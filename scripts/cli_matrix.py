@@ -65,6 +65,8 @@ COMMANDS = [
     f"chsh --mode sample --shots 8 --seed 1 {CHSH_ANGLES}",
     f"chsh --mode sample --shots 6 --seed 79 {CHSH_ANGLES}",
     "chsh --mode sample --shots 400 --seed 2 --control-angle 0.4",
+    # the which-way readout: its analytic S read at the control angle is 0
+    "chsh --mode sample --shots 400000 --seed 5 --control-angle 1.5707963267948966",
     "chsh --mode sample --shots 400 --seed 2 --control-angle 0.4 --format csv --output c.csv",
     f"chsh --mode classical-mixture --shots 400 --seed 9 {CHSH_ANGLES} --format csv"
     " --output cm.csv",

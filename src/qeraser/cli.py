@@ -34,6 +34,7 @@ from ._record import astuple, replace
 from ._version import __version__
 from .fock import Statistics
 from .protocols import (
+    _CHSH_PAIRS,
     _ERASING_ANGLE,
     HOM_OUTCOMES,
     TSIRELSON_BOUND,
@@ -41,9 +42,9 @@ from .protocols import (
     MetrologySetup,
     ProbabilityTable,
     TABLE_COLUMNS,
+    _chsh_combination,
+    _chsh_correlators,
     _hom_columns,
-    chsh_value,
-    conditional_correlator,
     hom_table,
     optimal_chsh_angles,
     parity_expectation,
@@ -317,6 +318,34 @@ def _config(args: argparse.Namespace, **fields) -> ExperimentConfig:
     )
 
 
+@contextlib.contextmanager
+def _stream_files(paths: Sequence[str]) -> Iterator[list[IO[bytes]]]:
+    """Binary files at ``paths`` to write, none emptied before all of them are open.
+
+    Each opens in append mode, which empties nothing, so when a path cannot
+    be opened the files before it keep an earlier run's bytes, and one that
+    this call made is removed.  Then every regular file is emptied, as mode
+    ``"wb"`` would; a pipe or a device has nothing to empty.
+    """
+    with contextlib.ExitStack() as stack:
+        files, made = [], []
+        try:
+            for path in paths:
+                fresh = not os.path.lexists(path)
+                files.append(stack.enter_context(open(path, "ab")))
+                if fresh:
+                    made.append(path)
+        except OSError:
+            stack.close()
+            for path in made:
+                os.remove(path)
+            raise
+        for path, file in zip(paths, files):
+            if os.path.isfile(path):
+                file.truncate(0)
+        yield files
+
+
 def _run_sampled(
     args: argparse.Namespace,
     config: ExperimentConfig,
@@ -334,8 +363,8 @@ def _run_sampled(
     chunks = sampler._sample(config)  # a failing plan raises before any file opens
     if form == "csv":
         control_path = _control_path(args.output)
-        with open(args.output, "wb") as system_file, open(control_path, "wb") as control_file:
-            writes = (system_file.write, control_file.write)
+        with _stream_files((args.output, control_path)) as files:
+            writes = [file.write for file in files]
             sampler._write_csv_chunks(writes, chunks, config, len(str(config.shots - 1)))
         print(f"wrote {args.output} and {control_path}", file=sys.stderr)
         return 0
@@ -386,30 +415,18 @@ def _resolve_chsh_settings(args: argparse.Namespace) -> ChshSettings:
     return optimal_chsh_angles(args.phi)
 
 
-def _chsh_analytic_rows(
-    settings: ChshSettings, phi: float
-) -> list[tuple[int, int, float, float, float, float, float]]:
-    rows = []
-    for i in (0, 1):
-        for j in (0, 1):
-            theta_a, theta_b = settings.pair(i, j)
-            rows.append(
-                (
-                    i,
-                    j,
-                    theta_a,
-                    theta_b,
-                    conditional_correlator(theta_a, theta_b, phi, "up"),
-                    conditional_correlator(theta_a, theta_b, phi, "down"),
-                    conditional_correlator(theta_a, theta_b, phi, "?"),
-                )
-            )
-    return rows
+def _chsh_analytic(
+    settings: ChshSettings, phi: float, control_angle: float
+) -> tuple[list[tuple], list[float]]:
+    """Per-pair rows (a, b, theta_a, theta_b, E_up, E_down, E_unjoined) and |S| of each set.
 
-
-def _chsh_values(settings: ChshSettings, phi: float) -> dict[str, float]:
-    """Analytic S of the C=up, C=down and unjoined (``?``) sets."""
-    return {condition: chsh_value(settings, phi, condition) for condition in ("up", "down", "?")}
+    The control is read at ``control_angle``; the sets are C=up, C=down and unjoined.
+    """
+    rows = [
+        (*p, *settings.pair(*p), *_chsh_correlators(*settings.pair(*p), phi, control_angle))
+        for p in _CHSH_PAIRS
+    ]
+    return rows, [abs(_chsh_combination(column)) for column in list(zip(*rows))[4:]]
 
 
 def _settings_line(settings: ChshSettings) -> str:
@@ -430,10 +447,9 @@ def _chsh_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStream
         ("empirical S (unjoined):      ", up_down[0] + up_down[1]),
     )
     estimates = [_chsh_estimate(sums) for _, sums in branches]
-    analytic = _chsh_values(config.settings, config.phi)
+    _, s = _chsh_analytic(config.settings, config.phi, config.control_basis_angle)
     text = _settings_line(config.settings) + (
-        f"analytic S: up={analytic['up']:.6f} down={analytic['down']:.6f} "
-        f"unjoined={analytic['?']:.6f}\n"
+        f"analytic S: up={s[0]:.6f} down={s[1]:.6f} unjoined={s[2]:.6f}\n"
     )
     for (prefix, sums), (value, _) in zip(branches, estimates):
         text += f"{prefix}{value} ({int(sums[0].sum())} shots)\n"
@@ -446,24 +462,19 @@ def _run_chsh(args: argparse.Namespace) -> int:
     if args.mode != "analytic":
         config = _config(args, experiment="chsh", settings=settings)
         return _run_sampled(args, config, _chsh_summary)
-    analytic = _chsh_values(settings, args.phi)
     header = _analytic_header(
         "chsh", {"phi": args.phi, "settings": list(astuple(settings))}
     )
-    rows = _chsh_analytic_rows(settings, args.phi)
+    rows, (up, down, unjoined) = _chsh_analytic(settings, args.phi, args.control_angle)
     with _output_stream(args.output) as out:
         out.write(header + "\n")
         if _resolved_format(args) == "csv":
             out.write("setting_a,setting_b,theta_a,theta_b,E_up,E_down,E_unjoined\n")
             for row in rows:
-                out.write(
-                    f"{row[0]},{row[1]},"
-                    + ",".join(repr(float(v)) for v in row[2:])
-                    + "\n"
-                )
+                out.write(",".join(map(repr, row)) + "\n")
             out.write(
-                f"# S_up={analytic['up']!r} S_down={analytic['down']!r} "
-                f"S_unjoined={analytic['?']!r} bound={TSIRELSON_BOUND!r}\n"
+                f"# S_up={up!r} S_down={down!r} "
+                f"S_unjoined={unjoined!r} bound={TSIRELSON_BOUND!r}\n"
             )
         else:
             out.write(_settings_line(settings))
@@ -473,9 +484,9 @@ def _run_chsh(args: argparse.Namespace) -> int:
                     f"E_down={row[5]:+.6f} E_unjoined={row[6]:+.6f}\n"
                 )
             out.write(
-                f"S (C=up) = {analytic['up']:.9f}\n"
-                f"S (C=down) = {analytic['down']:.9f}\n"
-                f"S (C=?) = {analytic['?']:.9f}\n"
+                f"S (C=up) = {up:.9f}\n"
+                f"S (C=down) = {down:.9f}\n"
+                f"S (C=?) = {unjoined:.9f}\n"
                 f"quantum bound 2*sqrt(2) = {TSIRELSON_BOUND:.9f}\n"
             )
     return 0

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
+from typing import Iterable
 
 from . import _numpy as np
 from . import fock
@@ -31,9 +33,7 @@ from .qubits import (
     _control_amplitudes,
     _control_projectors,
     analyzer_observable,
-    bell_relative_state,
     expectation,
-    identity,
     spectral_projectors,
     tripartite_spin_state,
 )
@@ -62,6 +62,10 @@ HOM_OUTCOMES = fock.DETECTION_PATTERNS  # ("AB", "AA", "BB")
 # joint analyzer outcomes (A result, B result), d = -1, u = +1
 CHSH_OUTCOMES = ("dd", "du", "ud", "uu")
 _OUTCOME_SIGN = {"d": -1, "u": +1}
+# setting pairs (a index, b index) in a-major order, the order of a chsh
+# run's sampling rows, and their signs in S = E00 + E01 + E10 - E11
+_CHSH_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+_CHSH_SIGNS = (1, 1, 1, -1)
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -225,18 +229,31 @@ def chsh_table(theta_a: float, theta_b: float, phi: float) -> ProbabilityTable:
     return ProbabilityTable(CHSH_OUTCOMES, TABLE_COLUMNS, values)
 
 
+def _chsh_correlators(
+    theta_a: float, theta_b: float, phi: float, control_angle: float
+) -> tuple[float, ...]:
+    """C=up, C=down and unjoined <A x B> of one setting pair, control read at ``control_angle``.
+
+    Each column of :func:`_chsh_columns` is summed with the outcome signs,
+    by ``math.fsum`` so no BLAS call or Python version sets the bits, and
+    divided by its weight: 1/2 per control branch at every readout, 1 unjoined.
+    """
+    signs = [_OUTCOME_SIGN[a] * _OUTCOME_SIGN[b] for a, b in CHSH_OUTCOMES]
+    columns = _chsh_columns(theta_a, theta_b, phi, control_angle).T.tolist()
+    return tuple(math.fsum(map(operator.mul, signs, c)) / math.fsum(c) for c in columns)
+
+
+def _chsh_combination(correlators: Iterable[float]) -> float:
+    """Signed S of one set's correlators in ``_CHSH_PAIRS`` order, summed left to right."""
+    return functools.reduce(operator.add, map(operator.mul, _CHSH_SIGNS, correlators), 0.0)
+
+
 def conditional_correlator(theta_a: float, theta_b: float, phi: float, condition: str) -> float:
     """<analyzer_a x analyzer_b> on the ensemble selected by the control."""
-    if condition == "?":
-        return expectation(
-            tripartite_spin_state(phi),
-            [analyzer_observable(theta_a), analyzer_observable(theta_b), identity()],
-        )
-    sign = +1 if condition == "up" else -1
-    return expectation(
-        bell_relative_state(phi, sign),
-        [analyzer_observable(theta_a), analyzer_observable(theta_b)],
-    )
+    if condition not in CONDITIONS:
+        raise ValueError(f"condition must be one of {CONDITIONS}")
+    column = CONDITIONS.index(condition)  # the order of TABLE_COLUMNS
+    return _chsh_correlators(theta_a, theta_b, phi, _ERASING_ANGLE["chsh"])[column]
 
 
 def chsh_value(settings: ChshSettings, phi: float, condition: str) -> float:
@@ -246,14 +263,8 @@ def chsh_value(settings: ChshSettings, phi: float, condition: str) -> float:
     on: ``"up"``, ``"down"``, or ``"?"`` for the unconditioned ensemble,
     whose correlators all vanish.
     """
-    if condition not in CONDITIONS:
-        raise ValueError(f"condition must be one of {CONDITIONS}")
-    e = {
-        (i, j): conditional_correlator(*settings.pair(i, j), phi, condition)
-        for i in (0, 1)
-        for j in (0, 1)
-    }
-    return abs(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+    pairs = (settings.pair(*p) for p in _CHSH_PAIRS)
+    return abs(_chsh_combination(conditional_correlator(*pair, phi, condition) for pair in pairs))
 
 
 def optimal_chsh_angles(phi: float) -> ChshSettings:

@@ -47,6 +47,7 @@ from ._record import Record, astuple, replace
 from ._version import __version__
 from .fock import Statistics
 from .protocols import (
+    _CHSH_PAIRS,
     _ERASING_ANGLE,
     _OUTCOME_SIGN,
     CHSH_OUTCOMES,
@@ -55,6 +56,7 @@ from .protocols import (
     MetrologySetup,
     ProbabilityTable,
     _chsh_columns,
+    _chsh_combination,
     _hom_columns,
     _is_integer,
     parity_branch_statistics,
@@ -101,8 +103,14 @@ class _Stream(Record):
     _COLUMNS = ("shot_index", "outcome")
 
     def __post_init__(self) -> None:
+        shots = np.shape(self.shot_index)
         for name in self._COLUMNS:
             column = np.asarray(getattr(self, name)).view()
+            if column.ndim != 1 or column.shape != shots:
+                raise ValueError(
+                    f"{name} column has shape {column.shape}: "
+                    "every column must be 1-D and as long as shot_index"
+                )
             column.setflags(write=False)
             object.__setattr__(self, name, column)
 
@@ -273,7 +281,7 @@ def _hom_quantum(config: ExperimentConfig) -> _Plan:
 
 def _chsh_quantum(config: ExperimentConfig) -> _Plan:
     pairs, rows = [], []
-    for i, j in itertools.product((0, 1), (0, 1)):  # a-major, in sampling-row order
+    for i, j in _CHSH_PAIRS:
         theta_a, theta_b = config.settings.pair(i, j)
         pair = dict(setting_a=i, setting_b=j, theta_a=theta_a, theta_b=theta_b, phi=config.phi)
         pairs.append(pair)
@@ -634,7 +642,8 @@ def _pair_sums(records: SystemStream, control_outcome: np.ndarray | None = None)
         raise ValueError("chsh_statistic needs chsh records")
     _check_codes(records)
     # code = 8 * (product is -1) + 2 * pair + (control is -1), counted as intp
-    pair_of_row = [4 * int(s["setting_a"]) + 2 * int(s["setting_b"]) for s in records.settings]
+    pairs = [(s["setting_a"], s["setting_b"]) for s in records.settings]
+    pair_of_row = [2 * _CHSH_PAIRS.index(pair) for pair in pairs]
     negative_of = [8 * (_OUTCOME_SIGN[a] != _OUTCOME_SIGN[b]) for a, b in records.labels]
     codes = np.array(pair_of_row, dtype=np.intp).take(records.setting_row)
     codes += np.array(negative_of, dtype=np.int8).take(records.outcome)
@@ -648,15 +657,13 @@ def _chsh_from_sums(sums: np.ndarray) -> tuple[float, float]:
     counts, products = sums.tolist()
     if not any(counts):
         raise ValueError("cannot estimate CHSH from an empty record set")
-    value = 0.0
+    if 0 in counts:
+        raise ValueError(f"no records for setting pair {_CHSH_PAIRS[counts.index(0)]}")
+    correlators = [product / count for product, count in zip(products, counts)]
     variance = 0.0
-    for pair, sign in enumerate((1, 1, 1, -1)):
-        if counts[pair] == 0:
-            raise ValueError(f"no records for setting pair {divmod(pair, 2)}")
-        correlator = products[pair] / counts[pair]
-        value += sign * correlator
-        variance += (1.0 - correlator**2) / counts[pair]
-    return value, math.sqrt(variance)
+    for correlator, count in zip(correlators, counts):
+        variance += (1.0 - correlator**2) / count
+    return _chsh_combination(correlators), math.sqrt(variance)
 
 
 def empirical_parity(records: SystemStream) -> tuple[float, float]:

@@ -66,6 +66,20 @@ def chsh_correlator(theta_a: float, theta_b: float, phi: float, branch: int) -> 
     return branch * math.cos(theta_a - theta_b + phi)
 
 
+def chsh_readout_correlator(
+    theta_a: float, theta_b: float, phi: float, control_angle: float, branch: int
+) -> float:
+    """<A x B> on the set joined on control outcome +-1 read at ``control_angle`` = a.
+
+    With c = cos(a/2) and s = sin(a/2), the +1 readout leaves the pair in
+    c|pair+> + s|pair->, the -1 readout in -s|pair+> + c|pair->, each with
+    weight 1/2.  The |pair+-> correlators are +-cos(theta_a - theta_b + phi)
+    and the real parts of their cross terms vanish, so the branches read
+    +-(c**2 - s**2) cos(theta_a - theta_b + phi).
+    """
+    return branch * math.cos(control_angle) * math.cos(theta_a - theta_b + phi)
+
+
 def chsh_joint_probability(
     a: int, b: int, theta_a: float, theta_b: float, phi: float, branch: int
 ) -> float:

@@ -13,6 +13,7 @@ import re
 import select
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -496,6 +497,24 @@ class TestChshCommand:
         assert main(["chsh", "--mode", mode, "--shots", "4000", "--seed", "9"]) == 0
         body = capsys.readouterr().out.split("\n", 1)[1]
         assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+    def test_which_way_summary_reads_its_analytic_s_at_the_readout(self, capsys):
+        # the control read along sigma_x reveals which way: no branch violates
+        argv = ["chsh", "--mode", "sample", "--shots", "400000", "--seed", "5",
+                "--control-angle", "1.5707963267948966"]
+        code, out, _ = run_main(argv, capsys)
+        assert code == 0
+        assert "analytic S: up=0.000000 down=0.000000 unjoined=0.000000\n" in out
+
+    def test_analytic_command_reads_the_joint_columns_once_per_pair(self, capsys):
+        with mock.patch.object(
+            protocols, "_chsh_columns", wraps=protocols._chsh_columns
+        ) as columns:
+            for form in ("csv", "summary"):
+                assert main(["chsh", "--phi", "0.3", "--format", form]) == 0
+                assert columns.call_count == 4
+                columns.reset_mock()
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "mode, missing", [("classical-mixture", "(1, 0)"), ("sample", "(1, 1)")]

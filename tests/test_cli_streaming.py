@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qeraser import sampler
+from qeraser import cli, sampler
 from qeraser.cli import main
 from qeraser.protocols import _ERASING_ANGLE, ChshSettings
 from qeraser.sampler import (
@@ -62,7 +62,7 @@ GOLDEN = {
     ("chsh", "sample"): (
         "83af4da24cfd2e81983fc75d3aa5b2a304aa5028091e736bf99d327aff78a433",
         "0fab52d26171f9ce847448278f3a5e241badbe24de7d55cddcc184f2ba2aacd4",
-        "b3529c1beced0983aaeae16ab82d21e582c340f2ab63c39bf82f216ea5ab7495",
+        "be20b37822042d8747073896cd4a80aa6ca4e174a685f4d574389c78cbdcab20",
     ),
     ("chsh", "classical-mixture"): (
         "030e3e950959e90bb7321df48cb5e81b2523ce6d22b86778e1d7860aa24b6683",
@@ -277,6 +277,33 @@ def test_a_failing_plan_opens_no_file(mode, form, tmp_path, capsys):
     assert code == 1
     assert "does not sum to 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("earlier", [True, False], ids=["earlier run", "no earlier run"])
+def test_a_control_path_that_cannot_open_leaves_the_system_file(earlier, tmp_path, capsys):
+    output = tmp_path / "run.csv"
+    if earlier:
+        output.write_bytes(b"an earlier run's system stream\n")
+    (tmp_path / "run.control.csv").mkdir()
+    drawing = mock.patch.object(sampler, "_shot_uniforms", side_effect=AssertionError("drew"))
+    with drawing:
+        code = main(sampled_argv("hom", "sample", 10, 0, "csv") + ["--output", str(output)])
+    assert code == 1
+    assert "IsADirectoryError" in capsys.readouterr().err
+    if earlier:
+        assert output.read_bytes() == b"an earlier run's system stream\n"
+    else:
+        assert not output.exists()
+
+
+def test_a_device_beside_a_file_is_written_and_not_emptied(tmp_path):
+    # a device or a pipe cannot be truncated; mode "wb" skips them, and so must the pair
+    control = tmp_path / "run.control.csv"
+    control.write_bytes(b"an earlier run's control stream\n")
+    with cli._stream_files([os.devnull, str(control)]) as files:
+        for file in files:
+            file.write(b"0,+1\n")
+    assert control.read_bytes() == b"0,+1\n"
 
 
 def test_a_summary_opens_its_output_before_sampling(tmp_path, capsys):

@@ -25,6 +25,8 @@ from qeraser.protocols import (
     ChshSettings,
     MetrologySetup,
     ProbabilityTable,
+    _chsh_columns,
+    _chsh_correlators,
     _hom_columns,
     chsh_table,
     chsh_value,
@@ -54,6 +56,7 @@ from qeraser.verify import (
 PHI_GRID = np.linspace(0.0, 2.0 * math.pi, 32, endpoint=False)
 ANGLE = st.floats(0.0, 2.0 * math.pi, allow_nan=False, allow_infinity=False)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FINITE_ANGLE = st.floats(-20.0, 20.0)
 # SHA-256 of the _hom_columns bytes over the grid of test_columns_are_pinned_to_the_bit
 HOM_COLUMNS_SHA256 = "3dae7cbf161d96e0c9ef6eea3594076a96bfb4e16b6be032d01a6761cc3d54ee"
 
@@ -250,6 +253,25 @@ class TestConditionalCorrelator:
             assert conditional_correlator(theta_a, theta_b, phi, "?") == pytest.approx(
                 0.0, abs=1e-12
             )
+
+
+    def test_unknown_condition_rejected(self):
+        for condition in ("UP", "maybe", None):
+            with pytest.raises(ValueError, match="condition must be one of"):
+                conditional_correlator(0.0, 0.0, 0.0, condition)
+
+    @settings(max_examples=300)
+    @given(theta_a=FINITE_ANGLE, theta_b=FINITE_ANGLE, phi=FINITE_ANGLE, readout=FINITE_ANGLE)
+    def test_correlators_at_any_readout_match_the_closed_form(
+        self, theta_a, theta_b, phi, readout
+    ):
+        up, down, unjoined = _chsh_correlators(theta_a, theta_b, phi, readout)
+        for value, branch in ((up, +1), (down, -1)):
+            expected = oracles.chsh_readout_correlator(theta_a, theta_b, phi, readout, branch)
+            assert abs(value - expected) <= 1e-12
+        assert abs(unjoined) <= 1e-12
+        weights = _chsh_columns(theta_a, theta_b, phi, readout).sum(axis=0)
+        np.testing.assert_allclose(weights, [0.5, 0.5, 1.0], rtol=0, atol=1e-12)
 
 
 class TestChshValue:

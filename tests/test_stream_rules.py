@@ -118,3 +118,20 @@ def test_a_float_sign_column_reads_as_the_int_column(second):
         empirical_table(system, control.outcome).summary()
     )
     assert csv_of(floats, config) == csv_of(control, config)
+
+
+@pytest.mark.parametrize(
+    "column, values",
+    [
+        ("outcome", np.array([0, 1, 2, 2, 2])),
+        ("setting_row", np.zeros(5, int)),
+        ("outcome", np.zeros((3, 1), int)),
+        ("shot_index", np.arange(3).reshape(1, 3)),
+        ("shot_index", np.int64(0)),
+    ],
+    ids=["long outcome", "long setting row", "2-D outcome", "2-D shot index", "0-d shot index"],
+)
+def test_a_column_off_the_shot_index_is_rejected(column, values):
+    system, _ = run_experiment(replace(CONFIGS["hom"], shots=3))
+    with pytest.raises(ValueError, match=f"{column} column has shape"):
+        replace(system, **{column: values})
