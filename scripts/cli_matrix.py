@@ -56,6 +56,8 @@ COMMANDS = [
     "hom --control-angle 0.3",
     "hom --mode classical-mixture --control-angle 0.3",
     "hom --mode sample --format csv",
+    # a device output is refused: its control stream would land beside it
+    "hom --mode sample --format csv --output /dev/null",
     # chsh
     "chsh --phi 0.3",
     f"chsh {CHSH_ANGLES} --format summary",

@@ -20,12 +20,6 @@ from .protocols import (
     parity_expectation,
     phase_sensitivity,
 )
-from .qubits import (
-    StateVector,
-    bell_relative_state,
-    expectation,
-    tripartite_spin_state,
-)
 from .sampler import (
     ControlStream,
     EmpiricalTable,
@@ -55,10 +49,6 @@ __all__ = [
     "optimal_chsh_angles",
     "parity_expectation",
     "phase_sensitivity",
-    "StateVector",
-    "bell_relative_state",
-    "expectation",
-    "tripartite_spin_state",
     "ControlStream",
     "EmpiricalTable",
     "ExperimentConfig",

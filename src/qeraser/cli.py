@@ -10,7 +10,8 @@ Subcommands::
 Angles are radians unless ``--degrees`` is given.  ``--mode analytic``
 prints closed pipelines; ``sample`` and ``classical-mixture`` draw seeded
 shot streams.  Sampled runs with ``--format csv`` write the system stream
-to ``--output`` and the control/key stream next to it (``NAME.control.EXT``);
+to ``--output``, a regular file or a new path, and the control/key stream
+next to it (``NAME.control.EXT``);
 ``--format summary`` joins the streams and reports conditioned statistics.
 Every output begins with a metadata header that reproduces the run:
 config, seed, generator id, code version.  Exit codes: 0 success,
@@ -360,6 +361,8 @@ def _run_sampled(
     form = _resolved_format(args)
     if form == "csv" and args.output is None:
         raise UsageError("sampled stream output needs --output (or --format summary)")
+    if form == "csv" and os.path.exists(args.output) and not os.path.isfile(args.output):
+        raise UsageError(f"sampled stream output {args.output} exists and is not a regular file")
     chunks = sampler._sample(config)  # a failing plan raises before any file opens
     if form == "csv":
         control_path = _control_path(args.output)
@@ -462,9 +465,7 @@ def _run_chsh(args: argparse.Namespace) -> int:
     if args.mode != "analytic":
         config = _config(args, experiment="chsh", settings=settings)
         return _run_sampled(args, config, _chsh_summary)
-    header = _analytic_header(
-        "chsh", {"phi": args.phi, "settings": list(astuple(settings))}
-    )
+    header = _analytic_header("chsh", {"phi": args.phi, "settings": list(astuple(settings))})
     rows, (up, down, unjoined) = _chsh_analytic(settings, args.phi, args.control_angle)
     with _output_stream(args.output) as out:
         out.write(header + "\n")
@@ -545,18 +546,9 @@ def _run_phase_est(args: argparse.Namespace) -> int:
         rows = []
         for theta in thetas:
             setup = _from_flags(MetrologySetup, args.n, theta, args.phi, args.control_angle)
-            variance = ""
-            if erasing:
-                variance = repr(phase_sensitivity(setup))
-            rows.append(
-                (
-                    theta,
-                    parity_expectation(setup, +1),
-                    parity_expectation(setup, -1),
-                    parity_expectation(setup, None),
-                    variance,
-                )
-            )
+            variance = repr(phase_sensitivity(setup)) if erasing else ""
+            branches = (parity_expectation(setup, outcome) for outcome in (+1, -1, None))
+            rows.append((theta, *branches, variance))
         with _output_stream(args.output) as out:
             out.write(header + "\n")
             if form == "csv":
@@ -565,9 +557,7 @@ def _run_phase_est(args: argparse.Namespace) -> int:
                     "phase_variance\n"
                 )
                 for theta, up, down, raw, variance in rows:
-                    out.write(
-                        f"{theta!r},{up!r},{down!r},{raw!r},{variance}\n"
-                    )
+                    out.write(f"{theta!r},{up!r},{down!r},{raw!r},{variance}\n")
             else:
                 out.write(
                     f"n={args.n} phi={args.phi:.6f} "

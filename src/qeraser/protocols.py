@@ -28,15 +28,7 @@ from typing import Iterable
 from . import _numpy as np
 from . import fock
 from ._record import Record
-from .fock import Statistics
-from .qubits import (
-    _control_amplitudes,
-    _control_projectors,
-    analyzer_observable,
-    expectation,
-    spectral_projectors,
-    tripartite_spin_state,
-)
+from .fock import Statistics, _control_amplitudes
 
 __all__ = [
     "ProbabilityTable",
@@ -83,10 +75,9 @@ class ProbabilityTable(Record):
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
+        values = np.array(self.values, dtype=float)
         if values.shape != (len(self.row_labels), len(self.column_labels)):
             raise ValueError("table shape does not match labels")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -192,30 +183,28 @@ class ChshSettings(Record):
         )
 
 
-def _analyzer_projectors(theta_a: float, theta_b: float) -> dict[str, list[np.ndarray]]:
-    """Projectors of analyzers A at ``theta_a`` and B at ``theta_b`` per joint outcome."""
-    proj_a = spectral_projectors(analyzer_observable(theta_a))
-    proj_b = spectral_projectors(analyzer_observable(theta_b))
-    return {o: [proj_a[_OUTCOME_SIGN[o[0]]], proj_b[_OUTCOME_SIGN[o[1]]]] for o in CHSH_OUTCOMES}
-
-
 def _chsh_columns(
     theta_a: float, theta_b: float, phi: float, control_angle: float
-) -> np.ndarray:
-    """(outcomes, 3) joint probabilities with the control read at ``control_angle``.
+) -> list[tuple[float, float, float]]:
+    """(up, down, up + down) joint probabilities per outcome, control read at ``control_angle``.
 
-    Rows follow ``CHSH_OUTCOMES`` and columns ``TABLE_COLUMNS``: the control
-    read +1, read -1, and their sum.  The one route to a chsh table,
-    analytic or sampled.
+    Rows follow ``CHSH_OUTCOMES``: the one route to a chsh table, analytic
+    or sampled.  Read at angle a, the control leaves the pair in
+    cos(a/2)|pair+> + sin(a/2)|pair-> on +1 and -sin(a/2)|pair+> +
+    cos(a/2)|pair-> on -1, each with weight 1/2.  Since |pair+-> correlate
+    as +-E(theta_a, theta_b) (:func:`optimal_chsh_angles`) with flat marginals
+    and no real cross term, outcomes s, t of A, B and k of the control have
+    p(s, t, k) = (1 + k s t cos(a) cos(theta_a - theta_b + phi)) / 8.
+    Plain ``math``: no array or BLAS kernel sets the bits.  ``qeraser
+    verify`` holds it to the dense route (``chsh-dense-route``).
     """
-    state = tripartite_spin_state(phi)
-    analyzers = _analyzer_projectors(theta_a, theta_b)
-    projectors = _control_projectors(control_angle)
-    up, down = (
-        np.array([expectation(state, [*analyzers[o], projectors[c]]) for o in CHSH_OUTCOMES])
-        for c in (+1, -1)
-    )
-    return np.column_stack([up, down, up + down])
+    correlation = math.cos(control_angle) * math.cos(theta_a - theta_b + phi)
+    rows = []
+    for s, t in CHSH_OUTCOMES:
+        product = _OUTCOME_SIGN[s] * _OUTCOME_SIGN[t] * correlation
+        up, down = (1.0 + product) / 8.0, (1.0 - product) / 8.0
+        rows.append((up, down, up + down))
+    return rows
 
 
 def chsh_table(theta_a: float, theta_b: float, phi: float) -> ProbabilityTable:
@@ -239,7 +228,7 @@ def _chsh_correlators(
     divided by its weight: 1/2 per control branch at every readout, 1 unjoined.
     """
     signs = [_OUTCOME_SIGN[a] * _OUTCOME_SIGN[b] for a, b in CHSH_OUTCOMES]
-    columns = _chsh_columns(theta_a, theta_b, phi, control_angle).T.tolist()
+    columns = zip(*_chsh_columns(theta_a, theta_b, phi, control_angle))
     return tuple(math.fsum(map(operator.mul, signs, c)) / math.fsum(c) for c in columns)
 
 
@@ -272,7 +261,7 @@ def optimal_chsh_angles(phi: float) -> ChshSettings:
 
     With n(theta) = (cos theta, sin theta), E(a, b) = n(a)^T T n(b) for
     the 2x2 block T = <P_i x P_j>, P in (sigma_x, -sigma_y), of the C=up
-    pair state ``bell_relative_state(phi, +1)`` =
+    pair state ``bell_relative_state(phi, +1)`` = |pair+> =
     (|up down> + e^{i phi} |down up>)/sqrt(2).  Its only nonzero
     amplitudes are the swapped pair, so <sigma_x sigma_x> = <sigma_y
     sigma_y> = Re e^{i phi} = cos phi and <sigma_x sigma_y> =

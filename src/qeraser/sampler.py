@@ -286,7 +286,7 @@ def _chsh_quantum(config: ExperimentConfig) -> _Plan:
         pair = dict(setting_a=i, setting_b=j, theta_a=theta_a, theta_b=theta_b, phi=config.phi)
         pairs.append(pair)
         columns = _chsh_columns(theta_a, theta_b, config.phi, config.control_basis_angle)
-        rows.append(columns[:, :2].ravel())  # cells (outcome, +1), (outcome, -1), outcome-major
+        rows.append([cell for row in columns for cell in row[:2]])  # outcome-major, +1 first
     return _Plan(np.array(rows), CHSH_OUTCOMES, pairs)
 
 

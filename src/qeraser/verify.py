@@ -123,6 +123,21 @@ def _prepared_register(setup: MetrologySetup) -> qubits.StateVector:
     )
 
 
+def dense_chsh_columns(
+    theta_a: float, theta_b: float, phi: float, control_angle: float
+) -> list[tuple[float, float, float]]:
+    """:func:`protocols._chsh_columns` as projector expectations on the three-spin state."""
+    state = qubits.tripartite_spin_state(phi)
+    a, b = (qubits.spectral_projectors(qubits.analyzer_observable(t)) for t in (theta_a, theta_b))
+    control = qubits._control_projectors(control_angle)
+    sign, rows = protocols._OUTCOME_SIGN, []
+    for s, t in protocols.CHSH_OUTCOMES:
+        factors = [a[sign[s]], b[sign[t]]]
+        up, down = (qubits.expectation(state, [*factors, control[k]]) for k in (+1, -1))
+        rows.append((up, down, up + down))
+    return rows
+
+
 def _check_state_constructors() -> None:
     for phi in _PHI_GRID:
         for state in (
@@ -412,6 +427,18 @@ def _check_metrology_dense_route() -> None:
             )
 
 
+def _check_chsh_dense_route() -> None:
+    # closed-form chsh cells against the dense route: random settings, erasing and random readouts
+    rng = np.random.default_rng(18)
+    for _ in range(64):
+        theta_a, theta_b, phi, readout = rng.uniform(-TWO_PI, TWO_PI, size=4).tolist()
+        for control_angle in (protocols._ERASING_ANGLE["chsh"], readout):
+            settings = (theta_a, theta_b, phi, control_angle)
+            closed, dense = protocols._chsh_columns(*settings), dense_chsh_columns(*settings)
+            distance = np.abs(np.subtract(closed, dense)).max()
+            assert distance <= 1e-15, f"closed form off the dense route by {distance} at {settings}"
+
+
 def _check_phase_sensitivity() -> None:
     for n in range(1, 21):
         theta = 0.4 / n  # keeps sin(n theta + phi) well away from zero
@@ -574,6 +601,7 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("parity-which-way-zero", _check_parity_which_way_zero),
     ("control-marginal-half", _check_control_marginal_half),
     ("metrology-dense-route", _check_metrology_dense_route),
+    ("chsh-dense-route", _check_chsh_dense_route),
     ("phase-sensitivity-heisenberg", _check_phase_sensitivity),
     ("fringe-slope-finite-difference", _check_fringe_slope),
     ("zero-discord-marginal", _check_zero_discord_marginal),

@@ -296,6 +296,30 @@ def test_a_control_path_that_cannot_open_leaves_the_system_file(earlier, tmp_pat
         assert not output.exists()
 
 
+@pytest.mark.parametrize("kind", ["device", "pipe", "directory"])
+def test_a_stream_output_that_is_not_a_regular_file_is_refused(kind, tmp_path, capsys):
+    # its control stream would land beside it: /dev/null.control, say
+    if kind == "device":
+        output = os.devnull
+    else:
+        output = str(tmp_path / "run.csv")
+        if kind == "pipe":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("no named pipes on this platform")
+            os.mkfifo(output)
+        else:
+            os.mkdir(output)
+    control_existed = os.path.lexists(cli._control_path(output))
+    opening = mock.patch.object(cli, "_stream_files", side_effect=AssertionError("opened"))
+    with opening:
+        code = main(sampled_argv("hom", "sample", 10, 0, "csv") + ["--output", output])
+    assert code == 2
+    assert "is not a regular file" in capsys.readouterr().err
+    assert os.path.lexists(cli._control_path(output)) == control_existed
+    if kind != "device":
+        assert [path.name for path in tmp_path.iterdir()] == ["run.csv"]
+
+
 def test_a_device_beside_a_file_is_written_and_not_emptied(tmp_path):
     # a device or a pipe cannot be truncated; mode "wb" skips them, and so must the pair
     control = tmp_path / "run.control.csv"

@@ -44,6 +44,9 @@ def imported_modules(argv):
     [
         (["phase-est", "--n", "4", "--theta-scan", "0:6.2832:64"], 0),
         (["phase-est", "--n", "4", "--theta", "0.3", "--format", "summary"], 0),
+        # the chsh cells are a closed form in plain math
+        (["chsh", "--phi", "0.3", "--optimize", "--format", "csv"], 0),
+        (["chsh", "--phi", "0.3", "--optimize", "--format", "summary"], 0),
         (["--version"], 0),
         (["phase-est", "--theta-scan", "0:1"], 2),
     ],

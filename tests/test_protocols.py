@@ -270,7 +270,7 @@ class TestConditionalCorrelator:
             expected = oracles.chsh_readout_correlator(theta_a, theta_b, phi, readout, branch)
             assert abs(value - expected) <= 1e-12
         assert abs(unjoined) <= 1e-12
-        weights = _chsh_columns(theta_a, theta_b, phi, readout).sum(axis=0)
+        weights = np.sum(_chsh_columns(theta_a, theta_b, phi, readout), axis=0)
         np.testing.assert_allclose(weights, [0.5, 0.5, 1.0], rtol=0, atol=1e-12)
 
 
