@@ -93,6 +93,13 @@ COMMANDS = [
     "phase-est --n 2 --mode classical-mixture --shots 300 --theta 0.5",
     "phase-est --n 2 --mode classical-mixture --shots 200 --theta-scan 0:1:2 --format csv"
     " --output pm.csv",
+    # a one-shot run: one empty branch and two one-shot sets, then two shots
+    "phase-est --n 3 --mode sample --shots 1 --theta 0.3 --seed 4 --format csv",
+    "phase-est --n 3 --mode sample --shots 2 --theta 0.3 --seed 4 --format csv",
+    # runs of several sampling chunks, in both formats
+    "phase-est --n 5 --mode sample --shots 9000 --theta-scan 0:3:2",
+    "phase-est --n 5 --mode sample --shots 9000 --theta-scan 0:3:2 --control-angle 1.2"
+    " --format csv",
     "phase-est --n 2 --mode classical-mixture --control-angle 0.3",
     "phase-est --n 30",
     "phase-est --theta 1 --theta-scan 0:1:2",
