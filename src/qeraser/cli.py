@@ -511,10 +511,29 @@ def _chsh_estimate(sums: np.ndarray) -> tuple[str, str]:
     return estimate, f"{(abs(s) - 2.0) / err:.2f} standard errors"
 
 
-def _safe_parity(records: sampler.SystemStream) -> tuple[float, float]:
-    if len(records) == 0:
-        return math.nan, math.nan
-    return sampler.empirical_parity(records)
+def _parity_estimates(config: ExperimentConfig) -> list[float]:
+    """Mean parity and standard error of the C=up, C=down and unjoined sets, flat.
+
+    Two passes over the run's chunks, which hold one chunk at a time.  The
+    first joins them and counts each set's parities, which fix its size
+    and exact mean.  The second replays the same counter-based chunks and
+    adds each set's squared deviations in shot order, as ``np.std(ddof=1)``
+    adds them, so every value equals :func:`sampler.empirical_parity` of
+    the set bit for bit.  An empty set reads nan.
+    """
+    joins = itertools.starmap(sampler.delayed_join, sampler._sample(config))
+    counts = sum(map(lambda j: sampler._outcome_counts(j.system, j.control.outcome), joins))
+    sets = [
+        sampler._Parity(sampler._PARITY_ROWS, per_code)
+        for per_code in (counts[:, 0], counts[:, 1], counts.sum(axis=1))
+    ]
+    for system, control in sampler._sample(config):  # the chunks that joined above
+        outcome, up = system.outcome, control.outcome == 1
+        # index lists take each set faster than a boolean mask selects it
+        split = (outcome.take(np.flatnonzero(up)), outcome.take(np.flatnonzero(~up)), outcome)
+        for parity, codes in zip(sets, split):
+            parity.add(codes)
+    return [value for parity in sets for value in parity.estimate()]
 
 
 def _phase_points(args: argparse.Namespace) -> list[float]:
@@ -576,12 +595,7 @@ def _run_phase_est(args: argparse.Namespace) -> int:
     for index, theta in enumerate(thetas):
         seed = (args.seed + index) % 2**64
         config = _from_flags(replace, base_config, seed=seed, theta=theta)
-        system, control = sampler.run_experiment(config)
-        joined = sampler.delayed_join(system, control)
-        up = _safe_parity(joined.labeled(+1))
-        down = _safe_parity(joined.labeled(-1))
-        raw = _safe_parity(joined.system)
-        rows.append((theta, *up, *down, *raw))
+        rows.append((theta, *_parity_estimates(config)))
 
     header = sampler._header_line(
         {

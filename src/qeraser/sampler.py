@@ -202,10 +202,10 @@ class ExperimentConfig(Record):
             raise ValueError(f"register size {self.n} outside supported range 1..20")
 
 
-# shots per chunk of draws, selection, joins, counts and line writing:
-# every per-shot temporary is O(_CHUNK); only whole-run columns are O(shots)
-_CHUNK = 1 << 14
-_RAW_BLOCK = 1 << 12  # shots whose raw Philox words (128 KiB) are drawn at once
+# shots per chunk of draws, selection, joins, counts and line writing, each
+# chunk one raw Philox draw (128 KiB): every per-shot temporary is O(_CHUNK);
+# only whole-run columns are O(shots)
+_CHUNK = 1 << 12
 _ROW_BLOCK = 1 << 10  # CSV lines rendered at once, into buffers each block reuses
 
 
@@ -220,15 +220,15 @@ def _shot_uniforms(generator: np.random.Philox, shots: int, columns: int) -> np.
 
     Column i of the result is the private substream of the i-th shot not
     yet drawn, since consecutive ``random_raw`` calls continue one counter
-    sequence.  All four words of every block are drawn, so the counter
-    moves on by ``shots`` blocks; only the leading ``columns`` are converted.
+    sequence.  All four words of every block are drawn, in one call, so the
+    counter moves on by ``shots`` blocks; only the leading ``columns`` are
+    converted.
     """
+    raw = generator.random_raw(4 * shots).reshape(-1, 4)
     uniforms = np.empty((columns, shots))
-    for start in range(0, shots, _RAW_BLOCK):
-        part = uniforms[:, start : start + _RAW_BLOCK]
-        raw = generator.random_raw(4 * part.shape[1]).reshape(-1, 4)
-        for k, row in enumerate(part):
-            np.multiply(raw[:, k] >> np.uint64(11), 2.0**-53, out=row)
+    for k, row in enumerate(uniforms):
+        # 53-bit integers, so the int64 view converts to float as exactly and faster
+        np.multiply((raw[:, k] >> np.uint64(11)).view(np.int64), 2.0**-53, out=row)
     return uniforms
 
 
@@ -250,13 +250,18 @@ def _cell_indices(uniforms: np.ndarray, cumulative: np.ndarray, rows: np.ndarray
     place, lands in [cum[c-1], cum[c]); a zero-width interval is unselectable.
     """
     bounds = cumulative.T  # bounds[c] holds cum[c] of every distribution
-    rows = rows.astype(np.intp)
-    bound = bounds[-1].take(rows)
-    scaled = np.multiply(uniforms, bound, out=uniforms)
-    indices = np.zeros(len(rows), dtype=np.int8)  # a plan has at most 8 cells
-    for column in bounds:
-        indices += scaled >= column.take(rows, out=bound, mode="clip")
-    return np.minimum(indices, len(bounds) - 1, out=indices)
+    if len(cumulative) == 1:  # one distribution: its bounds broadcast over the shots
+        per_shot = lambda column: column  # noqa: E731
+    else:
+        rows, gathered = rows.astype(np.intp), np.empty(len(rows))
+        per_shot = lambda column: column.take(rows, out=gathered, mode="clip")  # noqa: E731
+    scaled = np.multiply(uniforms, per_shot(bounds[-1]), out=uniforms)
+    indices = np.zeros(len(uniforms), dtype=np.int8)  # a plan has at most 8 cells
+    # bounds never decrease, so a draw at or past the last one, which rounding
+    # can give, passes every earlier one too and takes the last cell
+    for column in bounds[:-1]:
+        indices += scaled >= per_shot(column)
+    return indices
 
 
 class _Plan(NamedTuple):
@@ -385,9 +390,10 @@ def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStrea
     :func:`_sample` are gathered into whole-run columns, in either mode.
     """
     shots = np.arange(config.shots)
-    outcome = np.empty(config.shots, dtype=int)
-    rows = np.empty(config.shots, dtype=int)
-    control_outcome = np.empty(config.shots, dtype=int)
+    # int8 as the chunks are: outcomes, rows and signs are small codes
+    outcome = np.empty(config.shots, dtype=np.int8)
+    rows = np.empty(config.shots, dtype=np.int8)
+    control_outcome = np.empty(config.shots, dtype=np.int8)
     for part, (system, control) in zip(_chunks(config.shots), _sample(config)):
         outcome[part] = system.outcome
         rows[part] = system.setting_row
@@ -670,13 +676,98 @@ def empirical_parity(records: SystemStream) -> tuple[float, float]:
     """Mean register parity of a system stream and its standard error."""
     if len(records) == 0:
         raise ValueError("cannot estimate parity from an empty record set")
-    _check_codes(records)
-    parity_of = np.array([int(label) for label in records.labels], dtype=float)
-    outcomes = parity_of[records.outcome]
-    mean = float(outcomes.mean())
-    if len(outcomes) == 1:
-        return mean, 1.0
-    return mean, float(outcomes.std(ddof=1) / math.sqrt(len(outcomes)))
+    parity = _Parity(records.labels, _outcome_counts(records)[:, 0])
+    parity.add(records.outcome)
+    return parity.estimate()
+
+
+class _Parity:
+    """Mean parity of a set of shots and its standard error, ``np.std(ddof=1) / sqrt(n)``.
+
+    ``counts`` holds the set's shots per outcome code, so the mean is
+    exact and independent of shot order.  The standard error is not: the
+    set's outcome codes are then added, in shot order and in pieces of any
+    size, and their squared deviations summed as ``np.std`` sums them.
+    """
+
+    def __init__(self, labels: Sequence[str], counts: np.ndarray) -> None:
+        parities = [int(label) for label in labels]
+        self.count = int(sum(counts))
+        total = sum(p * int(c) for p, c in zip(parities, counts))
+        self.mean = total / self.count if self.count else math.nan
+        deviations = np.array(parities, dtype=float) - self.mean
+        self._squares = deviations * deviations
+        self._square_sum = _PairwiseSum(self.count)
+
+    def add(self, codes: np.ndarray) -> None:
+        self._square_sum.add(self._squares.take(codes))
+
+    def estimate(self) -> tuple[float, float]:
+        """(mean, standard error); 1.0 for one shot, nan for none."""
+        if self.count < 2:
+            return self.mean, (1.0 if self.count else math.nan)
+        variance = self._square_sum.total() / (self.count - 1)
+        return self.mean, math.sqrt(variance) / math.sqrt(self.count)
+
+
+# terms of the largest subtree that _PairwiseSum hands numpy whole, in one
+# np.add.reduce call; at least numpy's own 128-term leaf
+_SUM_RUN = 1 << 12
+
+
+def _subtrees(n: int, depth: int = 0) -> Iterator[tuple[int, int]]:
+    """(terms, depth) of the subtrees of numpy's sum of ``n`` terms that
+    :class:`_PairwiseSum` adds whole, in order."""
+    if n <= _SUM_RUN:
+        yield n, depth
+    else:
+        half = n // 2 - n // 2 % 8
+        yield from _subtrees(half, depth + 1)
+        yield from _subtrees(n - half, depth + 1)
+
+
+class _PairwiseSum:
+    """``np.add.reduce`` of ``n`` float64 terms, bit for bit, fed in order in pieces.
+
+    numpy adds a contiguous float64 reduction pairwise: at most 128 terms
+    in 8 lanes, and a longer run as the sum of its halves, split at
+    ``n // 2`` rounded down to a multiple of 8.  That tree depends on
+    ``n`` alone.  So this sum splits as numpy does down to subtrees of at
+    most ``_SUM_RUN`` terms, adds each with one ``np.add.reduce`` call as
+    soon as its terms are in, and adds the subtree sums along the tree.
+    It holds the terms of one unfinished subtree, and one sum per level.
+    """
+
+    def __init__(self, n: int) -> None:
+        self._runs = _subtrees(n)
+        self._run: tuple[int, int] | None = next(self._runs)
+        self._held = [np.empty(0)]  # pieces of terms in no finished subtree yet
+        self._count = 0  # terms in them
+        self._sums: list[tuple[float, int]] = []  # (sum, depth) of finished left subtrees
+
+    def add(self, terms: np.ndarray) -> None:
+        if len(terms):
+            terms = np.asarray(terms, dtype=float)
+            self._held = [*self._held, terms] if self._count else [terms]
+            self._count += len(terms)
+        while self._run is not None and self._run[0] <= self._count:
+            held = self._held[0] if len(self._held) == 1 else np.concatenate(self._held)
+            length, depth = self._run
+            total = float(np.add.reduce(held[:length]))
+            # a subtree as deep as the last finished one is its right sibling
+            while self._sums and self._sums[-1][1] == depth:
+                total = self._sums.pop()[0] + total
+                depth -= 1
+            self._sums.append((total, depth))
+            self._held, self._count = [held[length:]], self._count - length
+            self._run = next(self._runs, None)
+
+    def total(self) -> float:
+        """The sum of all ``n`` terms; ValueError if fewer or more were added."""
+        self.add(())  # the sum of 0 terms is its one empty subtree
+        if self._run is not None or self._count:
+            raise ValueError("the terms added are not as many as the sum was made for")
+        return 0.0 + self._sums[0][0]  # numpy starts a sum at +0.0, so -0.0 reads +0.0
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

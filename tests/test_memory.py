@@ -5,10 +5,10 @@ tracemalloc, so a traced peak counts every column and temporary a call
 allocates.  Generation and writing work in chunks of shots and the join
 of shot-ordered streams copies nothing, so the only allocations of a
 library run that grow with the shot count are its finished stream
-columns.  The sampled ``hom``/``chsh`` CLI runs hold no whole-run column
-at all: they hold one chunk of shots at a time, and their peak RSS, read
-from a fresh child's own ``wait4`` rusage, does not grow with the shot
-count.
+columns.  The sampled CLI runs hold no whole-run column at all: they
+hold one chunk of shots at a time, ``phase-est`` over two passes, and
+their peak RSS, read from a fresh child's own ``wait4`` rusage, does not
+grow with the shot count.
 """
 
 import io
@@ -134,10 +134,12 @@ def test_a_dropped_chunk_is_freed_before_the_next_draw(experiment, mode):
 def test_sampled_cli_paths_hold_one_chunk_of_working_set(experiment, mode):
     """The CSV writer and the summary sums of the CLI, as ``cli._run_sampled`` runs them.
 
-    A sampler that holds each chunk while it draws the next, or builds
-    int64 columns and whole-chunk byte matrices (about 370 bytes per
-    shot), peaks at 2.7 to 4.5 MiB on the CSV path and at 1.6 to 1.9 MiB
-    on the summary path.
+    With chunks of one 2**12-shot raw draw, the CSV path peaks at 0.39
+    to 0.51 MiB and the summary path at 0.22 to 0.29 MiB.  Chunks of
+    2**14 shots, each drawn in four blocks, peak at 0.75 to 1.03 MiB and
+    0.44 to 0.69 MiB; a sampler that holds each chunk while it draws the
+    next, or builds int64 columns and whole-chunk byte matrices (about
+    370 bytes per shot), peaks at 2.7 to 4.5 MiB and 1.6 to 1.9 MiB.
     """
     config = sampled_config(experiment, mode, 1_000_000)
     sampler._sample(config)  # the first plan loads modules; no chunk loop does
@@ -150,7 +152,7 @@ def test_sampled_cli_paths_hold_one_chunk_of_working_set(experiment, mode):
     _, sums = traced_peak(
         lambda: summary(config, itertools.starmap(delayed_join, sampler._sample(config)))
     )
-    assert csv <= 1.5 * MIB and sums <= 1.5 * MIB, (csv / MIB, sums / MIB)
+    assert csv <= 0.75 * MIB and sums <= 0.75 * MIB, (csv / MIB, sums / MIB)
 
 
 @MODES
@@ -159,7 +161,7 @@ def test_index_digits_are_rendered_one_row_block_at_a_time(experiment, mode):
     """Both streams of a full chunk share digits made per row block, never per chunk.
 
     Rendered per chunk, the digits and their integer temporaries take
-    about 32 bytes per shot: a 2**14-shot chunk then peaks about 400 KB
+    about 32 bytes per shot: a 2**12-shot chunk then peaks about 100 KB
     above a chunk of one row block.
     """
     width = len(str(sampler._CHUNK - 1))
@@ -239,3 +241,14 @@ def test_sampled_cli_peak_rss_does_not_grow_with_the_shot_count(tmp_path):
         assert large - small < 4.0, (argv, small, large)
     for path in tmp_path.iterdir():  # about 130 MB of CSV
         path.unlink()
+
+
+def test_phase_est_sample_peak_rss_does_not_grow_with_the_shot_count():
+    """Two passes over the chunks replace whole-run columns of about 52 bytes per shot.
+
+    Those columns peaked at 44.4 MiB at 2.5e5 shots and at 230.2 MiB at 4e6.
+    """
+    argv = ["phase-est", "--n", "10", "--mode", "sample", "--theta", "0.3"]
+    small = child_peak_mib([*argv, "--shots", "250000"])
+    large = child_peak_mib([*argv, "--shots", "4000000"])
+    assert abs(large - small) < 1.0, (small, large)

@@ -19,6 +19,7 @@ from scipy.stats import chi2_contingency
 
 import oracles
 from qeraser import fock, sampler
+from qeraser._record import replace
 from qeraser.protocols import (
     _ERASING_ANGLE,
     _OUTCOME_SIGN,
@@ -511,6 +512,40 @@ class TestEmpiricalParity:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty record set"):
             empirical_parity(parity_records())
+
+
+class TestRunColumns:
+    """``run_experiment`` keeps the chunks' int8 codes; every statistic reads them as int64."""
+
+    @pytest.mark.parametrize("mode", ["quantum", "classical_mixture"])
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_int8_columns_give_the_statistics_of_int64_copies(self, experiment, mode):
+        erasing = {"control_basis_angle": _ERASING_ANGLE[experiment]}
+        config = ALL_CONFIGS[experiment](shots=3 * sampler._CHUNK + 5, mode=mode, **erasing)
+        system, control = run_experiment(config)
+        assert system.shot_index.dtype == np.int64
+        assert system.outcome.dtype == system.setting_row.dtype == control.outcome.dtype == np.int8
+        wide_system = replace(
+            system,
+            outcome=system.outcome.astype(np.int64),
+            setting_row=system.setting_row.astype(np.int64),
+        )
+        wide_control = replace(control, outcome=control.outcome.astype(np.int64))
+        narrow, wide = delayed_join(system, control), delayed_join(wide_system, wide_control)
+        for split in (False, True):
+            tables = [
+                empirical_table(joined.system, joined.control.outcome if split else None)
+                for joined in (narrow, wide)
+            ]
+            assert tables[0].column_labels == tables[1].column_labels
+            for name in ("values", "counts", "standard_errors", "flagged"):
+                np.testing.assert_array_equal(getattr(tables[0], name), getattr(tables[1], name))
+        for outcome in (+1, -1):
+            pair = (narrow.labeled(outcome), wide.labeled(outcome))
+            if experiment == "chsh":
+                assert chsh_statistic(pair[0]) == chsh_statistic(pair[1])
+            if experiment == "metrology":
+                assert empirical_parity(pair[0]) == empirical_parity(pair[1])
 
 
 def hom_joint_probability(phi, statistics, control_angle, pattern, outcome):
