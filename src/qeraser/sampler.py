@@ -747,8 +747,9 @@ class _PairwiseSum:
 
     def add(self, terms: np.ndarray) -> None:
         if len(terms):
-            terms = np.asarray(terms, dtype=float)
-            self._held = [*self._held, terms] if self._count else [terms]
+            if not self._count:
+                self._held = []
+            self._held.append(np.asarray(terms, dtype=float))
             self._count += len(terms)
         while self._run is not None and self._run[0] <= self._count:
             held = self._held[0] if len(self._held) == 1 else np.concatenate(self._held)

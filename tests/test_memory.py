@@ -246,7 +246,7 @@ def test_sampled_cli_peak_rss_does_not_grow_with_the_shot_count(tmp_path):
 def test_phase_est_sample_peak_rss_does_not_grow_with_the_shot_count():
     """Two passes over the chunks replace whole-run columns of about 52 bytes per shot.
 
-    Those columns peaked at 44.4 MiB at 2.5e5 shots and at 230.2 MiB at 4e6.
+    Those columns peaked at 44.4 MiB at 2.5e5 shots and at 233.7 MiB at 4e6.
     """
     argv = ["phase-est", "--n", "10", "--mode", "sample", "--theta", "0.3"]
     small = child_peak_mib([*argv, "--shots", "250000"])
