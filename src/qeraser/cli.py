@@ -511,31 +511,6 @@ def _chsh_estimate(sums: np.ndarray) -> tuple[str, str]:
     return estimate, f"{(abs(s) - 2.0) / err:.2f} standard errors"
 
 
-def _parity_estimates(config: ExperimentConfig) -> list[float]:
-    """Mean parity and standard error of the C=up, C=down and unjoined sets, flat.
-
-    Two passes over the run's chunks, which hold one chunk at a time.  The
-    first joins them and counts each set's parities, which fix its size
-    and exact mean.  The second replays the same counter-based chunks and
-    adds each set's squared deviations in shot order, as ``np.std(ddof=1)``
-    adds them, so every value equals :func:`sampler.empirical_parity` of
-    the set bit for bit.  An empty set reads nan.
-    """
-    joins = itertools.starmap(sampler.delayed_join, sampler._sample(config))
-    counts = sum(map(lambda j: sampler._outcome_counts(j.system, j.control.outcome), joins))
-    sets = [
-        sampler._Parity(sampler._PARITY_ROWS, per_code)
-        for per_code in (counts[:, 0], counts[:, 1], counts.sum(axis=1))
-    ]
-    for system, control in sampler._sample(config):  # the chunks that joined above
-        outcome, up = system.outcome, control.outcome == 1
-        # index lists take each set faster than a boolean mask selects it
-        split = (outcome.take(np.flatnonzero(up)), outcome.take(np.flatnonzero(~up)), outcome)
-        for parity, codes in zip(sets, split):
-            parity.add(codes)
-    return [value for parity in sets for value in parity.estimate()]
-
-
 def _phase_points(args: argparse.Namespace) -> list[float]:
     if args.theta_scan is not None and args.theta is not None:
         raise UsageError("--theta and --theta-scan are mutually exclusive")
@@ -595,7 +570,7 @@ def _run_phase_est(args: argparse.Namespace) -> int:
     for index, theta in enumerate(thetas):
         seed = (args.seed + index) % 2**64
         config = _from_flags(replace, base_config, seed=seed, theta=theta)
-        rows.append((theta, *_parity_estimates(config)))
+        rows.append((theta, *sampler._parity_estimates(config)))
 
     header = sampler._header_line(
         {

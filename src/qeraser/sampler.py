@@ -227,8 +227,7 @@ def _shot_uniforms(generator: np.random.Philox, shots: int, columns: int) -> np.
     raw = generator.random_raw(4 * shots).reshape(-1, 4)
     uniforms = np.empty((columns, shots))
     for k, row in enumerate(uniforms):
-        # 53-bit integers, so the int64 view converts to float as exactly and faster
-        np.multiply((raw[:, k] >> np.uint64(11)).view(np.int64), 2.0**-53, out=row)
+        np.multiply(raw[:, k] >> np.uint64(11), 2.0**-53, out=row)
     return uniforms
 
 
@@ -250,17 +249,14 @@ def _cell_indices(uniforms: np.ndarray, cumulative: np.ndarray, rows: np.ndarray
     place, lands in [cum[c-1], cum[c]); a zero-width interval is unselectable.
     """
     bounds = cumulative.T  # bounds[c] holds cum[c] of every distribution
-    if len(cumulative) == 1:  # one distribution: its bounds broadcast over the shots
-        per_shot = lambda column: column  # noqa: E731
-    else:
-        rows, gathered = rows.astype(np.intp), np.empty(len(rows))
-        per_shot = lambda column: column.take(rows, out=gathered, mode="clip")  # noqa: E731
-    scaled = np.multiply(uniforms, per_shot(bounds[-1]), out=uniforms)
-    indices = np.zeros(len(uniforms), dtype=np.int8)  # a plan has at most 8 cells
+    rows = rows.astype(np.intp)
+    bound = bounds[-1].take(rows)
+    scaled = np.multiply(uniforms, bound, out=uniforms)
+    indices = np.zeros(len(rows), dtype=np.int8)  # a plan has at most 8 cells
     # bounds never decrease, so a draw at or past the last one, which rounding
     # can give, passes every earlier one too and takes the last cell
     for column in bounds[:-1]:
-        indices += scaled >= per_shot(column)
+        indices += scaled >= column.take(rows, out=bound, mode="clip")
     return indices
 
 
@@ -769,6 +765,34 @@ class _PairwiseSum:
         if self._run is not None or self._count:
             raise ValueError("the terms added are not as many as the sum was made for")
         return 0.0 + self._sums[0][0]  # numpy starts a sum at +0.0, so -0.0 reads +0.0
+
+
+def _parity_sets(chunks: Iterator[tuple[SystemStream, ControlStream]]) -> Iterator[tuple]:
+    """Per chunk, the outcome codes of its C=up, C=down and unjoined shots, in shot order."""
+    for system, control in chunks:
+        outcome, up = system.outcome, control.outcome == 1
+        # index lists take each set faster than a boolean mask selects it
+        yield outcome.take(np.flatnonzero(up)), outcome.take(np.flatnonzero(~up)), outcome
+
+
+def _parity_estimates(config: ExperimentConfig) -> list[float]:
+    """Mean parity and standard error of a metrology run's C=up, C=down and unjoined sets, flat.
+
+    Two passes over the run's chunks, which hold one chunk at a time.  The
+    first counts each set's parities, which fix its size and exact mean.
+    The second replays the same counter-based chunks, splits them the same
+    way and adds each set's squared deviations in shot order, as
+    ``np.std(ddof=1)`` adds them, so every value equals
+    :func:`empirical_parity` of the set bit for bit.  An empty set reads nan.
+    """
+    counts = np.zeros((3, len(_PARITY_ROWS)), dtype=np.int64)
+    for codes in _parity_sets(_sample(config)):
+        counts += [np.bincount(c, minlength=len(_PARITY_ROWS)) for c in codes]
+    sets = [_Parity(_PARITY_ROWS, per_code) for per_code in counts]
+    for codes in _parity_sets(_sample(config)):  # the chunks counted above
+        for parity, c in zip(sets, codes):
+            parity.add(c)
+    return [value for parity in sets for value in parity.estimate()]
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

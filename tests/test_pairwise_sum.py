@@ -86,3 +86,27 @@ def test_a_sum_fed_more_or_fewer_terms_refuses_to_total(fed):
     total.add(np.ones(fed))
     with pytest.raises(ValueError, match="not as many"):
         total.total()
+
+
+def expected_estimates(config: sampler.ExperimentConfig) -> list[str]:
+    joined = sampler.delayed_join(*sampler.run_experiment(config))
+    values = []
+    for records in (joined.labeled(+1), joined.labeled(-1), joined.system):
+        values += sampler.empirical_parity(records) if len(records) else (math.nan, math.nan)
+    return list(map(repr, values))
+
+
+@pytest.mark.parametrize(
+    "shots, n, theta, angle, seed",
+    [
+        (1, 3, 0.3, 0.0, 4),  # one empty branch and two one-shot sets
+        (2, 3, 0.3, 0.0, 4),
+        (9000, 5, 1.5, 1.2, 7),  # three chunks, the last one ragged
+        (3 * sampler._CHUNK, 10, 0.3, 0.0, 11),
+    ],
+)
+def test_streamed_estimates_are_empirical_parity_of_each_joined_set(shots, n, theta, angle, seed):
+    config = sampler.ExperimentConfig(
+        "metrology", shots, seed, n=n, theta=theta, control_basis_angle=angle
+    )
+    assert list(map(repr, sampler._parity_estimates(config))) == expected_estimates(config)
