@@ -672,127 +672,38 @@ def empirical_parity(records: SystemStream) -> tuple[float, float]:
     """Mean register parity of a system stream and its standard error."""
     if len(records) == 0:
         raise ValueError("cannot estimate parity from an empty record set")
-    parity = _Parity(records.labels, _outcome_counts(records)[:, 0])
-    parity.add(records.outcome)
-    return parity.estimate()
+    if tuple(records.labels) != _PARITY_ROWS:
+        raise ValueError("empirical_parity needs metrology records")
+    return _parity_estimate(_outcome_counts(records)[:, 0])
 
 
-class _Parity:
-    """Mean parity of a set of shots and its standard error, ``np.std(ddof=1) / sqrt(n)``.
+def _parity_estimate(counts: Sequence[int]) -> tuple[float, float]:
+    """Mean and standard error of a set of +-1 parities from its (+1, -1) counts.
 
-    ``counts`` holds the set's shots per outcome code, so the mean is
-    exact and independent of shot order.  The standard error is not: the
-    set's outcome codes are then added, in shot order and in pieces of any
-    size, and their squared deviations summed as ``np.std`` sums them.
+    The mean is (n+ - n-) / n.  The error is ``std(ddof=1) / sqrt(n)`` in
+    closed form: the squared deviations of the set sum to 4 n+ n- / n, and
+    Python rounds the int quotient 4 n+ n- / (n (n - 1)) correctly at any
+    size.  One shot reads an error of 1.0; no shot reads nan for both.
     """
-
-    def __init__(self, labels: Sequence[str], counts: np.ndarray) -> None:
-        parities = [int(label) for label in labels]
-        self.count = int(sum(counts))
-        total = sum(p * int(c) for p, c in zip(parities, counts))
-        self.mean = total / self.count if self.count else math.nan
-        deviations = np.array(parities, dtype=float) - self.mean
-        self._squares = deviations * deviations
-        self._square_sum = _PairwiseSum(self.count)
-
-    def add(self, codes: np.ndarray) -> None:
-        self._square_sum.add(self._squares.take(codes))
-
-    def estimate(self) -> tuple[float, float]:
-        """(mean, standard error); 1.0 for one shot, nan for none."""
-        if self.count < 2:
-            return self.mean, (1.0 if self.count else math.nan)
-        variance = self._square_sum.total() / (self.count - 1)
-        return self.mean, math.sqrt(variance) / math.sqrt(self.count)
-
-
-# terms of the largest subtree that _PairwiseSum hands numpy whole, in one
-# np.add.reduce call; at least numpy's own 128-term leaf
-_SUM_RUN = 1 << 12
-
-
-def _subtrees(n: int, depth: int = 0) -> Iterator[tuple[int, int]]:
-    """(terms, depth) of the subtrees of numpy's sum of ``n`` terms that
-    :class:`_PairwiseSum` adds whole, in order."""
-    if n <= _SUM_RUN:
-        yield n, depth
-    else:
-        half = n // 2 - n // 2 % 8
-        yield from _subtrees(half, depth + 1)
-        yield from _subtrees(n - half, depth + 1)
-
-
-class _PairwiseSum:
-    """``np.add.reduce`` of ``n`` float64 terms, bit for bit, fed in order in pieces.
-
-    numpy adds a contiguous float64 reduction pairwise: at most 128 terms
-    in 8 lanes, and a longer run as the sum of its halves, split at
-    ``n // 2`` rounded down to a multiple of 8.  That tree depends on
-    ``n`` alone.  So this sum splits as numpy does down to subtrees of at
-    most ``_SUM_RUN`` terms, adds each with one ``np.add.reduce`` call as
-    soon as its terms are in, and adds the subtree sums along the tree.
-    It holds the terms of one unfinished subtree, and one sum per level.
-    """
-
-    def __init__(self, n: int) -> None:
-        self._runs = _subtrees(n)
-        self._run: tuple[int, int] | None = next(self._runs)
-        self._held = [np.empty(0)]  # pieces of terms in no finished subtree yet
-        self._count = 0  # terms in them
-        self._sums: list[tuple[float, int]] = []  # (sum, depth) of finished left subtrees
-
-    def add(self, terms: np.ndarray) -> None:
-        if len(terms):
-            if not self._count:
-                self._held = []
-            self._held.append(np.asarray(terms, dtype=float))
-            self._count += len(terms)
-        while self._run is not None and self._run[0] <= self._count:
-            held = self._held[0] if len(self._held) == 1 else np.concatenate(self._held)
-            length, depth = self._run
-            total = float(np.add.reduce(held[:length]))
-            # a subtree as deep as the last finished one is its right sibling
-            while self._sums and self._sums[-1][1] == depth:
-                total = self._sums.pop()[0] + total
-                depth -= 1
-            self._sums.append((total, depth))
-            self._held, self._count = [held[length:]], self._count - length
-            self._run = next(self._runs, None)
-
-    def total(self) -> float:
-        """The sum of all ``n`` terms; ValueError if fewer or more were added."""
-        self.add(())  # the sum of 0 terms is its one empty subtree
-        if self._run is not None or self._count:
-            raise ValueError("the terms added are not as many as the sum was made for")
-        return 0.0 + self._sums[0][0]  # numpy starts a sum at +0.0, so -0.0 reads +0.0
-
-
-def _parity_sets(chunks: Iterator[tuple[SystemStream, ControlStream]]) -> Iterator[tuple]:
-    """Per chunk, the outcome codes of its C=up, C=down and unjoined shots, in shot order."""
-    for system, control in chunks:
-        outcome, up = system.outcome, control.outcome == 1
-        # index lists take each set faster than a boolean mask selects it
-        yield outcome.take(np.flatnonzero(up)), outcome.take(np.flatnonzero(~up)), outcome
+    plus, minus = map(int, counts)
+    n = plus + minus
+    if n < 2:
+        return ((plus - minus) / n, 1.0) if n else (math.nan, math.nan)
+    return (plus - minus) / n, math.sqrt(4 * plus * minus / (n * (n - 1))) / math.sqrt(n)
 
 
 def _parity_estimates(config: ExperimentConfig) -> list[float]:
     """Mean parity and standard error of a metrology run's C=up, C=down and unjoined sets, flat.
 
-    Two passes over the run's chunks, which hold one chunk at a time.  The
-    first counts each set's parities, which fix its size and exact mean.
-    The second replays the same counter-based chunks, splits them the same
-    way and adds each set's squared deviations in shot order, as
-    ``np.std(ddof=1)`` adds them, so every value equals
-    :func:`empirical_parity` of the set bit for bit.  An empty set reads nan.
+    One pass over the run's chunks sums the outcome counts of each chunk's
+    join, so it holds one chunk at a time; the unjoined set is the sum of
+    the two labeled ones.  An empty set reads nan.
     """
-    counts = np.zeros((3, len(_PARITY_ROWS)), dtype=np.int64)
-    for codes in _parity_sets(_sample(config)):
-        counts += [np.bincount(c, minlength=len(_PARITY_ROWS)) for c in codes]
-    sets = [_Parity(_PARITY_ROWS, per_code) for per_code in counts]
-    for codes in _parity_sets(_sample(config)):  # the chunks counted above
-        for parity, c in zip(sets, codes):
-            parity.add(c)
-    return [value for parity in sets for value in parity.estimate()]
+    joins = itertools.starmap(delayed_join, _sample(config))
+    # map, unlike a generator expression, holds no chunk while it draws the next
+    counts = sum(map(lambda j: _outcome_counts(j.system, j.control.outcome), joins))
+    up, down = counts.T  # (+1, -1) parity counts of each control outcome
+    return [*_parity_estimate(up), *_parity_estimate(down), *_parity_estimate(up + down)]
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from typing import Callable
 
 from . import _numpy as np
@@ -247,34 +248,6 @@ def _check_hom_marginal_flat() -> None:
             ), f"marginal not flat for {statistics} at phi={phi}"
 
 
-def _check_chsh_closed_form() -> None:
-    rng = np.random.default_rng(13)
-    for _ in range(16):
-        theta_a, theta_b, phi = rng.uniform(0.0, TWO_PI, size=3)
-        table = protocols.chsh_table(theta_a, theta_b, phi)
-        table.validate_conditional()
-        phi_prime = theta_a - theta_b + phi
-        for row in protocols.CHSH_OUTCOMES:
-            a, b = (protocols._OUTCOME_SIGN[sign] for sign in row)
-            plus = 0.125 * (1.0 + a * b * math.cos(phi_prime))
-            minus = 0.125 * (1.0 - a * b * math.cos(phi_prime))
-            assert abs(table.value(row, "C=up") - plus) < 1e-12
-            assert abs(table.value(row, "C=down") - minus) < 1e-12
-            assert abs(table.value(row, "C=?") - 0.25) < 1e-12
-
-
-def _check_chsh_correlator_closed_form() -> None:
-    rng = np.random.default_rng(14)
-    for _ in range(64):
-        theta_a, theta_b, phi = rng.uniform(0.0, TWO_PI, size=3)
-        for condition, sign in (("up", 1.0), ("down", -1.0)):
-            value = protocols.conditional_correlator(theta_a, theta_b, phi, condition)
-            expected = sign * math.cos(theta_a - theta_b + phi)
-            assert abs(value - expected) < 1e-12, (
-                f"correlator {value} vs {expected} at ({theta_a}, {theta_b}, {phi})"
-            )
-
-
 def _check_chsh_unconditioned_zero() -> None:
     rng = np.random.default_rng(15)
     for _ in range(50):
@@ -428,15 +401,31 @@ def _check_metrology_dense_route() -> None:
 
 
 def _check_chsh_dense_route() -> None:
-    # closed-form chsh cells against the dense route: random settings, erasing and random readouts
+    # closed-form chsh cells against the dense route: random settings, random and erasing
+    # readouts; the loop ends at the erasing one, whose dense cells also hold the analytic
+    # table and the conditional correlators
     rng = np.random.default_rng(18)
+    erasing = protocols._ERASING_ANGLE["chsh"]
+    sign = protocols._OUTCOME_SIGN
+    signs = [sign[s] * sign[t] for s, t in protocols.CHSH_OUTCOMES]
     for _ in range(64):
         theta_a, theta_b, phi, readout = rng.uniform(-TWO_PI, TWO_PI, size=4).tolist()
-        for control_angle in (protocols._ERASING_ANGLE["chsh"], readout):
+        for control_angle in (readout, erasing):
             settings = (theta_a, theta_b, phi, control_angle)
             closed, dense = protocols._chsh_columns(*settings), dense_chsh_columns(*settings)
             distance = np.abs(np.subtract(closed, dense)).max()
             assert distance <= 1e-15, f"closed form off the dense route by {distance} at {settings}"
+        table = protocols.chsh_table(theta_a, theta_b, phi)
+        table.validate_conditional()
+        distance = np.abs(table.values - np.array(dense)).max()
+        assert distance <= 1e-15, f"chsh_table off the dense route by {distance} at {settings}"
+        for column, condition in enumerate(("up", "down")):
+            cells = [row[column] for row in dense]
+            expected = math.fsum(map(operator.mul, signs, cells)) / math.fsum(cells)
+            value = protocols.conditional_correlator(theta_a, theta_b, phi, condition)
+            assert abs(value - expected) <= 1e-14, (
+                f"{condition} correlator {value} vs dense {expected} at {settings}"
+            )
 
 
 def _check_phase_sensitivity() -> None:
@@ -589,8 +578,6 @@ CHECKS: tuple[tuple[str, Callable[[], None]], ...] = (
     ("hom-closed-form", _check_hom_closed_form),
     ("hom-distinguishable-flat", _check_hom_distinguishable_flat),
     ("hom-marginal-flat", _check_hom_marginal_flat),
-    ("chsh-closed-form", _check_chsh_closed_form),
-    ("chsh-correlator-closed-form", _check_chsh_correlator_closed_form),
     ("chsh-unconditioned-zero", _check_chsh_unconditioned_zero),
     ("tsirelson-bound", _check_tsirelson_bound),
     ("chsh-optimum", _check_chsh_optimum),

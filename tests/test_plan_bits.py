@@ -7,11 +7,8 @@ with its cumulative bounds, for a fixed list of configs, and of the
 analytic hom and chsh columns.  The digest is checked in process, and
 again in a child whose numpy dispatch is lowered to x86-64-v2 and whose
 OpenBLAS runs its Prescott kernel, both set on the child only.  A plan
-whose bits come from a BLAS or SIMD kernel fails there.  The same child
-runs the tree-sum properties of ``tests/test_pairwise_sum.py``, which
-hold the printed standard errors of ``phase-est`` to numpy's own sum.
-libm and the numpy version are out of scope: the metadata's version
-field pins those.
+whose bits come from a BLAS or SIMD kernel fails there.  libm and the
+numpy version are out of scope: the metadata's version field pins those.
 """
 
 import hashlib
@@ -23,7 +20,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, settings
 
 from qeraser import protocols, sampler
 from qeraser.protocols import ChshSettings
@@ -125,27 +121,6 @@ def cpu_report() -> dict:
     }
 
 
-def pairwise_report() -> str:
-    """"ok" if the tree-sum properties of ``test_pairwise_sum.py`` hold here, else why not."""
-    import importlib.util
-
-    path = Path(__file__).with_name("test_pairwise_sum.py")
-    spec = importlib.util.spec_from_file_location("pairwise_sum", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    relaxed = settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    try:
-        for prop in (
-            module.test_tree_sum_is_numpys_sum,
-            module.test_parity_estimate_is_numpys_mean_and_std,
-            module.test_tree_splits_as_numpy_down_to_its_own_leaves,
-        ):
-            relaxed(prop)()
-    except Exception as error:  # noqa: BLE001 - reported to the parent test
-        return f"{type(error).__name__}: {error}"
-    return "ok"
-
-
 def _openblas_core() -> str | None:
     """The kernel OpenBLAS picked, where numpy's bundled library names it, else None."""
     import ctypes
@@ -176,14 +151,14 @@ def test_plan_bits_hold_on_a_lesser_cpu():
         f"spec = importlib.util.spec_from_file_location('plan_bits', {str(Path(__file__))!r})\n"
         "module = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(module)\n"
-        "print(json.dumps({**module.cpu_report(), 'pairwise': module.pairwise_report()}))\n"
+        "print(json.dumps(module.cpu_report()))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **LOWER_CPU},
-        timeout=300,
+        timeout=120,
     )
     assert result.returncode == 0, result.stderr
     lower = json.loads(result.stdout)
@@ -195,4 +170,3 @@ def test_plan_bits_hold_on_a_lesser_cpu():
             f"reads {here['openblas']} with and without OPENBLAS_CORETYPE"
         )
     assert lower["digest"] == here["digest"] == PLAN_BITS_SHA256
-    assert lower["pairwise"] == "ok"

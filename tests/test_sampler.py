@@ -513,6 +513,56 @@ class TestEmpiricalParity:
         with pytest.raises(ValueError, match="empty record set"):
             empirical_parity(parity_records())
 
+    def test_non_parity_records_rejected(self):
+        with pytest.raises(ValueError, match="needs metrology records"):
+            empirical_parity(hand_records())
+
+
+@given(st.integers(0, 200_000), st.integers(0, 200_000), st.integers(0, 2**32 - 1))
+@example(0, 0, 0)
+@example(1, 0, 0)
+@example(0, 1, 0)
+@example(1, 1, 0)
+@example(2, 0, 0)
+@example(0, 2, 0)
+@example(150_000, 0, 1)
+@example(0, 150_000, 1)
+def test_parity_estimate_is_numpys_mean_and_std(plus, minus, seed):
+    """The closed form from counts against ``np.mean`` and ``np.std(ddof=1)`` of the set."""
+    values = np.random.default_rng(seed).permutation(np.repeat([1.0, -1.0], [plus, minus]))
+    mean, error = sampler._parity_estimate((plus, minus))
+    n = plus + minus
+    if n == 0:
+        assert math.isnan(mean) and math.isnan(error)
+        return
+    assert mean == float(np.mean(values))
+    expected = 1.0 if n == 1 else float(np.std(values, ddof=1) / math.sqrt(n))
+    assert math.isclose(error, expected, rel_tol=1e-15)
+
+
+def expected_estimates(config: sampler.ExperimentConfig) -> list[str]:
+    joined = sampler.delayed_join(*sampler.run_experiment(config))
+    values = []
+    for records in (joined.labeled(+1), joined.labeled(-1), joined.system):
+        values += sampler.empirical_parity(records) if len(records) else (math.nan, math.nan)
+    return list(map(repr, values))
+
+
+@pytest.mark.parametrize(
+    "shots, n, theta, angle, seed",
+    [
+        (1, 3, 0.3, 0.0, 4),  # one empty branch and two one-shot sets
+        (2, 3, 0.3, 0.0, 4),
+        (9000, 5, 1.5, 1.2, 7),  # three chunks, the last one ragged
+        (3 * sampler._CHUNK, 10, 0.3, 0.0, 11),
+    ],
+)
+def test_streamed_estimates_are_empirical_parity_of_each_joined_set(shots, n, theta, angle, seed):
+    config = sampler.ExperimentConfig(
+        "metrology", shots, seed, n=n, theta=theta, control_basis_angle=angle
+    )
+    assert list(map(repr, sampler._parity_estimates(config))) == expected_estimates(config)
+
 
 class TestRunColumns:
     """``run_experiment`` keeps the chunks' int8 codes; every statistic reads them as int64."""
