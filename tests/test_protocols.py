@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from qeraser import protocols, verify
 from qeraser.fock import Statistics
 from qeraser.protocols import (
     CHSH_OUTCOMES,
@@ -272,6 +273,26 @@ class TestConditionalCorrelator:
         assert abs(unjoined) <= 1e-12
         weights = np.sum(_chsh_columns(theta_a, theta_b, phi, readout), axis=0)
         np.testing.assert_allclose(weights, [0.5, 0.5, 1.0], rtol=0, atol=1e-12)
+
+
+class TestVerifyChshDenseRoute:
+    """``chsh-dense-route`` holds ``chsh_table`` and the correlators to the dense cells."""
+
+    def test_passes_on_the_library(self):
+        verify._check_chsh_dense_route()
+
+    @pytest.mark.parametrize(
+        "name, message", [("chsh_table", "chsh_table off"), ("conditional_correlator", "correlator")]
+    )
+    def test_a_drifted_route_fails_it(self, monkeypatch, name, message):
+        exact = getattr(protocols, name)
+
+        def drifted(theta_a, theta_b, phi, *condition):
+            return exact(theta_a, theta_b, phi + 1e-6, *condition)
+
+        monkeypatch.setattr(protocols, name, drifted)
+        with pytest.raises(AssertionError, match=message):
+            verify._check_chsh_dense_route()
 
 
 class TestChshValue:

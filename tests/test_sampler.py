@@ -540,6 +540,43 @@ def test_parity_estimate_is_numpys_mean_and_std(plus, minus, seed):
     assert math.isclose(error, expected, rel_tol=1e-15)
 
 
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_swapped_counts_negate_the_mean_and_keep_the_error(plus, minus):
+    mean, error = sampler._parity_estimate((plus, minus))
+    swapped_mean, swapped_error = sampler._parity_estimate((minus, plus))
+    if plus + minus == 0:
+        assert all(map(math.isnan, (mean, error, swapped_mean, swapped_error)))
+        return
+    assert swapped_mean == -mean
+    assert swapped_error == error
+
+
+def test_parity_estimate_of_int64_counts_past_int64_products():
+    """4 n+ n- of these counts overflows int64; the estimate multiplies Python ints."""
+    half = 2**40
+    n = 2 * half
+    mean, error = sampler._parity_estimate(np.array([half, half], dtype=np.int64))
+    assert mean == 0.0
+    assert math.isclose(error, 1.0 / math.sqrt(n - 1), rel_tol=1e-15)
+
+
+def test_a_theta_point_draws_its_chunks_once(monkeypatch):
+    draws = []
+    sample = sampler._sample
+
+    def counted(config):
+        draws.append(config)
+        return sample(config)
+
+    monkeypatch.setattr(sampler, "_sample", counted)
+    config = sampler.ExperimentConfig(
+        "metrology", 3 * sampler._CHUNK + 5, 7, n=5, theta=1.5, control_basis_angle=1.2
+    )
+    estimates = sampler._parity_estimates(config)
+    assert draws == [config]
+    assert len(estimates) == 6 and not any(map(math.isnan, estimates))
+
+
 def expected_estimates(config: sampler.ExperimentConfig) -> list[str]:
     joined = sampler.delayed_join(*sampler.run_experiment(config))
     values = []
