@@ -52,6 +52,9 @@ COMMANDS = [
     "hom --mode sample --shots 500 --seed 3 --statistics fermion --control-angle 0.7",
     "hom --mode classical-mixture --shots 400 --seed 5 --statistics distinguishable",
     "hom --mode classical-mixture --shots 300 --seed 5 --phi 1.1 --format csv --output m.csv",
+    # one-shot summaries: the joined table drops its empty control column
+    "hom --mode sample --shots 1 --seed 0",
+    "hom --mode classical-mixture --shots 1 --seed 2",
     "hom --mode sample --shots 300 --output missing/x.txt",
     "hom --control-angle 0.3",
     "hom --mode classical-mixture --control-angle 0.3",
