@@ -9,7 +9,8 @@ unjoined ensemble sits at 0 everywhere and is included for reference.
 
 Columns: phi, s_optimized, s_frozen_settings, s_unjoined, classical_bound,
 quantum_bound.  With --shots > 0 the frozen-settings point is also sampled
-(joined C=up branch) and (estimate, standard error) columns are appended.
+(joined C=up branch) and (estimate, standard error) columns are appended,
+nan where some setting pair has no C=up shot.
 """
 
 import argparse
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from qeraser.protocols import TSIRELSON_BOUND, chsh_value, optimal_chsh_angles
-from qeraser.sampler import ExperimentConfig, chsh_statistic, delayed_join, run_experiment
+from qeraser.sampler import ExperimentConfig, _chsh_from_sums, _sample, _summed_counts
 
 
 def main() -> int:
@@ -63,8 +64,8 @@ def main() -> int:
                 phi=phi,
                 settings=frozen,
             )
-            joined = delayed_join(*run_experiment(config))
-            value, error = chsh_statistic(joined.labeled(+1))
+            up = _summed_counts(config, _sample(config))[0]  # C=up counts and sums per pair
+            value, error = _chsh_from_sums(up) if up[0].all() else (math.nan, math.nan)
             row += [repr(abs(value)), repr(error)]
         lines.append(",".join(row))
 

@@ -9,7 +9,8 @@ that an observer without the control record sees.
 Columns: phi, then per statistics the conditional rate P(AB | C=up)
 (joint probability divided by the 1/2 branch weight), then ab_unjoined.
 With --shots > 0 an empirical column pair (estimate, standard error) is
-appended for bosons, sampled with one seeded run per phase point.
+appended for bosons, sampled with one seeded run per phase point: the
+rate is the C=up AB count over the C=up shots, nan when there are none.
 """
 
 import argparse
@@ -18,8 +19,8 @@ import sys
 
 import numpy as np
 
-from qeraser.protocols import hom_table
-from qeraser.sampler import ExperimentConfig, delayed_join, empirical_table, run_experiment
+from qeraser.protocols import HOM_OUTCOMES, hom_table
+from qeraser.sampler import ExperimentConfig, _sample, _summed_counts
 
 STATISTICS = ("boson", "fermion", "distinguishable")
 
@@ -31,12 +32,11 @@ def conditional_ab(phi: float, statistics: str) -> float:
 
 def sampled_ab(phi: float, shots: int, seed: int) -> tuple[float, float]:
     config = ExperimentConfig(experiment="hom", shots=shots, seed=seed, phi=phi)
-    joined = delayed_join(*run_experiment(config))
-    table = empirical_table(joined.system, joined.control.outcome)
-    up_records = len(joined.labeled(+1))
-    rate = table.value("AB", "C=up") * table.total / max(up_records, 1)
-    error = math.sqrt(rate * (1.0 - rate) / max(up_records, 1))
-    return rate, error
+    up = _summed_counts(config, _sample(config))[:, 0].tolist()  # C=up count per outcome
+    if not sum(up):
+        return math.nan, math.nan
+    rate = up[HOM_OUTCOMES.index("AB")] / sum(up)
+    return rate, math.sqrt(rate * (1.0 - rate) / sum(up))
 
 
 def main() -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import math
 import os
 import re
@@ -350,13 +349,12 @@ def _stream_files(paths: Sequence[str]) -> Iterator[list[IO[bytes]]]:
 def _run_sampled(
     args: argparse.Namespace,
     config: ExperimentConfig,
-    summary: Callable[[ExperimentConfig, Iterator[sampler.JoinedStreams]], str],
+    summary: Callable[[ExperimentConfig, np.ndarray], str],
 ) -> int:
-    """Write a sampled run's two CSV streams, or ``summary`` of its chunk joins.
+    """Write a sampled run's two CSV streams, or ``summary`` of its summed counts.
 
     ``--format csv`` writes the system stream to ``--output`` and the
-    control stream beside it.  Chunks cover disjoint shot ranges, so
-    counts summed over the chunk joins equal those of the whole run's join.
+    control stream beside it; a summary reads :func:`sampler._summed_counts`.
     """
     form = _resolved_format(args)
     if form == "csv" and args.output is None:
@@ -372,15 +370,13 @@ def _run_sampled(
         print(f"wrote {args.output} and {control_path}", file=sys.stderr)
         return 0
     with _output_stream(args.output) as out:  # an unwritable path fails before sampling
-        text = summary(config, itertools.starmap(sampler.delayed_join, chunks))
+        text = summary(config, sampler._summed_counts(config, chunks))
         out.write(sampler.metadata_header(config) + "\n" + text)
     return 0
 
 
-def _hom_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStreams]) -> str:
-    """Sampled hom summary: the reference, joined and unjoined tables."""
-    # map, unlike a generator expression, holds no chunk while it draws the next
-    counts = sum(map(lambda j: sampler._outcome_counts(j.system, j.control.outcome), joins))
+def _hom_summary(config: ExperimentConfig, counts: np.ndarray) -> str:
+    """Sampled hom summary from the run's C=up/C=down counts: reference, joined, unjoined."""
     empirical_joined = sampler._counts_table(HOM_OUTCOMES, counts)
     empirical_unjoined = sampler._counts_table(HOM_OUTCOMES, counts.sum(axis=1, keepdims=True))
     reference = _hom_columns(config.phi, config.statistics, config.control_basis_angle)
@@ -440,10 +436,8 @@ def _settings_line(settings: ChshSettings) -> str:
     )
 
 
-def _chsh_summary(config: ExperimentConfig, joins: Iterator[sampler.JoinedStreams]) -> str:
-    """Sampled chsh summary: analytic and empirical S of each labeled set."""
-    # pair sums of the C=up and C=down sets; the unjoined set is their union
-    up_down = sum(map(lambda j: sampler._pair_sums(j.system, j.control.outcome), joins))
+def _chsh_summary(config: ExperimentConfig, up_down: np.ndarray) -> str:
+    """Sampled chsh summary from the run's C=up/C=down pair sums: S of each labeled set."""
     branches = (
         ("empirical S (joined C=up):   ", up_down[0]),
         ("empirical S (joined C=down): ", up_down[1]),

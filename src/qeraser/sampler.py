@@ -40,7 +40,7 @@ import functools
 import itertools
 import json
 import math
-from typing import IO, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _numpy as np
 from ._record import Record, astuple, replace
@@ -556,6 +556,11 @@ def empirical_table(
         raise ValueError("cannot tabulate an empty record set")
     if control_outcome is None:
         return _counts_table(records.labels, _outcome_counts(records).sum(axis=1, keepdims=True))
+    control_outcome = np.asarray(control_outcome)
+    if control_outcome.shape != records.outcome.shape:
+        raise ValueError(f"control column covers {control_outcome.size} of {len(records)} shots")
+    if not _signs_only(control_outcome):
+        raise ValueError("control outcomes must be +1 or -1")
     return _counts_table(records.labels, _outcome_counts(records, control_outcome))
 
 
@@ -564,26 +569,15 @@ def _outcome_counts(
 ) -> np.ndarray:
     """(outcomes, 2) shot counts of each outcome beside control +1 and -1.
 
-    Without ``control_outcome`` every shot counts as +1.  Counts of
-    disjoint shot sets add up to the counts of their union.
+    ``control_outcome`` is a checked +1/-1 column, as a join's is; without
+    it every shot counts as +1.  Counts of disjoint sets add up to their union's.
     """
     _check_codes(records)
     # intp codes are what bincount reads, so it makes no copy of its own
     codes = np.multiply(records.outcome, 2, dtype=np.intp)
-    codes += _down_mask(records, control_outcome)
+    if control_outcome is not None:
+        codes += control_outcome == -1
     return np.bincount(codes, minlength=2 * len(records.labels)).reshape(-1, 2)
-
-
-def _down_mask(records: SystemStream, control_outcome: np.ndarray | None) -> np.ndarray | int:
-    """Per shot of ``records``, whether its control outcome is -1; 0 without a column."""
-    if control_outcome is None:
-        return 0
-    control_outcome = np.asarray(control_outcome)
-    if control_outcome.shape != records.outcome.shape:
-        raise ValueError(f"control column covers {control_outcome.size} of {len(records)} shots")
-    if not _signs_only(control_outcome):
-        raise ValueError("control outcomes must be +1 or -1")
-    return control_outcome == -1
 
 
 def _check_codes(records: SystemStream) -> None:
@@ -649,7 +643,8 @@ def _pair_sums(records: SystemStream, control_outcome: np.ndarray | None = None)
     negative_of = [8 * (_OUTCOME_SIGN[a] != _OUTCOME_SIGN[b]) for a, b in records.labels]
     codes = np.array(pair_of_row, dtype=np.intp).take(records.setting_row)
     codes += np.array(negative_of, dtype=np.int8).take(records.outcome)
-    codes += _down_mask(records, control_outcome)
+    if control_outcome is not None:
+        codes += control_outcome == -1
     signed = np.bincount(codes, minlength=16).reshape(2, 4, 2)  # (product, pair, control)
     return np.stack([signed[0] + signed[1], signed[0] - signed[1]]).transpose(2, 0, 1)
 
@@ -692,17 +687,28 @@ def _parity_estimate(counts: Sequence[int]) -> tuple[float, float]:
     return (plus - minus) / n, math.sqrt(4 * plus * minus / (n * (n - 1))) / math.sqrt(n)
 
 
+def _summed_counts(
+    config: ExperimentConfig, chunks: Iterable[tuple[SystemStream, ControlStream]]
+) -> np.ndarray:
+    """:func:`_pair_sums` (chsh) or :func:`_outcome_counts` of a run, summed over its chunk joins.
+
+    ``chunks`` yields (system, control) pairs of disjoint shots, as
+    :func:`_sample` does; each is joined and counted before the next is
+    read.  Integer counts add up exactly to those of the whole run's join.
+    """
+    count = _pair_sums if config.experiment == "chsh" else _outcome_counts
+    joins = itertools.starmap(delayed_join, chunks)
+    # map, unlike a generator expression, holds no chunk while it draws the next
+    return sum(map(lambda j: count(j.system, j.control.outcome), joins))
+
+
 def _parity_estimates(config: ExperimentConfig) -> list[float]:
     """Mean parity and standard error of a metrology run's C=up, C=down and unjoined sets, flat.
 
-    One pass over the run's chunks sums the outcome counts of each chunk's
-    join, so it holds one chunk at a time; the unjoined set is the sum of
-    the two labeled ones.  An empty set reads nan.
+    One pass over the chunks; the unjoined set is the sum of the labeled
+    ones, and an empty set reads nan.
     """
-    joins = itertools.starmap(delayed_join, _sample(config))
-    # map, unlike a generator expression, holds no chunk while it draws the next
-    counts = sum(map(lambda j: _outcome_counts(j.system, j.control.outcome), joins))
-    up, down = counts.T  # (+1, -1) parity counts of each control outcome
+    up, down = _summed_counts(config, _sample(config)).T  # (+1, -1) counts per control outcome
     return [*_parity_estimate(up), *_parity_estimate(down), *_parity_estimate(up + down)]
 
 

@@ -337,3 +337,18 @@ def test_a_summary_opens_its_output_before_sampling(tmp_path, capsys):
         code = main(sampled_argv("hom", "sample", 10, 0, "summary") + ["--output", str(output)])
     assert code == 1
     assert "FileNotFoundError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["sample", "classical-mixture"])
+def test_a_summary_checks_each_chunk_control_column_once(mode):
+    """The join checks a chunk's control signs; the counts do not check them again."""
+    shots = 3 * sampler._CHUNK - 5  # three chunks, the last one ragged
+    signs_only, checked = sampler._signs_only, []
+
+    def watched(values):
+        checked.append(len(values))
+        return signs_only(values)
+
+    with mock.patch.object(sampler, "_signs_only", watched):
+        run_cli(sampled_argv("hom", mode, shots, SEED, "summary"))
+    assert checked == [sampler._CHUNK, sampler._CHUNK, sampler._CHUNK - 5]

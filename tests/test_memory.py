@@ -5,20 +5,20 @@ tracemalloc, so a traced peak counts every column and temporary a call
 allocates.  Generation and writing work in chunks of shots and the join
 of shot-ordered streams copies nothing, so the only allocations of a
 library run that grow with the shot count are its finished stream
-columns.  The sampled CLI runs hold no whole-run column at all: they
-hold one chunk of shots at a time, ``phase-est`` over two passes, and
-their peak RSS, read from a fresh child's own ``wait4`` rusage, does not
-grow with the shot count.
+columns.  The sampled CLI runs and the sampled columns of the figure
+scripts hold no whole-run column at all: they hold one chunk of shots
+at a time, in one pass, and their peak RSS, read from a fresh child's
+own ``wait4`` rusage, does not grow with the shot count.
 """
 
 import io
-import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -36,6 +36,7 @@ from qeraser.sampler import (
 )
 
 MIB = 1 << 20
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 # full-precision angles give the longest CSV lines
 CHSH = dict(settings=ChshSettings(0.0, math.pi / 2, 5 * math.pi / 4, 3 * math.pi / 4))
 
@@ -150,7 +151,7 @@ def test_sampled_cli_paths_hold_one_chunk_of_working_set(experiment, mode):
     )
     summary = {"hom": cli._hom_summary, "chsh": cli._chsh_summary}[experiment]
     _, sums = traced_peak(
-        lambda: summary(config, itertools.starmap(delayed_join, sampler._sample(config)))
+        lambda: summary(config, sampler._summed_counts(config, sampler._sample(config)))
     )
     assert csv <= 0.75 * MIB and sums <= 0.75 * MIB, (csv / MIB, sums / MIB)
 
@@ -197,10 +198,11 @@ def test_join_of_a_run_copies_no_column():
     assert np.shares_memory(joined.system.outcome, system.outcome)
 
 
-# Spawns the CLI and prints its exit code and its own wait4 peak RSS in KiB.
+# Spawns Python on its arguments (the CLI module or a script) and prints the
+# child's exit code and its own wait4 peak RSS in KiB.
 LAUNCHER = """
 import os, sys
-argv = [sys.executable, "-m", "qeraser.cli", *sys.argv[1:]]
+argv = [sys.executable, *sys.argv[1:]]
 quiet = [(os.POSIX_SPAWN_OPEN, fd, os.devnull, os.O_RDWR, 0) for fd in (0, 1, 2)]
 pid = os.posix_spawn(sys.executable, argv, os.environ, file_actions=quiet)
 _, status, usage = os.wait4(pid, 0)
@@ -208,17 +210,18 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
-def child_peak_mib(argv) -> float:
-    """Peak RSS of a fresh ``qeraser`` CLI child that must exit 0.
+def child_peak_mib(argv, script: str | None = None) -> float:
+    """Peak RSS of a fresh ``qeraser`` CLI child, or of ``scripts/SCRIPT``, that must exit 0.
 
     Linux carries a process's peak RSS across fork and exec into the
     child's ``ru_maxrss``, so a CLI child of this test process would
     report at least the test process's own peak.  A small launcher
-    process spawns the CLI instead and reads its ``wait4`` rusage.
+    process spawns the child instead and reads its ``wait4`` rusage.
     """
+    command = [str(SCRIPTS / script)] if script else ["-m", "qeraser.cli"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
     launched = subprocess.run(
-        [sys.executable, "-c", LAUNCHER, *argv],
+        [sys.executable, "-c", LAUNCHER, *command, *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -244,7 +247,7 @@ def test_sampled_cli_peak_rss_does_not_grow_with_the_shot_count(tmp_path):
 
 
 def test_phase_est_sample_peak_rss_does_not_grow_with_the_shot_count():
-    """Two passes over the chunks replace whole-run columns of about 52 bytes per shot.
+    """One pass over the chunks replaces whole-run columns of about 52 bytes per shot.
 
     Those columns peaked at 44.4 MiB at 2.5e5 shots and at 233.7 MiB at 4e6.
     """
@@ -252,3 +255,14 @@ def test_phase_est_sample_peak_rss_does_not_grow_with_the_shot_count():
     small = child_peak_mib([*argv, "--shots", "250000"])
     large = child_peak_mib([*argv, "--shots", "4000000"])
     assert abs(large - small) < 1.0, (small, large)
+
+
+def test_sampled_figure_column_peak_rss_does_not_grow_with_the_shot_count():
+    """The sampled fringe reads the run's summed chunk counts, never whole-run columns.
+
+    Whole-run columns peaked at 124 MiB at 4e6 shots.
+    """
+    argv = ["--points", "2", "--sizes", "10"]
+    small = child_peak_mib([*argv, "--shots", "250000"], script="metrology_fringes.py")
+    large = child_peak_mib([*argv, "--shots", "4000000"], script="metrology_fringes.py")
+    assert large - small < 4.0, (small, large)
