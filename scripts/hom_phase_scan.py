@@ -33,10 +33,11 @@ def conditional_ab(phi: float, statistics: str) -> float:
 def sampled_ab(phi: float, shots: int, seed: int) -> tuple[float, float]:
     config = ExperimentConfig(experiment="hom", shots=shots, seed=seed, phi=phi)
     up = _summed_counts(config, _sample(config))[:, 0].tolist()  # C=up count per outcome
-    if not sum(up):
+    up_shots = sum(up)
+    if up_shots == 0:
         return math.nan, math.nan
-    rate = up[HOM_OUTCOMES.index("AB")] / sum(up)
-    return rate, math.sqrt(rate * (1.0 - rate) / sum(up))
+    rate = up[HOM_OUTCOMES.index("AB")] / up_shots
+    return rate, math.sqrt(rate * (1.0 - rate) / up_shots)
 
 
 def main() -> int:
