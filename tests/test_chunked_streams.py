@@ -246,6 +246,63 @@ def test_chunked_writer_renders_every_int64_index(indices, chunk, row_block):
             assert_same_text(rendered(records, config), reference_csv(records, config))
 
 
+# one CSV field: any text UTF-8 encodes (no surrogates) but the line break
+FIELDS = st.text(st.characters(codec="utf-8", exclude_characters="\n"), max_size=5)
+
+
+@st.composite
+def text_streams(draw):
+    """A system stream of unsorted int64 indices whose per-run values are any text."""
+    keys = draw(st.lists(FIELDS, min_size=1, max_size=3, unique=True))
+    row = st.fixed_dictionaries({key: FIELDS for key in keys})
+    settings = draw(st.lists(row, min_size=1, max_size=3))
+    labels = draw(st.lists(FIELDS, min_size=1, max_size=4))
+    shots = draw(st.lists(INT64, min_size=1, max_size=30))
+    size = dict(min_size=len(shots), max_size=len(shots))
+    outcomes = draw(st.lists(st.integers(0, len(labels) - 1), **size))
+    rows = draw(st.lists(st.integers(0, len(settings) - 1), **size))
+    return SystemStream(
+        np.array(shots, dtype=np.int64),
+        np.array(outcomes),
+        np.array(rows),
+        draw(FIELDS),
+        tuple(labels),
+        tuple(settings),
+    )
+
+
+@given(text_streams(), CHUNKS, ROW_BLOCKS)
+@example(
+    SystemStream(
+        np.array([5, -(2**63), 0, 2**63 - 1, -7, 10], dtype=np.int64),
+        np.array([0, 1, 2, 0, 1, 2]),
+        np.array([0, 1, 0, 1, 0, 1]),
+        "",
+        ("\x00", "ñ", ""),
+        ({"k": "\x00\x00", "\x85": ""}, {"k": "é ", "\x85": "\x00x"}),
+    ),
+    1,
+    7,
+)
+def test_each_row_is_its_index_decimal_and_its_tail(records, chunk, row_block):
+    """Tails of any text, NUL and multi-byte characters too, and any int64 index order."""
+    config = ExperimentConfig(experiment="hom", shots=1, seed=0)
+    with chunked(chunk, row_block):
+        lines = rendered(records, config).split("\n")
+    keys = sorted(records.settings[0])
+    assert lines[0] == metadata_header(config)
+    assert lines[1] == ",".join(["shot_index", "experiment", "outcome", *keys])
+    assert lines[-1] == ""
+    expected = [
+        ",".join([str(index), records.experiment, records.labels[outcome]])
+        + "".join("," + records.settings[row][k] for k in keys)
+        for index, outcome, row in zip(
+            records.shot_index.tolist(), records.outcome.tolist(), records.setting_row.tolist()
+        )
+    ]
+    assert lines[2:-1] == expected
+
+
 def test_writer_rejects_foreign_control_outcomes():
     control = ControlStream(np.arange(3), np.array([1, 0, -1]), 0.0)
     config = ExperimentConfig(experiment="hom", shots=3, seed=0)
