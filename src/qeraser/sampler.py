@@ -206,7 +206,8 @@ class ExperimentConfig(Record):
 # chunk one raw Philox draw (128 KiB): every per-shot temporary is O(_CHUNK);
 # only whole-run columns are O(shots)
 _CHUNK = 1 << 12
-_ROW_BLOCK = 1 << 10  # CSV lines rendered at once, into buffers each block reuses
+_ROW_BLOCK = 1 << 10  # CSV lines rendered at once, into a buffer each block reuses
+_PAD = 0xFF  # pads CSV line blocks; no UTF-8 text holds this byte (RFC 3629)
 
 
 def _chunks(total: int) -> Iterator[slice]:
@@ -692,14 +693,18 @@ def _summed_counts(
 ) -> np.ndarray:
     """:func:`_pair_sums` (chsh) or :func:`_outcome_counts` of a run, summed over its chunk joins.
 
-    ``chunks`` yields (system, control) pairs of disjoint shots, as
-    :func:`_sample` does; each is joined and counted before the next is
-    read.  Integer counts add up exactly to those of the whole run's join.
+    ``chunks`` yields one or more (system, control) pairs of disjoint
+    shots, as :func:`_sample` does, each joined and counted before the
+    next is read; integer counts add up to those of the whole run exactly.
     """
     count = _pair_sums if config.experiment == "chsh" else _outcome_counts
     joins = itertools.starmap(delayed_join, chunks)
     # map, unlike a generator expression, holds no chunk while it draws the next
-    return sum(map(lambda j: count(j.system, j.control.outcome), joins))
+    counts = map(lambda j: count(j.system, j.control.outcome), joins)
+    first = next(counts, None)
+    if first is None:
+        raise ValueError("no chunks to count: the chunk iterable is empty")
+    return sum(counts, first)
 
 
 def _parity_estimates(config: ExperimentConfig) -> list[float]:
@@ -744,77 +749,60 @@ def _format_field(value: float | int | str | None) -> str:
 
 
 @functools.cache
-def _digit_groups() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII digits of the 10**4 groups 0000 .. 9999 and the powers of ten.
+def _digit_groups() -> np.ndarray:
+    """The ASCII digits of the 10**4 groups 0000 .. 9999.
 
     Group ``g``'s four digits are the bytes of entry ``g`` of the uint32
-    table.  The powers are 0, 10, 10**2, ..., 10**19 in uint64: the
-    number of them at most a magnitude is its count of decimal digits.
-    Built once, at the first CSV line.
+    table.  Built once, at the first CSV line.
     """
     digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     table = np.empty((10,) * 4 + (4,), dtype=np.uint8)  # 40 KB, and no larger temporary
     for place in range(4):
         table[..., place] = digits.reshape((1,) * place + (10,) + (1,) * (3 - place))
-    powers = np.array([0] + [10**k for k in range(1, 20)], dtype=np.uint64)
-    return table.reshape(10_000, 4).view(np.uint32).ravel(), powers
+    return table.reshape(10_000, 4).view(np.uint32).ravel()
 
 
-@functools.lru_cache(maxsize=4)
-def _full_lengths(count: int, width: int) -> np.ndarray:
-    """``count`` decimal lengths that all equal ``width``, shared and read-only."""
-    lengths = np.full(count, width)
-    lengths.setflags(write=False)
-    return lengths
-
-
-def _decimal_bytes(values: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _decimal_bytes(values: np.ndarray, width: int) -> np.ndarray:
     """``str(int(v))`` of every int64 ``v`` as right-aligned uint8 rows.
 
     Returns a (len(values), width) matrix whose row k ends with the ASCII
-    decimal of ``values[k]`` (zero-padded on the left), and the length of
-    that decimal.  ``width`` must fit the longest decimal.  Each group of
-    four digits is read from the :func:`_digit_groups` table, so a row
-    block costs a few numpy calls per group and none per digit.
+    decimal of ``values[k]`` and holds ``_PAD`` before it.  ``width`` must
+    fit the longest decimal.  Each group of four digits is read from the
+    :func:`_digit_groups` table, and the padding is filled one column at
+    a time, so a row block costs a few numpy calls per group and column.
     """
-    table, powers = _digit_groups()
+    table = _digit_groups()
     values = values.astype(np.int64, copy=False)
     low = np.minimum.reduce(values) if len(values) else 0
     # |v| overflows only at -2**63, whose uint64 view is its exact magnitude 2**63
     magnitude = values if low >= 0 else np.abs(values).view(np.uint64)
-    if low >= 10 ** (width - 1):
-        lengths = _full_lengths(len(values), width)
-    else:
-        lengths = powers[:width].searchsorted(magnitude.view(np.uint64), side="right")
     groups = -(-width // 4)
     text = np.empty((len(values), groups), dtype=np.uint32)
+    rest = magnitude
     for column in range(groups - 1, 0, -1):
-        quotient = magnitude // 10_000
-        text[:, column] = table[magnitude - quotient * 10_000]
-        magnitude = quotient
-    text[:, 0] = table[magnitude]
+        quotient = rest // 10_000
+        text[:, column] = table[rest - quotient * 10_000]
+        rest = quotient
+    text[:, 0] = table[rest]
     text = text.view(np.uint8)[:, 4 * groups - width :]
-    if low < 0:
+    # column ``place`` pads magnitudes under 10**(width - 1 - place): all left of
+    # the longest decimal, none right of the shortest (that of ``low`` if >= 0)
+    shortest = len(str(low)) if low >= 0 else 1
+    longest = len(str(np.maximum.reduce(magnitude, initial=0))) if shortest < width else width
+    for place in range(width - longest):
+        text[:, place] = _PAD
+    for place in range(width - longest, width - shortest):
+        np.copyto(text[:, place], _PAD, where=magnitude < 10 ** (width - 1 - place))
+    if low < 0:  # "-" on the last padding byte, which ``width`` leaves every negative
         signed = np.flatnonzero(values < 0)
-        lengths[signed] += 1
-        text[signed, width - lengths[signed]] = ord("-")
-    return text, lengths
-
-
-def _padded(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Left-aligned uint8 rows of the UTF-8 ``texts`` and the mask of their bytes."""
-    encoded = [text.encode("utf-8") for text in texts]
-    lengths = np.array([len(data) for data in encoded])
-    rows = np.zeros((len(encoded), int(lengths.max())), dtype=np.uint8)
-    for row, data in zip(rows, encoded):
-        row[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-    return rows, np.arange(rows.shape[1]) < lengths[:, None]
+        text[signed, np.count_nonzero(text[signed] == _PAD, axis=1) - 1] = ord("-")
+    return text
 
 
 def _csv_renderer(
     records: SystemStream | ControlStream, width: int
 ) -> tuple[str, Callable[[SystemStream | ControlStream], None], Callable[..., np.ndarray]]:
-    """Column header line, ``check(chunk)`` and ``render(chunk, rows, digits, lengths)``.
+    """Column header line, ``check(chunk)`` and ``render(chunk, rows, digits, short)``.
 
     A line is the shot's decimal index followed by a tail that only the
     per-run values of ``records`` decide: one tail per (settings row,
@@ -823,14 +811,15 @@ def _csv_renderer(
     those per-run values whose shot indices have at most ``width``
     characters; ``check`` raises ValueError on codes the tails do not
     cover.  ``render`` makes the lines of the block ``rows`` of a checked
-    chunk, at most ``_ROW_BLOCK`` shots, and ``digits, lengths`` is
+    chunk, at most ``_ROW_BLOCK`` shots: ``digits`` is
     ``_decimal_bytes(chunk.shot_index[rows], width)``, so streams that
-    share their shot indices share it too.  Each shot's right-aligned
-    index digits and its tail fill one row of a uint8 matrix; dropping
-    the padding bytes leaves the block's UTF-8 text, returned as a 1-D
-    uint8 array.  When every tail has one length and every index fills
-    ``width``, no row has padding and the matrix already is the text,
-    valid until the next block refills that buffer.
+    share their shot indices share it too, and ``short`` says whether it
+    holds padding.  Each shot's right-aligned index digits and its tail
+    fill one row of a uint8 matrix, padded with ``_PAD``; dropping every
+    ``_PAD`` byte leaves the block's UTF-8 text, returned as a 1-D uint8
+    array.  When every tail has one length and no index is short, no row
+    has padding and the matrix already is the text, valid until the next
+    block refills that buffer.
     """
     if isinstance(records, SystemStream):
         keys = sorted(records.settings[0])
@@ -863,34 +852,27 @@ def _csv_renderer(
         def codes_of(chunk: ControlStream, rows: slice) -> np.ndarray:
             return (chunk.outcome[rows] == -1).astype(np.intp)  # +1 -> 0, -1 -> 1
 
-    tail_bytes, tail_mask = _padded(tails)
-    equal_tails = bool(tail_mask.all())
-    blank = np.zeros((len(tails), width), dtype=np.uint8)
-    templates = np.concatenate([blank, tail_bytes], axis=1)
-    # row code * (width + 1) + n: the mask of a line whose index has n characters
-    suffixes = np.arange(width) >= width - np.arange(width + 1)[:, None]
-    masks = np.concatenate(
-        [np.tile(suffixes, (len(tails), 1)), np.repeat(tail_mask, width + 1, axis=0)],
-        axis=1,
-    )
+    encoded = [tail.encode("utf-8") for tail in tails]
+    equal_tails = len(set(map(len, encoded))) == 1
+    # the index field, then the tail and its right padding
+    templates = np.full((len(tails), width + max(map(len, encoded))), _PAD, dtype=np.uint8)
+    for template, data in zip(templates, encoded):
+        template[width : width + len(data)] = np.frombuffer(data, dtype=np.uint8)
 
     lines = np.empty((_ROW_BLOCK, templates.shape[1]), dtype=np.uint8)
-    keep = np.empty(lines.shape, dtype=bool)
     # each line's index field as one opaque item: numpy copies an item per line
     # where a (lines, width) uint8 copy loops over every byte
     fields = lines[:, :width].view(f"V{width}")
 
     def render(
-        chunk: SystemStream | ControlStream, rows: slice, digits: np.ndarray, lengths: np.ndarray
+        chunk: SystemStream | ControlStream, rows: slice, digits: np.ndarray, short: bool
     ) -> np.ndarray:
         codes = codes_of(chunk, rows)
         # mode="clip" fills ``out`` itself; checked codes are in range anyway
         text = templates.take(codes, axis=0, out=lines[: len(codes)], mode="clip")
         fields[: len(codes)] = digits.view(fields.dtype)
-        if not equal_tails or np.minimum.reduce(lengths, initial=width) < width:
-            codes *= width + 1
-            codes += lengths
-            text = text[masks.take(codes, axis=0, out=keep[: len(codes)], mode="clip")]
+        if short or not equal_tails:
+            return text[text != _PAD]
         return text.reshape(-1)
 
     return columns, check, render
@@ -943,7 +925,8 @@ def _write_csv_chunks(
         for start in range(0, len(shots), _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
             # the streams of a chunk share its shot indices, so their digits too
-            digits, lengths = _decimal_bytes(shots[rows], width)
+            digits = _decimal_bytes(shots[rows], width)
+            short = np.maximum.reduce(digits[:, 0]) == _PAD  # padding starts in column 0
             for write, render, records in zip(writes, renderers, parts):
-                write(render(records, rows, digits, lengths))
+                write(render(records, rows, digits, short))
         del parts, records, shots  # hold no chunk while the next is drawn

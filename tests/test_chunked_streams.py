@@ -317,10 +317,11 @@ def test_writer_rejects_foreign_control_outcomes():
 def test_decimal_bytes_are_the_right_aligned_decimals(values):
     decimals = [str(v) for v in values]
     for width in range(max(map(len, decimals), default=1), 22):
-        text, lengths = sampler._decimal_bytes(np.array(values, dtype=np.int64), width)
+        text = sampler._decimal_bytes(np.array(values, dtype=np.int64), width)
         assert text.shape == (len(values), width)
-        assert lengths.tolist() == [len(d) for d in decimals]
-        assert [bytes(row).decode() for row in text] == [d.rjust(width, "0") for d in decimals]
+        # the pad byte fills each row up to its decimal and is dropped whole
+        assert [bytes(row).lstrip(b"\xff").decode() for row in text] == decimals
+        assert [bytes(row).replace(b"\xff", b"") for row in text] == [d.encode() for d in decimals]
 
 
 @given(
@@ -390,8 +391,8 @@ def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mod
 def test_narrow_chunk_codes_render_at_every_index_width(width, seed, row_block):
     """A classical-mixture chsh chunk has 8 setting rows of 4 outcomes: tail codes 0..31.
 
-    Its rows and outcomes are int8, and the render's mask index reaches
-    31 * (width + 1) + width, so any index product formed in int8 wraps.
+    Its rows and outcomes are int8, and the largest code renders beside
+    indices of every length up to ``width``, each padded to ``width``.
     """
     config = base_config("chsh", "classical_mixture", shots=300, seed=seed)
     system, control = next(sampler._sample(config))

@@ -135,8 +135,8 @@ def test_a_dropped_chunk_is_freed_before_the_next_draw(experiment, mode):
 def test_sampled_cli_paths_hold_one_chunk_of_working_set(experiment, mode):
     """The CSV writer and the summary sums of the CLI, as ``cli._run_sampled`` runs them.
 
-    With chunks of one 2**12-shot raw draw, the CSV path peaks at 0.39
-    to 0.51 MiB and the summary path at 0.22 to 0.29 MiB.  Chunks of
+    With chunks of one 2**12-shot raw draw, the CSV path peaks at 0.34
+    to 0.41 MiB and the summary path at 0.22 to 0.29 MiB.  Chunks of
     2**14 shots, each drawn in four blocks, peak at 0.75 to 1.03 MiB and
     0.44 to 0.69 MiB; a sampler that holds each chunk while it draws the
     next, or builds int64 columns and whole-chunk byte matrices (about
@@ -170,8 +170,10 @@ def test_index_digits_are_rendered_one_row_block_at_a_time(experiment, mode):
     decimal_bytes, digit_rows = sampler._decimal_bytes, []
 
     def watched(values, width):
-        digit_rows.append(len(values))
-        return decimal_bytes(values, width)
+        digits = decimal_bytes(values, width)  # one (rows, width) uint8 matrix
+        assert digits.shape == (len(values), width)
+        digit_rows.append(len(digits))
+        return digits
 
     peaks = []
     for shots in (sampler._ROW_BLOCK, sampler._CHUNK):
@@ -186,7 +188,7 @@ def test_index_digits_are_rendered_one_row_block_at_a_time(experiment, mode):
         assert sum(digit_rows) == shots  # once per shot, for both streams
         peaks.append(peak)
     assert max(digit_rows) == sampler._ROW_BLOCK
-    # the larger chunk adds no buffer bigger than a row block's digits and lengths
+    # the larger chunk adds no buffer bigger than a row block's digits
     assert peaks[1] - peaks[0] < 16 * sampler._ROW_BLOCK, peaks
 
 
