@@ -104,6 +104,10 @@ COMMANDS = [
     "phase-est --n 5 --mode sample --shots 9000 --theta-scan 0:3:2 --control-angle 1.2"
     " --format csv",
     "phase-est --n 2 --mode classical-mixture --control-angle 0.3",
+    # classical mixtures of several sampling chunks: a summary reads the key bit as the control
+    "hom --mode classical-mixture --shots 12305 --seed 5",
+    f"chsh --mode classical-mixture --shots 12305 --seed 9 {CHSH_ANGLES}",
+    "phase-est --n 2 --mode classical-mixture --shots 12305 --theta 0.5",
     "phase-est --n 30",
     "phase-est --theta 1 --theta-scan 0:1:2",
     "phase-est --theta-scan 0:1:0",
