@@ -56,6 +56,8 @@ COMMANDS = [
     "hom --mode sample --shots 1 --seed 0",
     "hom --mode classical-mixture --shots 1 --seed 2",
     "hom --mode sample --shots 300 --output missing/x.txt",
+    # one shot past the int64 shot indices
+    "hom --mode sample --shots 9223372036854775809",
     "hom --control-angle 0.3",
     "hom --mode classical-mixture --control-angle 0.3",
     "hom --mode sample --format csv",

@@ -179,8 +179,9 @@ class ExperimentConfig(Record):
             raise ValueError(f"experiment must be one of {EXPERIMENTS}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if not _is_integer(self.shots) or self.shots < 1:
-            raise ValueError("shots must be a positive integer")
+        # shot indices are int64, and np.arange past 2**63 - 1 returns float64
+        if not _is_integer(self.shots) or not 1 <= self.shots <= 2**63:
+            raise ValueError("shots must be a positive integer at most 2**63")
         if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if not _is_integer(self.n):

@@ -98,6 +98,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive integer"):
             hom_config(shots=shots)
 
+    def test_shots_end_where_int64_shot_indices_do(self):
+        assert hom_config(shots=2**63).shots == 2**63  # indices 0 .. 2**63 - 1; nothing drawn
+        with pytest.raises(ValueError, match=r"positive integer at most 2\*\*63"):
+            hom_config(shots=2**63 + 1)
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 0.5])
     def test_bad_seed(self, seed):
         with pytest.raises(ValueError, match="64-bit unsigned"):
