@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from qeraser.protocols import TSIRELSON_BOUND, chsh_value, optimal_chsh_angles
-from qeraser.sampler import ExperimentConfig, _chsh_from_sums, _sample, _summed_counts
+from qeraser.sampler import ExperimentConfig, _chsh_from_sums, _summed_counts
 
 
 def main() -> int:
@@ -64,7 +64,7 @@ def main() -> int:
                 phi=phi,
                 settings=frozen,
             )
-            up = _summed_counts(config, _sample(config))[0]  # C=up counts and sums per pair
+            up = _summed_counts(config)[0]  # C=up counts and sums per pair
             value, error = _chsh_from_sums(up) if up[0].all() else (math.nan, math.nan)
             row += [repr(abs(value)), repr(error)]
         lines.append(",".join(row))

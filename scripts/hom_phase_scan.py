@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from qeraser.protocols import HOM_OUTCOMES, hom_table
-from qeraser.sampler import ExperimentConfig, _sample, _summed_counts
+from qeraser.sampler import ExperimentConfig, _summed_counts
 
 STATISTICS = ("boson", "fermion", "distinguishable")
 
@@ -32,7 +32,7 @@ def conditional_ab(phi: float, statistics: str) -> float:
 
 def sampled_ab(phi: float, shots: int, seed: int) -> tuple[float, float]:
     config = ExperimentConfig(experiment="hom", shots=shots, seed=seed, phi=phi)
-    up = _summed_counts(config, _sample(config))[:, 0].tolist()  # C=up count per outcome
+    up = _summed_counts(config)[:, 0].tolist()  # C=up count per outcome
     up_shots = sum(up)
     if up_shots == 0:
         return math.nan, math.nan

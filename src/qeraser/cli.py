@@ -361,16 +361,16 @@ def _run_sampled(
         raise UsageError("sampled stream output needs --output (or --format summary)")
     if form == "csv" and os.path.exists(args.output) and not os.path.isfile(args.output):
         raise UsageError(f"sampled stream output {args.output} exists and is not a regular file")
-    chunks = sampler._sample(config)  # a failing plan raises before any file opens
+    sample = sampler._sample(config)  # a failing plan raises before any file opens
     if form == "csv":
         control_path = _control_path(args.output)
         with _stream_files((args.output, control_path)) as files:
             writes = [file.write for file in files]
-            sampler._write_csv_chunks(writes, chunks, config, len(str(config.shots - 1)))
+            sampler._write_csv_chunks(writes, sample, config)
         print(f"wrote {args.output} and {control_path}", file=sys.stderr)
         return 0
     with _output_stream(args.output) as out:  # an unwritable path fails before sampling
-        text = summary(config, sampler._summed_counts(config, chunks))
+        text = summary(config, sampler._summed_counts(config, sample))
         out.write(sampler.metadata_header(config) + "\n" + text)
     return 0
 

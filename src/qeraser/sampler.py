@@ -37,10 +37,9 @@ zero-probability cell is never selected.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
-from typing import IO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import _numpy as np
 from ._record import Record, astuple, replace
@@ -334,24 +333,23 @@ def sampling_table(config: ExperimentConfig) -> np.ndarray:
     return _plan(config).table
 
 
-def _sample(config: ExperimentConfig) -> Iterator[tuple[SystemStream, ControlStream]]:
+def _sample(config: ExperimentConfig) -> tuple[_Plan, Iterator[np.ndarray]]:
     """The one sampling body shared by every experiment and mode, chunk by chunk.
 
-    Builds and checks the run's plan at once, then returns an iterator of
-    each chunk's (system, control) pair in shot order; chunk k covers
-    ``shot_index`` ``k * _CHUNK`` up to the next chunk's first shot, with
-    int8 rows, outcomes and control signs.  A chunk the consumer drops is
-    freed before the next one is drawn.
+    Builds and checks the run's plan at once, and returns it beside an
+    iterator of each chunk's intp plan codes ``row * cells + cell``, one
+    per shot in shot order; chunk k covers shots ``k * _CHUNK`` up to the
+    next chunk's first shot.  A chunk the consumer drops is freed before
+    the next one is drawn.
     """
     plan = _plan(config)
     cumulative = _cumulative(plan.table)
     keyed = config.mode == "classical_mixture"
-    basis_angle = None if keyed else config.control_basis_angle
-    settings = tuple(plan.settings)
     paired = config.experiment == "chsh"
+    cells = plan.table.shape[1]
     generator = np.random.Philox(key=config.seed)
 
-    def drawn(part: slice) -> tuple[SystemStream, ControlStream]:
+    def drawn(part: slice) -> np.ndarray:
         count = part.stop - part.start
         uniforms = _shot_uniforms(generator, count, keyed + paired + 1)
         # leading uniforms pick the row in the frozen layout: key bit, then pair
@@ -362,20 +360,26 @@ def _sample(config: ExperimentConfig) -> Iterator[tuple[SystemStream, ControlStr
             pair = uniforms[int(keyed)]
             pair *= 4
             row = row * 4 + np.minimum(pair.astype(np.int8), 3)
-        chosen = _cell_indices(uniforms[-1], cumulative, row)
-        if keyed:  # the key bit of the row is the control outcome
-            outcome = chosen
-            control = np.where(row < len(plan.table) // 2, np.int8(1), np.int8(-1))
-        else:  # joint cells: system-major, control +1 first
-            outcome = chosen >> 1
-            control = 1 - 2 * (chosen & 1)
-        shots = np.arange(part.start, part.stop)
-        return (
-            SystemStream(shots, outcome, row, config.experiment, plan.labels, settings),
-            ControlStream(shots, control, basis_angle),
-        )
+        code = np.multiply(row, cells, dtype=np.intp)
+        code += _cell_indices(uniforms[-1], cumulative, row)
+        return code
 
-    return map(drawn, _chunks(config.shots))
+    return plan, map(drawn, _chunks(config.shots))
+
+
+def _code_fields(config: ExperimentConfig, plan: _Plan) -> np.ndarray:
+    """(3, rows * cells) int8 settings row, system outcome and control sign of each plan code.
+
+    Quantum cells are system-major with control +1 first; a mixture's
+    rows are key-major, and its key bit, +1 first, is the control.
+    """
+    rows, cells = plan.table.shape
+    if config.mode == "quantum":
+        row, outcome, down = np.indices((rows, cells // 2, 2), dtype=np.int8).reshape(3, -1)
+    else:
+        down, pair, outcome = np.indices((2, rows // 2, cells), dtype=np.int8).reshape(3, -1)
+        row = down * (rows // 2) + pair
+    return np.stack([row, outcome, 1 - 2 * down])
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
@@ -384,21 +388,21 @@ def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStrea
     Each shot's joint (system, control) outcome is drawn from the exact
     joint distribution of the requested experiment; the two halves are
     then written to separate streams that share only the shot index.
-    Identical (config, seed) reproduces identical streams.  The chunks of
-    :func:`_sample` are gathered into whole-run columns, in either mode.
+    Identical (config, seed) reproduces identical streams.  The plan codes
+    of :func:`_sample` are gathered into whole-run columns, in either mode.
     """
+    plan, chunks = _sample(config)
+    fields = _code_fields(config, plan)
+    # int8 as the fields are: rows, outcomes and signs are small codes
+    rows, outcome, control_outcome = (np.empty(config.shots, dtype=np.int8) for _ in fields)
+    for part, codes in zip(_chunks(config.shots), chunks):
+        for column, field in zip((rows, outcome, control_outcome), fields):
+            column[part] = field.take(codes)
     shots = np.arange(config.shots)
-    # int8 as the chunks are: outcomes, rows and signs are small codes
-    outcome = np.empty(config.shots, dtype=np.int8)
-    rows = np.empty(config.shots, dtype=np.int8)
-    control_outcome = np.empty(config.shots, dtype=np.int8)
-    for part, (system, control) in zip(_chunks(config.shots), _sample(config)):
-        outcome[part] = system.outcome
-        rows[part] = system.setting_row
-        control_outcome[part] = control.outcome
+    basis_angle = None if config.mode == "classical_mixture" else config.control_basis_angle
     return (
-        replace(system, shot_index=shots, outcome=outcome, setting_row=rows),
-        replace(control, shot_index=shots, outcome=control_outcome),
+        SystemStream(shots, outcome, rows, config.experiment, plan.labels, tuple(plan.settings)),
+        ControlStream(shots, control_outcome, basis_angle),
     )
 
 
@@ -557,29 +561,38 @@ def empirical_table(
     if len(records) == 0:
         raise ValueError("cannot tabulate an empty record set")
     if control_outcome is None:
-        return _counts_table(records.labels, _outcome_counts(records).sum(axis=1, keepdims=True))
+        return _counts_table(records.labels, _joint_counts(records).sum(axis=(0, 2))[:, None])
     control_outcome = np.asarray(control_outcome)
     if control_outcome.shape != records.outcome.shape:
         raise ValueError(f"control column covers {control_outcome.size} of {len(records)} shots")
     if not _signs_only(control_outcome):
         raise ValueError("control outcomes must be +1 or -1")
-    return _counts_table(records.labels, _outcome_counts(records, control_outcome))
+    return _counts_table(records.labels, _joint_counts(records, control_outcome).sum(axis=0))
 
 
-def _outcome_counts(
+def _joint_counts(
     records: SystemStream, control_outcome: np.ndarray | None = None
 ) -> np.ndarray:
-    """(outcomes, 2) shot counts of each outcome beside control +1 and -1.
+    """(plan rows, outcomes, 2) shot counts of each outcome beside control +1 and -1.
 
-    ``control_outcome`` is a checked +1/-1 column, as a join's is; without
-    it every shot counts as +1.  Counts of disjoint sets add up to their union's.
+    A chsh shot's plan row is its setting pair, in ``_CHSH_PAIRS`` order;
+    the other experiments have one plan row.  These are the counts that
+    :func:`_summed_counts` reads from plan codes.  ``control_outcome`` is
+    a checked +1/-1 column, as a join's is; without it every shot counts
+    as +1.  Counts of disjoint sets add up to their union's.
     """
     _check_codes(records)
-    # intp codes are what bincount reads, so it makes no copy of its own
-    codes = np.multiply(records.outcome, 2, dtype=np.intp)
+    rows, outcomes = len(_CHSH_PAIRS) if records.experiment == "chsh" else 1, len(records.labels)
+    pairs = [(s.get("setting_a"), s.get("setting_b")) for s in records.settings]
+    plan_rows = [_CHSH_PAIRS.index(pair) if rows > 1 else 0 for pair in pairs]
+    # code = (plan row * outcomes + outcome) * 2 + (control is -1), counted as intp
+    codes = np.array(plan_rows, dtype=np.intp).take(records.setting_row)
+    codes *= outcomes
+    codes += records.outcome
+    codes *= 2
     if control_outcome is not None:
         codes += control_outcome == -1
-    return np.bincount(codes, minlength=2 * len(records.labels)).reshape(-1, 2)
+    return np.bincount(codes, minlength=2 * rows * outcomes).reshape(rows, outcomes, 2)
 
 
 def _check_codes(records: SystemStream) -> None:
@@ -625,30 +638,22 @@ def chsh_statistic(records: SystemStream) -> tuple[float, float]:
     is estimated as (1 - E^2)/count and propagated in quadrature.  The
     value is signed; compare its magnitude against bounds.
     """
-    return _chsh_from_sums(_pair_sums(records).sum(axis=0))
-
-
-def _pair_sums(records: SystemStream, control_outcome: np.ndarray | None = None) -> np.ndarray:
-    """(2, 2, 4) record counts and +-1 product sums of the four setting pairs.
-
-    Axis 0 is control +1, then -1, as in :func:`_outcome_counts`; axis 1
-    holds the counts, then the product sums.  Every entry is an exact
-    integer, so the sums of disjoint record sets add up to those of their
-    union whatever the order.
-    """
     if records.experiment != "chsh":
         raise ValueError("chsh_statistic needs chsh records")
-    _check_codes(records)
-    # code = 8 * (product is -1) + 2 * pair + (control is -1), counted as intp
-    pairs = [(s["setting_a"], s["setting_b"]) for s in records.settings]
-    pair_of_row = [2 * _CHSH_PAIRS.index(pair) for pair in pairs]
-    negative_of = [8 * (_OUTCOME_SIGN[a] != _OUTCOME_SIGN[b]) for a, b in records.labels]
-    codes = np.array(pair_of_row, dtype=np.intp).take(records.setting_row)
-    codes += np.array(negative_of, dtype=np.int8).take(records.outcome)
-    if control_outcome is not None:
-        codes += control_outcome == -1
-    signed = np.bincount(codes, minlength=16).reshape(2, 4, 2)  # (product, pair, control)
-    return np.stack([signed[0] + signed[1], signed[0] - signed[1]]).transpose(2, 0, 1)
+    return _chsh_from_sums(_pair_sums(records.labels, _joint_counts(records)).sum(axis=0))
+
+
+def _pair_sums(labels: Sequence[str], joint: np.ndarray) -> np.ndarray:
+    """(2, 2, 4) counts and +-1 product sums of the four setting pairs.
+
+    ``joint`` holds chsh (pair, outcome, control) counts, as
+    :func:`_joint_counts` gives them.  Axis 0 is control +1, then -1;
+    axis 1 holds the counts, then the product sums.  Every entry is an
+    exact integer, so the sums of disjoint record sets add up to those of
+    their union whatever the order.
+    """
+    signs = np.array([_OUTCOME_SIGN[a] * _OUTCOME_SIGN[b] for a, b in labels])
+    return np.stack([joint.sum(axis=1), signs @ joint]).transpose(2, 0, 1)
 
 
 def _chsh_from_sums(sums: np.ndarray) -> tuple[float, float]:
@@ -671,7 +676,7 @@ def empirical_parity(records: SystemStream) -> tuple[float, float]:
         raise ValueError("cannot estimate parity from an empty record set")
     if tuple(records.labels) != _PARITY_ROWS:
         raise ValueError("empirical_parity needs metrology records")
-    return _parity_estimate(_outcome_counts(records)[:, 0])
+    return _parity_estimate(_joint_counts(records).sum(axis=0)[:, 0])
 
 
 def _parity_estimate(counts: Sequence[int]) -> tuple[float, float]:
@@ -690,22 +695,22 @@ def _parity_estimate(counts: Sequence[int]) -> tuple[float, float]:
 
 
 def _summed_counts(
-    config: ExperimentConfig, chunks: Iterable[tuple[SystemStream, ControlStream]]
+    config: ExperimentConfig, sample: tuple[_Plan, Iterator[np.ndarray]] | None = None
 ) -> np.ndarray:
-    """:func:`_pair_sums` (chsh) or :func:`_outcome_counts` of a run, summed over its chunk joins.
+    """The run's :func:`_pair_sums` (chsh), or its (outcomes, 2) C=up/C=down outcome counts.
 
-    ``chunks`` yields one or more (system, control) pairs of disjoint
-    shots, as :func:`_sample` does, each joined and counted before the
-    next is read; integer counts add up to those of the whole run exactly.
+    Adds the plan-code counts of the chunks of ``sample``, ``_sample(config)``
+    drawn here when None, into the run's :func:`_joint_counts`, exactly.
     """
-    count = _pair_sums if config.experiment == "chsh" else _outcome_counts
-    joins = itertools.starmap(delayed_join, chunks)
+    plan, chunks = _sample(config) if sample is None else sample
+    rows, cells = plan.table.shape
     # map, unlike a generator expression, holds no chunk while it draws the next
-    counts = map(lambda j: count(j.system, j.control.outcome), joins)
-    first = next(counts, None)
-    if first is None:
-        raise ValueError("no chunks to count: the chunk iterable is empty")
-    return sum(counts, first)
+    counts = sum(map(functools.partial(np.bincount, minlength=rows * cells), chunks))
+    if config.mode == "quantum":  # cells: system-major, control +1 first
+        joint = counts.reshape(rows, cells // 2, 2)
+    else:  # rows: key-major, and the key bit is the control
+        joint = counts.reshape(2, rows // 2, cells).transpose(1, 2, 0)
+    return _pair_sums(plan.labels, joint) if config.experiment == "chsh" else joint.sum(axis=0)
 
 
 def _parity_estimates(config: ExperimentConfig) -> list[float]:
@@ -714,7 +719,7 @@ def _parity_estimates(config: ExperimentConfig) -> list[float]:
     One pass over the chunks; the unjoined set is the sum of the labeled
     ones, and an empty set reads nan.
     """
-    up, down = _summed_counts(config, _sample(config)).T  # (+1, -1) counts per control outcome
+    up, down = _summed_counts(config).T  # (+1, -1) counts per control outcome
     return [*_parity_estimate(up), *_parity_estimate(down), *_parity_estimate(up + down)]
 
 
@@ -800,134 +805,126 @@ def _decimal_bytes(values: np.ndarray, width: int) -> np.ndarray:
     return text
 
 
-def _csv_renderer(
-    records: SystemStream | ControlStream, width: int
-) -> tuple[str, Callable[[SystemStream | ControlStream], None], Callable[..., np.ndarray]]:
-    """Column header line, ``check(chunk)`` and ``render(chunk, rows, digits, short)``.
+def _system_layout(experiment: str, labels: Sequence[str], settings: Sequence[Mapping]):
+    """Column line of a system stream and the tail of each (settings row, outcome), row-major."""
+    keys = sorted(settings[0])
+    if any(sorted(template) != keys for template in settings):
+        raise ValueError("records disagree on setting fields")
+    tails = [
+        ",".join(["", experiment, label, *(_format_field(template[k]) for k in keys)]) + "\n"
+        for template in settings
+        for label in labels
+    ]
+    return "shot_index,experiment,outcome," + ",".join(keys) + "\n", tails
 
-    A line is the shot's decimal index followed by a tail that only the
-    per-run values of ``records`` decide: one tail per (settings row,
-    outcome) of a system stream, one per outcome of a control stream.
-    Each tail is formatted once.  ``chunk`` is any part of a stream with
-    those per-run values whose shot indices have at most ``width``
-    characters; ``check`` raises ValueError on codes the tails do not
-    cover.  ``render`` makes the lines of the block ``rows`` of a checked
-    chunk, at most ``_ROW_BLOCK`` shots: ``digits`` is
-    ``_decimal_bytes(chunk.shot_index[rows], width)``, so streams that
-    share their shot indices share it too, and ``short`` says whether it
-    holds padding.  Each shot's right-aligned index digits and its tail
-    fill one row of a uint8 matrix, padded with ``_PAD``; dropping every
-    ``_PAD`` byte leaves the block's UTF-8 text, returned as a 1-D uint8
-    array.  When every tail has one length and no index is short, no row
-    has padding and the matrix already is the text, valid until the next
-    block refills that buffer.
-    """
-    if isinstance(records, SystemStream):
-        keys = sorted(records.settings[0])
-        if any(sorted(settings) != keys for settings in records.settings):
-            raise ValueError("records disagree on setting fields")
-        columns = "shot_index,experiment,outcome," + ",".join(keys) + "\n"
-        tails = [
-            ",".join(["", records.experiment, label, *(_format_field(settings[k]) for k in keys)])
-            + "\n"
-            for settings in records.settings
-            for label in records.labels
-        ]
-        outcomes = len(records.labels)
-        check = _check_codes
 
-        def codes_of(chunk: SystemStream, rows: slice) -> np.ndarray:
-            codes = np.multiply(chunk.setting_row[rows], outcomes, dtype=np.intp)
-            codes += chunk.outcome[rows]
-            return codes
-
-    else:
-        columns = "shot_index,control_outcome,basis_angle\n"
-        angle = _format_field(records.basis_angle)
-        tails = [f",{value:+d},{angle}\n" for value in (1, -1)]
-
-        def check(chunk: ControlStream) -> None:
-            if not _signs_only(chunk.outcome):
-                raise ValueError("control outcomes must be +1 or -1")
-
-        def codes_of(chunk: ControlStream, rows: slice) -> np.ndarray:
-            return (chunk.outcome[rows] == -1).astype(np.intp)  # +1 -> 0, -1 -> 1
-
-    encoded = [tail.encode("utf-8") for tail in tails]
-    equal_tails = len(set(map(len, encoded))) == 1
-    # the index field, then the tail and its right padding
-    templates = np.full((len(tails), width + max(map(len, encoded))), _PAD, dtype=np.uint8)
-    for template, data in zip(templates, encoded):
-        template[width : width + len(data)] = np.frombuffer(data, dtype=np.uint8)
-
-    lines = np.empty((_ROW_BLOCK, templates.shape[1]), dtype=np.uint8)
-    # each line's index field as one opaque item: numpy copies an item per line
-    # where a (lines, width) uint8 copy loops over every byte
-    fields = lines[:, :width].view(f"V{width}")
-
-    def render(
-        chunk: SystemStream | ControlStream, rows: slice, digits: np.ndarray, short: bool
-    ) -> np.ndarray:
-        codes = codes_of(chunk, rows)
-        # mode="clip" fills ``out`` itself; checked codes are in range anyway
-        text = templates.take(codes, axis=0, out=lines[: len(codes)], mode="clip")
-        fields[: len(codes)] = digits.view(fields.dtype)
-        if short or not equal_tails:
-            return text[text != _PAD]
-        return text.reshape(-1)
-
-    return columns, check, render
+def _control_layout(basis_angle: float | None):
+    """Column line of a control stream and the line tails of +1 and -1."""
+    angle = _format_field(basis_angle)
+    return "shot_index,control_outcome,basis_angle\n", [f",{v:+d},{angle}\n" for v in (1, -1)]
 
 
 def write_stream_csv(
-    stream: IO[str],
-    records: SystemStream | ControlStream,
-    config: ExperimentConfig,
+    stream: IO[str], records: SystemStream | ControlStream, config: ExperimentConfig
 ) -> None:
     """CSV serialization with the metadata header; byte-deterministic."""
     if len(records) == 0:
         stream.write(metadata_header(config) + "\n")
         return
+    if isinstance(records, SystemStream):
+        _check_codes(records)
+        layout = _system_layout(records.experiment, records.labels, records.settings)
+        outcomes = len(records.labels)
+
+        def codes_of(block: slice) -> np.ndarray:  # the tail of (settings row, outcome)
+            return records.setting_row[block].astype(np.intp) * outcomes + records.outcome[block]
+
+    else:
+        if not _signs_only(records.outcome):
+            raise ValueError("control outcomes must be +1 or -1")
+        layout = _control_layout(records.basis_angle)
+
+        def codes_of(block: slice) -> np.ndarray:  # +1 -> 0, -1 -> 1
+            return (records.outcome[block] == -1).view(np.int8)
+
     shots = records.shot_index
     # the longest decimal belongs to the smallest or the largest index
     width = max(len(str(int(shots.min()))), len(str(int(shots.max()))))
-    chunks = ((records[part],) for part in _chunks(len(records)))
-    _write_csv_chunks((lambda data: stream.write(str(data, "utf-8")),), chunks, config, width)
+    write = (lambda data: stream.write(str(data, "utf-8")),)
+    write_block = _csv_writer(write, [layout], config, width)
+    for start in range(0, len(records), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        write_block(shots[block], codes_of(block))
 
 
 def _write_csv_chunks(
     writes: Sequence[Callable[[bytes], object]],
-    chunks: Iterator[tuple[SystemStream | ControlStream, ...]],
+    sample: tuple[_Plan, Iterator[np.ndarray]],
+    config: ExperimentConfig,
+) -> None:
+    """Write the system stream, then the control stream, of ``sample``, ``_sample(config)``.
+
+    Both streams render each chunk's plan codes through one tail per
+    code: the system tail of the code's (settings row, outcome), and the
+    control tail of its sign, at the index width of the run's last shot.
+    """
+    plan, chunks = sample
+    rows, outcomes, signs = _code_fields(config, plan).tolist()
+    columns, tails = _system_layout(config.experiment, plan.labels, plan.settings)
+    system = columns, [tails[r * len(plan.labels) + o] for r, o in zip(rows, outcomes)]
+    keyed = config.mode == "classical_mixture"
+    columns, tails = _control_layout(None if keyed else config.control_basis_angle)
+    control = columns, [tails[sign == -1] for sign in signs]
+    write_block = _csv_writer(writes, [system, control], config, len(str(config.shots - 1)))
+    start = 0
+    for codes in chunks:
+        for first in range(0, len(codes), _ROW_BLOCK):
+            block = codes[first : first + _ROW_BLOCK]
+            write_block(np.arange(start + first, start + first + len(block)), block)
+        start += len(codes)
+        del codes, block  # hold no chunk while the next is drawn
+
+
+def _csv_writer(
+    writes: Sequence[Callable[[bytes], object]],
+    layouts: Sequence[tuple[str, Sequence[str]]],
     config: ExperimentConfig,
     width: int,
-) -> None:
-    """Write streams whose chunks share shot indices as CSV, one ``write`` per stream.
+) -> Callable[[np.ndarray, np.ndarray], None]:
+    """Write the header of streams that share shot indices; return ``write_block(shots, codes)``.
 
-    ``chunks`` yields at least one tuple of stream chunks, one per stream,
-    such as the (system, control) chunks of :func:`_sample`; every shot
-    index has at most ``width`` characters.  Each ``write`` gets the
-    header line and the column line, then the bytes of each block of
-    ``_ROW_BLOCK`` lines, in a buffer that the next block reuses.
+    ``writes[k]`` gets the header and the column line of ``layouts[k]``
+    at once, then from each ``write_block`` the lines of at most
+    ``_ROW_BLOCK`` shots, in a buffer that the next block refills.  A
+    line is the shot's decimal index, of at most ``width`` characters,
+    followed by ``tails[code]``.  The index digits, rendered once for
+    every stream, and the tail fill one row of a uint8 matrix, padded
+    with ``_PAD``; dropping every ``_PAD`` byte leaves the UTF-8 text.
+    Where no row has padding, the matrix already is the text.
     """
-    first = next(chunks)
     header = metadata_header(config) + "\n"
-    checks, renderers = [], []
-    for write, records in zip(writes, first):
-        columns, check, render = _csv_renderer(records, width)
+    streams = []
+    for write, (columns, tails) in zip(writes, layouts):
         write((header + columns).encode("utf-8"))
-        checks.append(check)
-        renderers.append(render)
-    chunks = itertools.chain([first], chunks)
-    del first
-    for parts in chunks:
-        for check, records in zip(checks, parts):
-            check(records)
-        shots = parts[0].shot_index
-        for start in range(0, len(shots), _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            # the streams of a chunk share its shot indices, so their digits too
-            digits = _decimal_bytes(shots[rows], width)
-            short = np.maximum.reduce(digits[:, 0]) == _PAD  # padding starts in column 0
-            for write, render, records in zip(writes, renderers, parts):
-                write(render(records, rows, digits, short))
-        del parts, records, shots  # hold no chunk while the next is drawn
+        encoded = [tail.encode("utf-8") for tail in tails]
+        # the index field, then the tail and its right padding
+        templates = np.full((len(tails), width + max(map(len, encoded))), _PAD, dtype=np.uint8)
+        for template, data in zip(templates, encoded):
+            template[width : width + len(data)] = np.frombuffer(data, dtype=np.uint8)
+        lines = np.empty((_ROW_BLOCK, templates.shape[1]), dtype=np.uint8)
+        # each line's index field as one opaque item: numpy copies an item per line
+        # where a (lines, width) uint8 copy loops over every byte
+        fields = lines[:, :width].view(f"V{width}")
+        ragged = len(set(map(len, encoded))) > 1
+        streams.append((write, templates, lines, fields, ragged))
+
+    def write_block(shots: np.ndarray, codes: np.ndarray) -> None:
+        digits = _decimal_bytes(shots, width)
+        short = np.maximum.reduce(digits[:, 0]) == _PAD  # padding starts in column 0
+        for write, templates, lines, fields, ragged in streams:
+            # mode="clip" fills ``out`` itself; the codes are in range anyway
+            text = templates.take(codes, axis=0, out=lines[: len(codes)], mode="clip")
+            fields[: len(codes)] = digits.view(fields.dtype)
+            write(text[text != _PAD] if short or ragged else text.reshape(-1))
+
+    return write_block

@@ -378,8 +378,7 @@ def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mod
         files = (io.BytesIO(), io.BytesIO())
         with chunked(chunk, row_block):
             writes = [handle.write for handle in files]
-            width = len(str(shots - 1))
-            sampler._write_csv_chunks(writes, sampler._sample(config), config, width)
+            sampler._write_csv_chunks(writes, sampler._sample(config), config)
             for records, wanted in zip(run_experiment(config), expected):
                 assert_same_text(rendered(records, config), wanted)
         for handle, wanted in zip(files, expected):
@@ -389,13 +388,13 @@ def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mod
 @given(st.integers(1, 19), st.integers(0, 2**64 - 1), ROW_BLOCKS)
 @example(19, 0, 7)
 def test_narrow_chunk_codes_render_at_every_index_width(width, seed, row_block):
-    """A classical-mixture chsh chunk has 8 setting rows of 4 outcomes: tail codes 0..31.
+    """A classical-mixture chsh run has 8 setting rows of 4 outcomes: tail codes 0..31.
 
     Its rows and outcomes are int8, and the largest code renders beside
     indices of every length up to ``width``, each padded to ``width``.
     """
     config = base_config("chsh", "classical_mixture", shots=300, seed=seed)
-    system, control = next(sampler._sample(config))
+    system, control = run_experiment(config)
     assert system.outcome.dtype == system.setting_row.dtype == np.int8
     rows, outcomes = system.setting_row.copy(), system.outcome.copy()
     rows[-1], outcomes[-1] = 7, 3  # the largest code

@@ -221,7 +221,7 @@ def test_summed_outcome_counts_give_the_whole_run_tables(run):
     config, parts = run
     joined = delayed_join(*run_experiment(config))
     counts = sum(
-        sampler._outcome_counts(joined.system[part], joined.control.outcome[part])
+        sampler._joint_counts(joined.system[part], joined.control.outcome[part]).sum(axis=0)
         for part in parts
     )
     for table, expected in (
@@ -245,12 +245,18 @@ def test_summed_pair_sums_give_the_whole_run_statistic(run, label):
     if label is not None:
         keep = joined.control.outcome == label
         records = joined.labeled(label)
+    labels = joined.system.labels
     masked = sum(
-        sampler._pair_sums(joined.system[part][keep[part]]).sum(axis=0) for part in parts
+        sampler._pair_sums(labels, sampler._joint_counts(joined.system[part][keep[part]]))
+        .sum(axis=0)
+        for part in parts
     )
     # the control-split form sums both labeled sets at once, C=up first
     split = sum(
-        sampler._pair_sums(joined.system[part], joined.control.outcome[part]) for part in parts
+        sampler._pair_sums(
+            labels, sampler._joint_counts(joined.system[part], joined.control.outcome[part])
+        )
+        for part in parts
     )
     from_split = {+1: split[0], -1: split[1], None: split.sum(axis=0)}[label]
     try:
@@ -340,15 +346,17 @@ def test_a_summary_opens_its_output_before_sampling(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["sample", "classical-mixture"])
-def test_a_summary_checks_each_chunk_control_column_once(mode):
-    """The join checks a chunk's control signs; the counts do not check them again."""
-    shots = 3 * sampler._CHUNK - 5  # three chunks, the last one ragged
-    signs_only, checked = sampler._signs_only, []
+@pytest.mark.parametrize("command", ["hom", "chsh"])
+def test_a_summary_counts_plan_codes_and_builds_no_stream(command, mode):
+    """A summary counts the drawn plan codes: it joins, builds and checks no stream record."""
+    argv = sampled_argv(command, mode, 3 * sampler._CHUNK - 5, SEED, "summary")  # 3 chunks
+    expected = run_cli(argv)
 
-    def watched(values):
-        checked.append(len(values))
-        return signs_only(values)
+    def refused(*args, **kwargs):
+        raise AssertionError("a summary used stream records")
 
-    with mock.patch.object(sampler, "_signs_only", watched):
-        run_cli(sampled_argv("hom", mode, shots, SEED, "summary"))
-    assert checked == [sampler._CHUNK, sampler._CHUNK, sampler._CHUNK - 5]
+    names = ("delayed_join", "SystemStream", "ControlStream", "_signs_only", "_check_codes")
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(sampler, name, refused))
+        assert run_cli(argv) == expected

@@ -114,20 +114,20 @@ MODES = pytest.mark.parametrize("mode", ["quantum", "classical_mixture"])
 @MODES
 @pytest.mark.parametrize("experiment", ["hom", "chsh"])
 def test_a_dropped_chunk_is_freed_before_the_next_draw(experiment, mode):
-    chunks = sampler._sample(sampled_config(experiment, mode, 2 * sampler._CHUNK))
-    system, control = next(chunks)
-    bases = [weakref.ref(system.outcome.base), weakref.ref(system.shot_index.base)]
-    del system, control
+    _, chunks = sampler._sample(sampled_config(experiment, mode, 2 * sampler._CHUNK))
+    codes = next(chunks)
+    chunk = weakref.ref(codes)
+    del codes
     draw, alive = sampler._shot_uniforms, []
 
     def watched(*args):
-        alive.append([base() is not None for base in bases])
+        alive.append(chunk() is not None)
         return draw(*args)
 
     with mock.patch.object(sampler, "_shot_uniforms", watched):
         next(chunks)
-    assert alive == [[False, False]]  # chunk 0's columns, as chunk 1 is drawn
-    assert [base() for base in bases] == [None, None]
+    assert alive == [False]  # chunk 0's plan codes, as chunk 1 is drawn
+    assert chunk() is None
 
 
 @MODES
@@ -135,8 +135,8 @@ def test_a_dropped_chunk_is_freed_before_the_next_draw(experiment, mode):
 def test_sampled_cli_paths_hold_one_chunk_of_working_set(experiment, mode):
     """The CSV writer and the summary sums of the CLI, as ``cli._run_sampled`` runs them.
 
-    With chunks of one 2**12-shot raw draw, the CSV path peaks at 0.34
-    to 0.41 MiB and the summary path at 0.22 to 0.29 MiB.  Chunks of
+    With chunks of one 2**12-shot raw draw, the CSV path peaks at 0.29
+    to 0.36 MiB and the summary path at 0.22 to 0.29 MiB.  Chunks of
     2**14 shots, each drawn in four blocks, peak at 0.75 to 1.03 MiB and
     0.44 to 0.69 MiB; a sampler that holds each chunk while it draws the
     next, or builds int64 columns and whole-chunk byte matrices (about
@@ -145,14 +145,11 @@ def test_sampled_cli_paths_hold_one_chunk_of_working_set(experiment, mode):
     config = sampled_config(experiment, mode, 1_000_000)
     sampler._sample(config)  # the first plan loads modules; no chunk loop does
     writes = (lambda data: None,) * 2
-    width = len(str(config.shots - 1))
     _, csv = traced_peak(
-        lambda: sampler._write_csv_chunks(writes, sampler._sample(config), config, width)
+        lambda: sampler._write_csv_chunks(writes, sampler._sample(config), config)
     )
     summary = {"hom": cli._hom_summary, "chsh": cli._chsh_summary}[experiment]
-    _, sums = traced_peak(
-        lambda: summary(config, sampler._summed_counts(config, sampler._sample(config)))
-    )
+    _, sums = traced_peak(lambda: summary(config, sampler._summed_counts(config)))
     assert csv <= 0.75 * MIB and sums <= 0.75 * MIB, (csv / MIB, sums / MIB)
 
 
@@ -165,7 +162,6 @@ def test_index_digits_are_rendered_one_row_block_at_a_time(experiment, mode):
     about 32 bytes per shot: a 2**12-shot chunk then peaks about 100 KB
     above a chunk of one row block.
     """
-    width = len(str(sampler._CHUNK - 1))
     writes = (lambda data: None,) * 2
     decimal_bytes, digit_rows = sampler._decimal_bytes, []
 
@@ -178,12 +174,13 @@ def test_index_digits_are_rendered_one_row_block_at_a_time(experiment, mode):
     peaks = []
     for shots in (sampler._ROW_BLOCK, sampler._CHUNK):
         config = sampled_config(experiment, mode, shots)
-        chunks = [next(sampler._sample(config))]
-        sampler._write_csv_chunks(writes, iter(chunks), config, width)  # builds the tables
+        plan, chunks = sampler._sample(config)
+        chunks = [next(chunks)]
+        sampler._write_csv_chunks(writes, (plan, iter(chunks)), config)  # builds the tables
         digit_rows.clear()
         with mock.patch.object(sampler, "_decimal_bytes", watched):
             _, peak = traced_peak(
-                lambda: sampler._write_csv_chunks(writes, iter(chunks), config, width)
+                lambda: sampler._write_csv_chunks(writes, (plan, iter(chunks)), config)
             )
         assert sum(digit_rows) == shots  # once per shot, for both streams
         peaks.append(peak)

@@ -582,13 +582,6 @@ def test_a_theta_point_draws_its_chunks_once(monkeypatch):
     assert len(estimates) == 6 and not any(map(math.isnan, estimates))
 
 
-@pytest.mark.parametrize("make_config", [hom_config, chsh_config, metrology_config])
-def test_summed_counts_of_no_chunks_name_the_empty_input(make_config):
-    config = make_config()
-    with pytest.raises(ValueError, match="chunk iterable is empty"):
-        sampler._summed_counts(config, iter([]))
-
-
 def expected_estimates(config: sampler.ExperimentConfig) -> list[str]:
     joined = sampler.delayed_join(*sampler.run_experiment(config))
     values = []
