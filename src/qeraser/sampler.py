@@ -697,10 +697,11 @@ def _parity_estimate(counts: Sequence[int]) -> tuple[float, float]:
 def _summed_counts(
     config: ExperimentConfig, sample: tuple[_Plan, Iterator[np.ndarray]] | None = None
 ) -> np.ndarray:
-    """The run's :func:`_pair_sums` (chsh), or its (outcomes, 2) C=up/C=down outcome counts.
+    """The run's (outcomes, 2) C=up/C=down outcome counts, or its :func:`_pair_sums` (chsh).
 
-    Adds the plan-code counts of the chunks of ``sample``, ``_sample(config)``
-    drawn here when None, into the run's :func:`_joint_counts`, exactly.
+    ``sample`` is ``_sample(config)``, drawn here when None.  Its chunks'
+    summed plan-code counts, viewed as (settings row, outcome, control),
+    are :func:`_joint_counts` of the run's joined streams, exactly.
     """
     plan, chunks = _sample(config) if sample is None else sample
     rows, cells = plan.table.shape
