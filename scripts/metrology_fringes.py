@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from qeraser.protocols import MetrologySetup, parity_expectation, phase_sensitivity
-from qeraser.sampler import ExperimentConfig, _parity_estimates
+from qeraser.sampler import ExperimentConfig, empirical_parity, run_counts
 
 ERASING = math.pi / 2
 
@@ -66,7 +66,7 @@ def main() -> int:
                 theta=theta,
                 control_basis_angle=ERASING,
             )
-            mean, error = _parity_estimates(config)[:2]  # the C=up set; nan when empty
+            mean, error = empirical_parity(run_counts(config)[0, :, 0])  # C=up set; nan if empty
             row += [repr(mean), repr(error)]
         lines.append(",".join(row))
 

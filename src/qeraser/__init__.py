@@ -30,7 +30,10 @@ from .sampler import (
     chsh_statistic,
     classical_mixture_run,
     delayed_join,
+    empirical_parity,
     empirical_table,
+    joint_counts,
+    run_counts,
     run_experiment,
 )
 
@@ -58,6 +61,9 @@ __all__ = [
     "chsh_statistic",
     "classical_mixture_run",
     "delayed_join",
+    "empirical_parity",
     "empirical_table",
+    "joint_counts",
+    "run_counts",
     "run_experiment",
 ]

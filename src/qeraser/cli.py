@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import math
 import os
 import re
@@ -354,7 +355,7 @@ def _run_sampled(
     """Write a sampled run's two CSV streams, or ``summary`` of its summed counts.
 
     ``--format csv`` writes the system stream to ``--output`` and the
-    control stream beside it; a summary reads :func:`sampler._summed_counts`.
+    control stream beside it; a summary reads :func:`sampler.run_counts`.
     """
     form = _resolved_format(args)
     if form == "csv" and args.output is None:
@@ -370,15 +371,16 @@ def _run_sampled(
         print(f"wrote {args.output} and {control_path}", file=sys.stderr)
         return 0
     with _output_stream(args.output) as out:  # an unwritable path fails before sampling
-        text = summary(config, sampler._summed_counts(config, sample))
+        text = summary(config, sampler.run_counts(config, sample))
         out.write(sampler.metadata_header(config) + "\n" + text)
     return 0
 
 
 def _hom_summary(config: ExperimentConfig, counts: np.ndarray) -> str:
-    """Sampled hom summary from the run's C=up/C=down counts: reference, joined, unjoined."""
-    empirical_joined = sampler._counts_table(HOM_OUTCOMES, counts)
-    empirical_unjoined = sampler._counts_table(HOM_OUTCOMES, counts.sum(axis=1, keepdims=True))
+    """Sampled hom summary from the run's counts: reference, joined, unjoined."""
+    (joined,) = counts  # one plan row: the C=up/C=down counts of each outcome
+    empirical_joined = sampler.empirical_table(HOM_OUTCOMES, joined)
+    empirical_unjoined = sampler.empirical_table(HOM_OUTCOMES, joined.sum(axis=1, keepdims=True))
     reference = _hom_columns(config.phi, config.statistics, config.control_basis_angle)
     return (
         "reference (analytic, this control basis):\n"
@@ -436,20 +438,20 @@ def _settings_line(settings: ChshSettings) -> str:
     )
 
 
-def _chsh_summary(config: ExperimentConfig, up_down: np.ndarray) -> str:
-    """Sampled chsh summary from the run's C=up/C=down pair sums: S of each labeled set."""
+def _chsh_summary(config: ExperimentConfig, counts: np.ndarray) -> str:
+    """Sampled chsh summary from the run's (pair, outcome, control) counts: S of each set."""
     branches = (
-        ("empirical S (joined C=up):   ", up_down[0]),
-        ("empirical S (joined C=down): ", up_down[1]),
-        ("empirical S (unjoined):      ", up_down[0] + up_down[1]),
+        ("empirical S (joined C=up):   ", counts[..., 0]),
+        ("empirical S (joined C=down): ", counts[..., 1]),
+        ("empirical S (unjoined):      ", counts.sum(axis=2)),
     )
-    estimates = [_chsh_estimate(sums) for _, sums in branches]
+    estimates = [_chsh_estimate(set_counts) for _, set_counts in branches]
     _, s = _chsh_analytic(config.settings, config.phi, config.control_basis_angle)
     text = _settings_line(config.settings) + (
         f"analytic S: up={s[0]:.6f} down={s[1]:.6f} unjoined={s[2]:.6f}\n"
     )
-    for (prefix, sums), (value, _) in zip(branches, estimates):
-        text += f"{prefix}{value} ({int(sums[0].sum())} shots)\n"
+    for (prefix, set_counts), (value, _) in zip(branches, estimates):
+        text += f"{prefix}{value} ({int(set_counts.sum())} shots)\n"
     return text + f"violation of |S| <= 2 (C=up branch): {estimates[0][1]}\n"
 
 
@@ -487,16 +489,16 @@ def _run_chsh(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chsh_estimate(sums: np.ndarray) -> tuple[str, str]:
+def _chsh_estimate(counts: np.ndarray) -> tuple[str, str]:
     """Printed empirical S and violation significance of one labeled set.
 
-    ``sums`` are the set's per-pair counts and +-1 sums.  A small run can
+    ``counts`` are the set's (pair, outcome) counts.  A small run can
     leave a set without records for some setting pair; both then read
     n/a with the reason instead of failing the run.  When every correlator
     is +-1 the standard error is zero and the significance reads n/a.
     """
     try:
-        s, err = sampler._chsh_from_sums(sums)
+        s, err = sampler.chsh_statistic(counts)
     except ValueError as error:
         return (f"n/a ({error})",) * 2
     estimate = f"{s:+.4f} +- {err:.4f}"
@@ -564,7 +566,9 @@ def _run_phase_est(args: argparse.Namespace) -> int:
     for index, theta in enumerate(thetas):
         seed = (args.seed + index) % 2**64
         config = _from_flags(replace, base_config, seed=seed, theta=theta)
-        rows.append((theta, *sampler._parity_estimates(config)))
+        up, down = sampler.run_counts(config)[0].T  # (+1, -1) parity counts per control
+        estimates = map(sampler.empirical_parity, (up, down, up + down))
+        rows.append((theta, *itertools.chain.from_iterable(estimates)))
 
     header = sampler._header_line(
         {

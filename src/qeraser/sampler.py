@@ -12,7 +12,10 @@ the control stream.  Each experiment has one plan, a table of the joint
 (system, control) distributions of its quantum run; a mixture reads the
 same table at the erasing readout, split by the key bit.  Both modes run
 the same sampling body over it: the leading uniforms of a shot pick its
-row (key bit, then setting pair) and the next one its cell.
+row (key bit, then setting pair) and the next one its cell.  Every
+statistic reads one (plan row, outcome, control) count tensor:
+:func:`run_counts` sums it from a run's drawn chunks, and
+:func:`joint_counts` counts it from a stream shot by shot.
 
 Randomness contract (``GENERATOR_ID``): Philox 4x64 keyed by the run
 seed; shot ``i`` owns counter block ``i``, i.e. the four raw 64-bit words
@@ -74,6 +77,8 @@ __all__ = [
     "classical_mixture_run",
     "sampling_table",
     "delayed_join",
+    "joint_counts",
+    "run_counts",
     "empirical_table",
     "chsh_statistic",
     "empirical_parity",
@@ -131,7 +136,7 @@ class SystemStream(_Stream):
     """System half of a run.  ``settings`` never includes the control basis.
 
     Shot k has outcome ``labels[outcome[k]]`` and the settings template
-    ``settings[setting_row[k]]`` (one template per sampling row).
+    ``settings[setting_row[k]]`` (one template per setting pair).
     """
 
     setting_row: np.ndarray
@@ -266,7 +271,7 @@ class _Plan(NamedTuple):
 
     ``table`` holds one outcome distribution per row, with cells as
     :func:`sampling_table` orders them.  ``labels`` are the system
-    outcomes; ``settings`` has one template per row.
+    outcomes; ``settings`` has one template per setting pair.
     """
 
     table: np.ndarray
@@ -312,14 +317,15 @@ def _plan(config: ExperimentConfig) -> _Plan:
     A classical mixture is the quantum plan of the same config, whose
     control readout :class:`ExperimentConfig` fixes at the erasing angle:
     its rows are (key, pair) with key +1 first, each ``2.0 *`` the joint
-    cells of control = key, and its settings templates are doubled.
+    cells of control = key.  Its settings templates stay one per pair, so
+    a system stream's setting row never reveals the key.
     """
     build = {"hom": _hom_quantum, "chsh": _chsh_quantum, "metrology": _metrology_quantum}
     plan = build[config.experiment](config)
     if config.mode == "quantum":
         return plan
     table = 2.0 * np.concatenate([plan.table[:, 0::2], plan.table[:, 1::2]])
-    return _Plan(table, plan.labels, [*plan.settings] * 2)
+    return _Plan(table, plan.labels, plan.settings)
 
 
 def sampling_table(config: ExperimentConfig) -> np.ndarray:
@@ -371,14 +377,14 @@ def _code_fields(config: ExperimentConfig, plan: _Plan) -> np.ndarray:
     """(3, rows * cells) int8 settings row, system outcome and control sign of each plan code.
 
     Quantum cells are system-major with control +1 first; a mixture's
-    rows are key-major, and its key bit, +1 first, is the control.
+    rows are key-major, and its key bit, +1 first, is the control.  The
+    settings row is the setting pair in either mode.
     """
     rows, cells = plan.table.shape
     if config.mode == "quantum":
         row, outcome, down = np.indices((rows, cells // 2, 2), dtype=np.int8).reshape(3, -1)
     else:
-        down, pair, outcome = np.indices((2, rows // 2, cells), dtype=np.int8).reshape(3, -1)
-        row = down * (rows // 2) + pair
+        down, row, outcome = np.indices((2, rows // 2, cells), dtype=np.int8).reshape(3, -1)
     return np.stack([row, outcome, 1 - 2 * down])
 
 
@@ -441,9 +447,6 @@ class JoinedStreams(Record):
 
     system: SystemStream
     control: ControlStream
-
-    def labeled(self, outcome: int) -> SystemStream:
-        return self.system[self.control.outcome == outcome]
 
 
 def delayed_join(
@@ -546,49 +549,32 @@ class EmpiricalTable(ProbabilityTable):
         return "\n".join(lines) + "\n"
 
 
-def empirical_table(
-    records: SystemStream, control_outcome: np.ndarray | None = None
-) -> EmpiricalTable:
-    """Relative outcome frequencies of a system stream.
-
-    ``control_outcome`` gives each shot's +1/-1 control outcome in stream
-    order (as ``JoinedStreams.control.outcome``) and splits the table
-    into the ``C=up``/``C=down`` columns that occur; ``None`` puts
-    everything into a single ``C=?`` column.  Frequencies are joint: cell
-    count over the total shot count, so conditioned columns keep their
-    ensemble weight.  Empty cells are flagged rather than treated as errors.
-    """
-    if len(records) == 0:
-        raise ValueError("cannot tabulate an empty record set")
-    if control_outcome is None:
-        return _counts_table(records.labels, _joint_counts(records).sum(axis=(0, 2))[:, None])
-    control_outcome = np.asarray(control_outcome)
-    if control_outcome.shape != records.outcome.shape:
-        raise ValueError(f"control column covers {control_outcome.size} of {len(records)} shots")
-    if not _signs_only(control_outcome):
-        raise ValueError("control outcomes must be +1 or -1")
-    return _counts_table(records.labels, _joint_counts(records, control_outcome).sum(axis=0))
-
-
-def _joint_counts(
-    records: SystemStream, control_outcome: np.ndarray | None = None
+def joint_counts(
+    system: SystemStream, control_outcome: np.ndarray | None = None
 ) -> np.ndarray:
     """(plan rows, outcomes, 2) shot counts of each outcome beside control +1 and -1.
 
     A chsh shot's plan row is its setting pair, in ``_CHSH_PAIRS`` order;
     the other experiments have one plan row.  These are the counts that
-    :func:`_summed_counts` reads from plan codes.  ``control_outcome`` is
-    a checked +1/-1 column, as a join's is; without it every shot counts
-    as +1.  Counts of disjoint sets add up to their union's.
+    :func:`run_counts` reads from plan codes.  ``control_outcome`` gives
+    each shot's +1/-1 control outcome in stream order (as
+    ``JoinedStreams.control.outcome``); without it every shot counts as
+    +1.  Counts of disjoint sets add up to their union's.
     """
-    _check_codes(records)
-    rows, outcomes = len(_CHSH_PAIRS) if records.experiment == "chsh" else 1, len(records.labels)
-    pairs = [(s.get("setting_a"), s.get("setting_b")) for s in records.settings]
+    _check_codes(system)
+    if control_outcome is not None:
+        control_outcome = np.asarray(control_outcome)
+        if control_outcome.shape != system.outcome.shape:
+            raise ValueError(f"control column covers {control_outcome.size} of {len(system)} shots")
+        if not _signs_only(control_outcome):
+            raise ValueError("control outcomes must be +1 or -1")
+    rows, outcomes = len(_CHSH_PAIRS) if system.experiment == "chsh" else 1, len(system.labels)
+    pairs = [(s.get("setting_a"), s.get("setting_b")) for s in system.settings]
     plan_rows = [_CHSH_PAIRS.index(pair) if rows > 1 else 0 for pair in pairs]
     # code = (plan row * outcomes + outcome) * 2 + (control is -1), counted as intp
-    codes = np.array(plan_rows, dtype=np.intp).take(records.setting_row)
+    codes = np.array(plan_rows, dtype=np.intp).take(system.setting_row)
     codes *= outcomes
-    codes += records.outcome
+    codes += system.outcome
     codes *= 2
     if control_outcome is not None:
         codes += control_outcome == -1
@@ -605,11 +591,49 @@ def _check_codes(records: SystemStream) -> None:
             raise ValueError(f"unknown {name} for {records.experiment}")
 
 
-def _counts_table(labels: Sequence[str], counts: np.ndarray) -> EmpiricalTable:
-    """Table of (outcomes, 1) ``C=?`` or (outcomes, 2) up/down counts.
+def run_counts(
+    config: ExperimentConfig, sample: tuple[_Plan, Iterator[np.ndarray]] | None = None
+) -> np.ndarray:
+    """The run's (plan rows, outcomes, 2) counts, as :func:`joint_counts` lays them out.
 
-    A split table keeps only the control columns that have shots.
+    ``sample`` is ``_sample(config)``, drawn here when None.  Its chunks'
+    summed plan-code counts, viewed as (settings row, outcome, control),
+    are :func:`joint_counts` of the run's joined streams, exactly; no
+    stream is built, and no chunk outlives the next draw.
     """
+    plan, chunks = _sample(config) if sample is None else sample
+    rows, cells = plan.table.shape
+    # map, unlike a generator expression, holds no chunk while it draws the next
+    counts = sum(map(functools.partial(np.bincount, minlength=rows * cells), chunks))
+    if config.mode == "quantum":  # cells: system-major, control +1 first
+        return counts.reshape(rows, cells // 2, 2)
+    # rows: key-major, and the key bit is the control
+    return counts.reshape(2, rows // 2, cells).transpose(1, 2, 0)
+
+
+def _checked_counts(counts: np.ndarray, name: str, *shapes: tuple[int, ...]) -> np.ndarray:
+    """``counts`` as a non-negative integer array of one of ``shapes``; ValueError otherwise."""
+    counts = np.asarray(counts)
+    if counts.shape not in shapes:
+        expected = " or ".join(map(str, shapes))
+        raise ValueError(f"{name} needs counts of shape {expected}, got {counts.shape}")
+    if counts.dtype.kind not in "iu" or np.any(counts < 0):
+        raise ValueError(f"{name} needs non-negative integer counts")
+    return counts
+
+
+def empirical_table(labels: Sequence[str], counts: np.ndarray) -> EmpiricalTable:
+    """Relative frequencies of (outcomes, 1) ``C=?`` or (outcomes, 2) up/down counts.
+
+    Rows follow ``labels``; columns are the control outcomes of
+    :func:`joint_counts` or :func:`run_counts`, summed over plan rows.  A
+    split table keeps only the control columns that have shots.
+    Frequencies are joint: cell count over the total shot count, so
+    conditioned columns keep their ensemble weight.  Empty cells are
+    flagged rather than treated as errors.
+    """
+    outcomes = len(labels)
+    counts = _checked_counts(counts, "empirical_table", (outcomes, 1), (outcomes, 2))
     if counts.shape[1] == 1:
         columns: tuple[str, ...] = ("C=?",)
     else:
@@ -617,6 +641,8 @@ def _counts_table(labels: Sequence[str], counts: np.ndarray) -> EmpiricalTable:
         columns = tuple(c for c, present in zip(("C=up", "C=down"), seen) if present)
         counts = counts[:, seen]
     total = int(counts.sum())
+    if total == 0:
+        raise ValueError("cannot tabulate an empty record set")
     values = counts / total
     standard_errors = np.sqrt(values * (1.0 - values) / total)
     return EmpiricalTable(
@@ -630,98 +656,50 @@ def _counts_table(labels: Sequence[str], counts: np.ndarray) -> EmpiricalTable:
     )
 
 
-def chsh_statistic(records: SystemStream) -> tuple[float, float]:
+_CHSH_SIGNS = [_OUTCOME_SIGN[a] * _OUTCOME_SIGN[b] for a, b in CHSH_OUTCOMES]
+
+
+def chsh_statistic(counts: np.ndarray) -> tuple[float, float]:
     """Empirical CHSH combination E00 + E01 + E10 - E11 and its standard error.
 
-    ``records`` should be one labeled set from :func:`delayed_join` (or a
-    key-joined classical set).  Per setting pair the correlator variance
-    is estimated as (1 - E^2)/count and propagated in quadrature.  The
-    value is signed; compare its magnitude against bounds.
+    ``counts`` are one labeled set's (setting pair, outcome) counts, pairs
+    in ``_CHSH_PAIRS`` and outcomes in ``CHSH_OUTCOMES`` order: one
+    control slice ``[..., k]`` of a chsh :func:`run_counts` or
+    :func:`joint_counts`, or their sum over control for the unjoined set.
+    Per setting pair the correlator variance is estimated as
+    (1 - E^2)/count and propagated in quadrature.  The value is signed;
+    compare its magnitude against bounds.
     """
-    if records.experiment != "chsh":
-        raise ValueError("chsh_statistic needs chsh records")
-    return _chsh_from_sums(_pair_sums(records.labels, _joint_counts(records)).sum(axis=0))
-
-
-def _pair_sums(labels: Sequence[str], joint: np.ndarray) -> np.ndarray:
-    """(2, 2, 4) counts and +-1 product sums of the four setting pairs.
-
-    ``joint`` holds chsh (pair, outcome, control) counts, as
-    :func:`_joint_counts` gives them.  Axis 0 is control +1, then -1;
-    axis 1 holds the counts, then the product sums.  Every entry is an
-    exact integer, so the sums of disjoint record sets add up to those of
-    their union whatever the order.
-    """
-    signs = np.array([_OUTCOME_SIGN[a] * _OUTCOME_SIGN[b] for a, b in labels])
-    return np.stack([joint.sum(axis=1), signs @ joint]).transpose(2, 0, 1)
-
-
-def _chsh_from_sums(sums: np.ndarray) -> tuple[float, float]:
-    """:func:`chsh_statistic` of one labeled set from its (2, 4) branch of :func:`_pair_sums`."""
-    counts, products = sums.tolist()
-    if not any(counts):
+    counts = _checked_counts(counts, "chsh_statistic", (len(_CHSH_PAIRS), len(CHSH_OUTCOMES)))
+    rows = counts.tolist()  # Python ints: exact sums in any integer dtype
+    totals = [sum(row) for row in rows]
+    products = [sum(sign * count for sign, count in zip(_CHSH_SIGNS, row)) for row in rows]
+    if not any(totals):
         raise ValueError("cannot estimate CHSH from an empty record set")
-    if 0 in counts:
-        raise ValueError(f"no records for setting pair {_CHSH_PAIRS[counts.index(0)]}")
-    correlators = [product / count for product, count in zip(products, counts)]
+    if 0 in totals:
+        raise ValueError(f"no records for setting pair {_CHSH_PAIRS[totals.index(0)]}")
+    correlators = [product / total for product, total in zip(products, totals)]
     variance = 0.0
-    for correlator, count in zip(correlators, counts):
-        variance += (1.0 - correlator**2) / count
+    for correlator, total in zip(correlators, totals):
+        variance += (1.0 - correlator**2) / total
     return _chsh_combination(correlators), math.sqrt(variance)
 
 
-def empirical_parity(records: SystemStream) -> tuple[float, float]:
-    """Mean register parity of a system stream and its standard error."""
-    if len(records) == 0:
-        raise ValueError("cannot estimate parity from an empty record set")
-    if tuple(records.labels) != _PARITY_ROWS:
-        raise ValueError("empirical_parity needs metrology records")
-    return _parity_estimate(_joint_counts(records).sum(axis=0)[:, 0])
+def empirical_parity(counts: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a set of +-1 register parities from its (+1, -1) counts.
 
-
-def _parity_estimate(counts: Sequence[int]) -> tuple[float, float]:
-    """Mean and standard error of a set of +-1 parities from its (+1, -1) counts.
-
-    The mean is (n+ - n-) / n.  The error is ``std(ddof=1) / sqrt(n)`` in
-    closed form: the squared deviations of the set sum to 4 n+ n- / n, and
+    ``counts`` is one control slice ``[0, :, k]`` of a metrology
+    :func:`run_counts` or :func:`joint_counts`, or their sum.  The mean
+    is (n+ - n-) / n.  The error is ``std(ddof=1) / sqrt(n)`` in closed
+    form: the squared deviations of the set sum to 4 n+ n- / n, and
     Python rounds the int quotient 4 n+ n- / (n (n - 1)) correctly at any
     size.  One shot reads an error of 1.0; no shot reads nan for both.
     """
-    plus, minus = map(int, counts)
+    plus, minus = _checked_counts(counts, "empirical_parity", (len(_PARITY_ROWS),)).tolist()
     n = plus + minus
     if n < 2:
         return ((plus - minus) / n, 1.0) if n else (math.nan, math.nan)
     return (plus - minus) / n, math.sqrt(4 * plus * minus / (n * (n - 1))) / math.sqrt(n)
-
-
-def _summed_counts(
-    config: ExperimentConfig, sample: tuple[_Plan, Iterator[np.ndarray]] | None = None
-) -> np.ndarray:
-    """The run's (outcomes, 2) C=up/C=down outcome counts, or its :func:`_pair_sums` (chsh).
-
-    ``sample`` is ``_sample(config)``, drawn here when None.  Its chunks'
-    summed plan-code counts, viewed as (settings row, outcome, control),
-    are :func:`_joint_counts` of the run's joined streams, exactly.
-    """
-    plan, chunks = _sample(config) if sample is None else sample
-    rows, cells = plan.table.shape
-    # map, unlike a generator expression, holds no chunk while it draws the next
-    counts = sum(map(functools.partial(np.bincount, minlength=rows * cells), chunks))
-    if config.mode == "quantum":  # cells: system-major, control +1 first
-        joint = counts.reshape(rows, cells // 2, 2)
-    else:  # rows: key-major, and the key bit is the control
-        joint = counts.reshape(2, rows // 2, cells).transpose(1, 2, 0)
-    return _pair_sums(plan.labels, joint) if config.experiment == "chsh" else joint.sum(axis=0)
-
-
-def _parity_estimates(config: ExperimentConfig) -> list[float]:
-    """Mean parity and standard error of a metrology run's C=up, C=down and unjoined sets, flat.
-
-    One pass over the chunks; the unjoined set is the sum of the labeled
-    ones, and an empty set reads nan.
-    """
-    up, down = _summed_counts(config).T  # (+1, -1) counts per control outcome
-    return [*_parity_estimate(up), *_parity_estimate(down), *_parity_estimate(up + down)]
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -512,7 +512,7 @@ def _check_join_completeness() -> None:
                               settings=ChshSettings(0.0, 1.0, 2.0, 3.0))
     system, control = sampler.run_experiment(config)
     joined = sampler.delayed_join(system, control)
-    sizes = len(joined.labeled(+1)) + len(joined.labeled(-1))
+    sizes = sampler.joint_counts(joined.system, joined.control.outcome).sum()
     assert sizes == 40, "labeled sets must partition the shots"
     assert len(joined.control.outcome) == 40
     try:
@@ -529,10 +529,11 @@ def _check_empirical_table() -> None:
     records = sampler.SystemStream(
         np.arange(4), outcomes, np.zeros(4, int), "hom", protocols.HOM_OUTCOMES, settings
     )
-    table = sampler.empirical_table(records)
+    # without a control column every shot counts as +1: column 0 is the C=? count
+    table = sampler.empirical_table(records.labels, sampler.joint_counts(records)[0, :, :1])
     assert np.allclose(table.column("C=?"), [0.5, 0.25, 0.25])
     assert not table.flagged.any()
-    single = sampler.empirical_table(records[:1])
+    single = sampler.empirical_table(records.labels, sampler.joint_counts(records[:1])[0, :, :1])
     assert single.value("AB", "C=?") == 1.0
     assert int(single.flagged.sum()) == 2
 

@@ -33,6 +33,7 @@ from qeraser.sampler import (
     chsh_statistic,
     delayed_join,
     empirical_table,
+    joint_counts,
     run_experiment,
 )
 from qeraser.verify import ghz_decomposition_residual, partial_trace
@@ -97,9 +98,10 @@ def test_criterion_03_chsh_saturation_and_sampled_violation():
         experiment="chsh", shots=FULL_SHOTS, seed=77, phi=0.0, settings=best
     )
     joined = delayed_join(*run_experiment(config))
-    s_up, err_up = chsh_statistic(joined.labeled(+1))
+    counts = joint_counts(joined.system, joined.control.outcome)
+    s_up, err_up = chsh_statistic(counts[..., 0])
     assert abs(s_up) - 2.0 >= 5.0 * err_up, f"violation only {(abs(s_up)-2)/err_up:.1f} sigma"
-    s_all, err_all = chsh_statistic(joined.system)
+    s_all, err_all = chsh_statistic(counts.sum(axis=2))
     assert abs(s_all) <= 5.0 * err_all, "unjoined data shows spurious correlations"
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0, f"saturation check took {elapsed:.1f} s"
@@ -150,7 +152,7 @@ def test_criterion_07_marginal_flatness():
             )
     config = ExperimentConfig(experiment="hom", shots=FULL_SHOTS, seed=88, phi=0.9)
     system, _ = run_experiment(config)
-    empirical = empirical_table(system)
+    empirical = empirical_table(system.labels, joint_counts(system)[0, :, :1])
     for pattern, expected in zip(HOM_OUTCOMES, (0.5, 0.25, 0.25)):
         band = 5.0 * math.sqrt(expected * (1.0 - expected) / FULL_SHOTS)
         assert abs(empirical.value(pattern, "C=?") - expected) <= band
@@ -171,7 +173,7 @@ def _joint_counts(config: ExperimentConfig) -> list[int]:
     joined = delayed_join(*run_experiment(config))
     counts: dict[tuple, int] = {}
     for label in (+1, -1):
-        labeled = joined.labeled(label)
+        labeled = joined.system[joined.control.outcome == label]
         for row, code in zip(labeled.setting_row, labeled.outcome):
             settings, outcome = labeled.settings[row], labeled.labels[code]
             if config.experiment == "chsh":

@@ -145,8 +145,9 @@ def reference_streams(config: ExperimentConfig) -> tuple[SystemStream, ControlSt
     else:
         outcome, basis_angle = chosen // 2, config.control_basis_angle
         control = np.where(chosen % 2 == 0, 1, -1)
+    pair = rows % len(plan.settings)  # a mixture's system row is its setting pair, not its key
     system = SystemStream(
-        shots, outcome, rows, config.experiment, plan.labels, tuple(plan.settings)
+        shots, outcome, pair, config.experiment, plan.labels, tuple(plan.settings)
     )
     return system, ControlStream(shots, control, basis_angle)
 
@@ -388,7 +389,7 @@ def test_chunks_across_a_power_of_ten_render_the_reference_bytes(experiment, mod
 @given(st.integers(1, 19), st.integers(0, 2**64 - 1), ROW_BLOCKS)
 @example(19, 0, 7)
 def test_narrow_chunk_codes_render_at_every_index_width(width, seed, row_block):
-    """A classical-mixture chsh run has 8 setting rows of 4 outcomes: tail codes 0..31.
+    """A classical-mixture chsh run has 4 setting rows of 4 outcomes: tail codes 0..15.
 
     Its rows and outcomes are int8, and the largest code renders beside
     indices of every length up to ``width``, each padded to ``width``.
@@ -397,7 +398,7 @@ def test_narrow_chunk_codes_render_at_every_index_width(width, seed, row_block):
     system, control = run_experiment(config)
     assert system.outcome.dtype == system.setting_row.dtype == np.int8
     rows, outcomes = system.setting_row.copy(), system.outcome.copy()
-    rows[-1], outcomes[-1] = 7, 3  # the largest code
+    rows[-1], outcomes[-1] = 3, 3  # the largest code
     # indices of every length up to ``width``, the first one that long
     generator = np.random.default_rng(seed)
     shots = generator.integers(0, min(10**width, 2**63 - 1), size=len(system), dtype=np.int64)

@@ -6,9 +6,10 @@ sampling chunks and ends in a ragged one.  They cover the bodies (the
 metadata header line skipped) of both ``--format csv`` files and of the
 ``--format summary`` output.  The properties then shrink the chunk to a
 few shots, and the CSV render block to a few lines, and compare the
-streamed CLI with the whole-run route: ``run_experiment``, ``delayed_join``,
-then ``empirical_table`` or ``chsh_statistic``, and the CSV of each stream
-written line by line with an f-string (``oracles.stream_csv``).
+streamed CLI with the whole-run route: ``run_experiment``, ``delayed_join``
+and ``joint_counts``, then ``empirical_table`` or ``chsh_statistic``, and
+the CSV of each stream written line by line with an f-string
+(``oracles.stream_csv``).
 """
 
 import contextlib
@@ -33,6 +34,7 @@ from qeraser.sampler import (
     chsh_statistic,
     delayed_join,
     empirical_table,
+    joint_counts,
     metadata_header,
     run_experiment,
 )
@@ -121,9 +123,10 @@ def run_cli(argv) -> str:
 def whole_run_tables(config):
     """Joined and unjoined summaries of the whole run, as the CLI printed them."""
     joined = delayed_join(*run_experiment(config))
+    counts = joint_counts(joined.system, joined.control.outcome).sum(axis=0)
     tables = (
-        empirical_table(joined.system, joined.control.outcome),
-        empirical_table(joined.system),
+        empirical_table(joined.system.labels, counts),
+        empirical_table(joined.system.labels, counts.sum(axis=1, keepdims=True)),
     )
     return (
         f"\njoined empirical table:\n{tables[0].summary()}"
@@ -134,15 +137,16 @@ def whole_run_tables(config):
 def whole_run_chsh_lines(config):
     """Last four summary lines of the CLI that tabulated the whole run."""
     joined = delayed_join(*run_experiment(config))
+    counts = joint_counts(joined.system, joined.control.outcome)
     branches = (
-        ("empirical S (joined C=up):   ", joined.labeled(+1)),
-        ("empirical S (joined C=down): ", joined.labeled(-1)),
-        ("empirical S (unjoined):      ", joined.system),
+        ("empirical S (joined C=up):   ", counts[..., 0]),
+        ("empirical S (joined C=down): ", counts[..., 1]),
+        ("empirical S (unjoined):      ", counts.sum(axis=2)),
     )
     lines, significance = [], []
-    for prefix, records in branches:
+    for prefix, set_counts in branches:
         try:
-            s, err = chsh_statistic(records)
+            s, err = chsh_statistic(set_counts)
         except ValueError as error:
             value = sigmas = f"n/a ({error})"
         else:
@@ -151,7 +155,7 @@ def whole_run_chsh_lines(config):
                 sigmas = "n/a (zero standard error)"
             else:
                 sigmas = f"{(abs(s) - 2.0) / err:.2f} standard errors"
-        lines.append(f"{prefix}{value} ({len(records)} shots)")
+        lines.append(f"{prefix}{value} ({int(set_counts.sum())} shots)")
         significance.append(sigmas)
     return [*lines, f"violation of |S| <= 2 (C=up branch): {significance[0]}"]
 
@@ -220,15 +224,17 @@ def chunked_runs(draw, experiment):
 def test_summed_outcome_counts_give_the_whole_run_tables(run):
     config, parts = run
     joined = delayed_join(*run_experiment(config))
+    labels = joined.system.labels
     counts = sum(
-        sampler._joint_counts(joined.system[part], joined.control.outcome[part]).sum(axis=0)
+        joint_counts(joined.system[part], joined.control.outcome[part]).sum(axis=0)
         for part in parts
     )
+    whole = joint_counts(joined.system, joined.control.outcome).sum(axis=0)
+    assert np.array_equal(counts, whole)
     for table, expected in (
-        (sampler._counts_table(joined.system.labels, counts),
-         empirical_table(joined.system, joined.control.outcome)),
-        (sampler._counts_table(joined.system.labels, counts.sum(axis=1, keepdims=True)),
-         empirical_table(joined.system)),
+        (empirical_table(labels, counts), empirical_table(labels, whole)),
+        (empirical_table(labels, counts.sum(axis=1, keepdims=True)),
+         empirical_table(labels, joint_counts(joined.system)[0, :, :1])),
     ):
         assert table.column_labels == expected.column_labels
         assert table.total == expected.total
@@ -241,33 +247,24 @@ def test_summed_pair_sums_give_the_whole_run_statistic(run, label):
     config, parts = run
     joined = delayed_join(*run_experiment(config))
     keep = np.ones(config.shots, dtype=bool)
-    records = joined.system
     if label is not None:
         keep = joined.control.outcome == label
-        records = joined.labeled(label)
-    labels = joined.system.labels
-    masked = sum(
-        sampler._pair_sums(labels, sampler._joint_counts(joined.system[part][keep[part]]))
-        .sum(axis=0)
-        for part in parts
-    )
-    # the control-split form sums both labeled sets at once, C=up first
+    # without a control column every shot of a masked set counts as C=up
+    masked = sum(joint_counts(joined.system[part][keep[part]])[..., 0] for part in parts)
+    # the control-split form counts both labeled sets at once, C=up first
     split = sum(
-        sampler._pair_sums(
-            labels, sampler._joint_counts(joined.system[part], joined.control.outcome[part])
-        )
-        for part in parts
+        joint_counts(joined.system[part], joined.control.outcome[part]) for part in parts
     )
-    from_split = {+1: split[0], -1: split[1], None: split.sum(axis=0)}[label]
+    from_split = {+1: split[..., 0], -1: split[..., 1], None: split.sum(axis=2)}[label]
     try:
-        expected = chsh_statistic(records)
+        expected = chsh_statistic(joint_counts(joined.system[keep])[..., 0])
     except ValueError as error:
-        for sums in (masked, from_split):
+        for counts in (masked, from_split):
             with pytest.raises(ValueError, match=re.escape(str(error))):
-                sampler._chsh_from_sums(sums)
+                chsh_statistic(counts)
     else:
-        for sums in (masked, from_split):
-            assert sampler._chsh_from_sums(sums) == expected  # bit for bit
+        for counts in (masked, from_split):
+            assert chsh_statistic(counts) == expected  # bit for bit
 
 
 @pytest.mark.parametrize("form", ["csv", "summary"])

@@ -149,7 +149,7 @@ def test_sampled_cli_paths_hold_one_chunk_of_working_set(experiment, mode):
         lambda: sampler._write_csv_chunks(writes, sampler._sample(config), config)
     )
     summary = {"hom": cli._hom_summary, "chsh": cli._chsh_summary}[experiment]
-    _, sums = traced_peak(lambda: summary(config, sampler._summed_counts(config)))
+    _, sums = traced_peak(lambda: summary(config, sampler.run_counts(config)))
     assert csv <= 0.75 * MIB and sums <= 0.75 * MIB, (csv / MIB, sums / MIB)
 
 

@@ -1,13 +1,14 @@
 """Every sampled statistic is a projection of one plan-count matrix.
 
-A sampled summary counts each chunk's drawn plan codes, ``row * cells +
+``run_counts`` counts each chunk's drawn plan codes, ``row * cells +
 cell``, and views the sum as a joint (settings row, outcome, control)
 count: quantum cells hold (outcome, control) pairs, and a classical
 mixture's key bit, the leading part of its row, is the control.  The same
 counts follow from the whole-run streams, joined by shot index and
-counted shot by shot.  The property below holds the two routes equal
-over every (experiment, mode) pair, at shot counts on both sides of the
-sampler's chunk seams and at the erasing and another control readout.
+counted shot by shot by ``joint_counts``.  The property below holds the
+two routes equal over every (experiment, mode) pair, at shot counts on
+both sides of the sampler's chunk seams and at the erasing and another
+control readout.
 """
 
 import numpy as np
@@ -16,7 +17,13 @@ from hypothesis import strategies as st
 
 from qeraser import sampler
 from qeraser.protocols import _ERASING_ANGLE, ChshSettings
-from qeraser.sampler import ExperimentConfig, delayed_join, run_experiment
+from qeraser.sampler import (
+    ExperimentConfig,
+    delayed_join,
+    joint_counts,
+    run_counts,
+    run_experiment,
+)
 
 CHUNK = sampler._CHUNK
 FIELDS = {
@@ -34,12 +41,9 @@ SHOTS = st.one_of(
 
 
 def record_counts(config: ExperimentConfig) -> np.ndarray:
-    """The summary's counts from the whole-run streams, joined and counted shot by shot."""
+    """The run's counts from the whole-run streams, joined and counted shot by shot."""
     joined = delayed_join(*run_experiment(config))
-    joint = sampler._joint_counts(joined.system, joined.control.outcome)
-    if config.experiment == "chsh":
-        return sampler._pair_sums(joined.system.labels, joint)
-    return joint.sum(axis=0)
+    return joint_counts(joined.system, joined.control.outcome)
 
 
 @given(
@@ -69,9 +73,8 @@ def test_summed_plan_counts_are_the_joined_streams_counts(
         control_basis_angle=angle,
         **FIELDS[experiment],
     )
-    counts = sampler._summed_counts(config)
+    counts = run_counts(config)
     expected = record_counts(config)
     assert counts.shape == expected.shape
     assert np.array_equal(counts, expected)
-    # every shot is counted once: chsh sums hold the pair counts, then the product sums
-    assert (counts[:, 0] if experiment == "chsh" else counts).sum() == shots
+    assert counts.sum() == shots  # every shot is counted once

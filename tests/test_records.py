@@ -39,7 +39,9 @@ def every_record():
         "ControlStream": control,
         "ExperimentConfig": CONFIG,
         "JoinedStreams": joined,
-        "EmpiricalTable": sampler.empirical_table(system, control.outcome),
+        "EmpiricalTable": sampler.empirical_table(
+            system.labels, sampler.joint_counts(system, control.outcome).sum(axis=0)
+        ),
         "CheckResult": verify.CheckResult("name", True, ""),
     }
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2_contingency
 
 import oracles
-from qeraser import fock, sampler
+from qeraser import cli, fock, sampler
 from qeraser._record import replace
 from qeraser.protocols import (
     _ERASING_ANGLE,
@@ -42,7 +42,9 @@ from qeraser.sampler import (
     delayed_join,
     empirical_parity,
     empirical_table,
+    joint_counts,
     metadata_header,
+    run_counts,
     run_experiment,
     sampling_table,
     write_stream_csv,
@@ -266,7 +268,7 @@ def oracle_streams(config):
         else:  # joint cells: system-major, control +1 first
             outcome, control = cell // 2, 1 - 2 * (cell % 2)
         outcomes.append(outcome)
-        rows.append(row)
+        rows.append(row % len(plan.settings))  # the setting pair: a mixture's key is not in it
         controls.append(control)
     shots = np.arange(config.shots)
     return (
@@ -282,7 +284,9 @@ class TestDelayedJoin:
     def test_partition_covers_every_shot(self):
         system, control = run_experiment(hom_config())
         joined = delayed_join(system, control)
-        assert len(joined.labeled(+1)) + len(joined.labeled(-1)) == len(system)
+        labeled = joint_counts(joined.system, joined.control.outcome).sum(axis=(0, 1))
+        signs = control.outcome.tolist()
+        assert labeled.tolist() == [signs.count(+1), signs.count(-1)]
         assert joined.system == system
         assert len(joined.control.outcome) == len(system)
         assert set(joined.control.outcome.tolist()) <= {+1, -1}
@@ -410,10 +414,21 @@ def hand_records():
     return stream_of("hom", HOM_OUTCOMES, outcomes, [base])
 
 
+def table_of(records, control_outcome=None):
+    """The empirical table of a system stream: split by ``control_outcome``, or one C=?."""
+    counts = joint_counts(records, control_outcome).sum(axis=0)
+    return empirical_table(records.labels, counts if control_outcome is not None else counts[:, :1])
+
+
+def set_counts(joined):
+    """(plan rows, outcomes, 2) counts of a join: C=up is ``[..., 0]``, C=down ``[..., 1]``."""
+    return joint_counts(joined.system, joined.control.outcome)
+
+
 class TestEmpiricalTable:
     def test_hand_counted_partition(self):
         records = hand_records()
-        table = empirical_table(records, np.array([+1, -1, +1, -1]))
+        table = table_of(records, np.array([+1, -1, +1, -1]))
         assert table.column_labels == ("C=up", "C=down")
         assert table.total == 4
         assert table.value("AB", "C=up") == 0.25
@@ -426,38 +441,48 @@ class TestEmpiricalTable:
         assert table.flagged[table.row_labels.index("AA"), 1]
 
     def test_unpartitioned_single_column(self):
-        table = empirical_table(hand_records())
+        table = table_of(hand_records())
         assert table.column_labels == ("C=?",)
         assert table.column("C=?").sum() == pytest.approx(1.0)
 
     def test_single_record_flags_the_rest(self):
-        table = empirical_table(hand_records()[:1])
+        table = table_of(hand_records()[:1])
         assert table.value("AB", "C=?") == 1.0
         assert int(table.flagged.sum()) == 2
         assert "*" in table.summary()
 
     def test_summary_shows_errors_and_total(self):
-        text = empirical_table(hand_records()).summary()
+        text = table_of(hand_records()).summary()
         assert "+-" in text
         assert "total shots: 4" in text
 
     def test_partition_must_cover_all_shots(self):
         with pytest.raises(ValueError, match="control column covers 1 of 4 shots"):
-            empirical_table(hand_records(), np.array([+1]))
+            joint_counts(hand_records(), np.array([+1]))
 
     @pytest.mark.parametrize("foreign", [0, 2, -2])
     def test_control_column_must_hold_signs(self, foreign):
         with pytest.raises(ValueError, match=r"control outcomes must be \+1 or -1"):
-            empirical_table(hand_records(), np.array([+1, -1, foreign, +1]))
+            joint_counts(hand_records(), np.array([+1, -1, foreign, +1]))
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty record set"):
-            empirical_table(hand_records()[:0])
+            table_of(hand_records()[:0])
 
     def test_unknown_outcome_rejected(self):
         record = SystemStream([0], [3], [0], "hom", HOM_OUTCOMES, ({"phi": 0.0},))
         with pytest.raises(ValueError, match="unknown outcome"):
-            empirical_table(record)
+            joint_counts(record)
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 1), (1, 3, 2), (4, 2)])
+    def test_counts_of_another_shape_are_rejected(self, shape):
+        with pytest.raises(ValueError, match="empirical_table needs counts of shape"):
+            empirical_table(HOM_OUTCOMES, np.ones(shape, dtype=int))
+
+    @pytest.mark.parametrize("counts", [[[1.0], [2.0], [0.0]], [[1], [-1], [2]]])
+    def test_counts_must_be_non_negative_integers(self, counts):
+        with pytest.raises(ValueError, match="non-negative integer counts"):
+            empirical_table(HOM_OUTCOMES, np.array(counts))
 
 
 def chsh_records(*shots):
@@ -481,22 +506,22 @@ class TestChshStatistic:
             ((1, 0), "dd"),
             ((1, 1), "ud"),
         )
-        value, error = chsh_statistic(records)
+        value, error = chsh_statistic(joint_counts(records)[..., 0])
         # E00 = 0, E01 = 1, E10 = 1, E11 = -1
         assert value == pytest.approx(3.0)
         assert error == pytest.approx(math.sqrt(0.5))
 
     def test_missing_pair_rejected(self):
         with pytest.raises(ValueError, match="no records for setting pair"):
-            chsh_statistic(chsh_records(((0, 0), "uu")))
+            chsh_statistic(joint_counts(chsh_records(((0, 0), "uu")))[..., 0])
 
     def test_wrong_experiment_rejected(self):
-        with pytest.raises(ValueError, match="needs chsh records"):
-            chsh_statistic(hand_records())
+        with pytest.raises(ValueError, match=r"needs counts of shape \(4, 4\), got \(1, 3\)"):
+            chsh_statistic(joint_counts(hand_records())[..., 0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty record set"):
-            chsh_statistic(chsh_records())
+            chsh_statistic(joint_counts(chsh_records())[..., 0])
 
 
 def parity_records(*outcomes):
@@ -507,20 +532,20 @@ def parity_records(*outcomes):
 class TestEmpiricalParity:
     def test_mean_and_error(self):
         records = parity_records("+1", "+1", "-1", "+1")
-        mean, error = empirical_parity(records)
+        mean, error = empirical_parity(joint_counts(records)[0, :, 0])
         assert mean == pytest.approx(0.5)
         assert error == pytest.approx(1.0 / 2.0)  # std((1,1,-1,1), ddof=1) / sqrt(4)
 
     def test_single_record(self):
-        assert empirical_parity(parity_records("-1")) == (-1.0, 1.0)
+        assert empirical_parity(joint_counts(parity_records("-1"))[0, :, 0]) == (-1.0, 1.0)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty record set"):
-            empirical_parity(parity_records())
+    def test_empty_set_reads_nan(self):
+        mean, error = empirical_parity(joint_counts(parity_records())[0, :, 0])
+        assert math.isnan(mean) and math.isnan(error)
 
     def test_non_parity_records_rejected(self):
-        with pytest.raises(ValueError, match="needs metrology records"):
-            empirical_parity(hand_records())
+        with pytest.raises(ValueError, match=r"needs counts of shape \(2,\), got \(3,\)"):
+            empirical_parity(joint_counts(hand_records())[0, :, 0])
 
 
 @given(st.integers(0, 200_000), st.integers(0, 200_000), st.integers(0, 2**32 - 1))
@@ -535,7 +560,7 @@ class TestEmpiricalParity:
 def test_parity_estimate_is_numpys_mean_and_std(plus, minus, seed):
     """The closed form from counts against ``np.mean`` and ``np.std(ddof=1)`` of the set."""
     values = np.random.default_rng(seed).permutation(np.repeat([1.0, -1.0], [plus, minus]))
-    mean, error = sampler._parity_estimate((plus, minus))
+    mean, error = empirical_parity((plus, minus))
     n = plus + minus
     if n == 0:
         assert math.isnan(mean) and math.isnan(error)
@@ -547,8 +572,8 @@ def test_parity_estimate_is_numpys_mean_and_std(plus, minus, seed):
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
 def test_swapped_counts_negate_the_mean_and_keep_the_error(plus, minus):
-    mean, error = sampler._parity_estimate((plus, minus))
-    swapped_mean, swapped_error = sampler._parity_estimate((minus, plus))
+    mean, error = empirical_parity((plus, minus))
+    swapped_mean, swapped_error = empirical_parity((minus, plus))
     if plus + minus == 0:
         assert all(map(math.isnan, (mean, error, swapped_mean, swapped_error)))
         return
@@ -560,12 +585,12 @@ def test_parity_estimate_of_int64_counts_past_int64_products():
     """4 n+ n- of these counts overflows int64; the estimate multiplies Python ints."""
     half = 2**40
     n = 2 * half
-    mean, error = sampler._parity_estimate(np.array([half, half], dtype=np.int64))
+    mean, error = empirical_parity(np.array([half, half], dtype=np.int64))
     assert mean == 0.0
     assert math.isclose(error, 1.0 / math.sqrt(n - 1), rel_tol=1e-15)
 
 
-def test_a_theta_point_draws_its_chunks_once(monkeypatch):
+def test_a_theta_point_draws_its_chunks_once(monkeypatch, capsys):
     draws = []
     sample = sampler._sample
 
@@ -574,20 +599,20 @@ def test_a_theta_point_draws_its_chunks_once(monkeypatch):
         return sample(config)
 
     monkeypatch.setattr(sampler, "_sample", counted)
-    config = sampler.ExperimentConfig(
-        "metrology", 3 * sampler._CHUNK + 5, 7, n=5, theta=1.5, control_basis_angle=1.2
-    )
-    estimates = sampler._parity_estimates(config)
-    assert draws == [config]
+    shots = 3 * sampler._CHUNK + 5
+    argv = ["phase-est", "--n", "5", "--theta", "1.5", "--control-angle", "1.2",
+            "--mode", "sample", "--shots", str(shots), "--seed", "7", "--format", "csv"]
+    assert cli.main(argv) == 0
+    assert [(c.shots, c.seed, c.theta) for c in draws] == [(shots, 7, 1.5)]
+    *_, row = capsys.readouterr().out.splitlines()
+    estimates = list(map(float, row.split(",")[1:]))
     assert len(estimates) == 6 and not any(map(math.isnan, estimates))
 
 
-def expected_estimates(config: sampler.ExperimentConfig) -> list[str]:
-    joined = sampler.delayed_join(*sampler.run_experiment(config))
-    values = []
-    for records in (joined.labeled(+1), joined.labeled(-1), joined.system):
-        values += sampler.empirical_parity(records) if len(records) else (math.nan, math.nan)
-    return list(map(repr, values))
+def estimates(counts) -> list[str]:
+    """Parity and error of the C=up, C=down and unjoined sets of metrology counts."""
+    up, down = counts[0].T
+    return [repr(v) for branch in (up, down, up + down) for v in empirical_parity(branch)]
 
 
 @pytest.mark.parametrize(
@@ -603,7 +628,8 @@ def test_streamed_estimates_are_empirical_parity_of_each_joined_set(shots, n, th
     config = sampler.ExperimentConfig(
         "metrology", shots, seed, n=n, theta=theta, control_basis_angle=angle
     )
-    assert list(map(repr, sampler._parity_estimates(config))) == expected_estimates(config)
+    joined = delayed_join(*run_experiment(config))
+    assert estimates(run_counts(config)) == estimates(set_counts(joined))
 
 
 class TestRunColumns:
@@ -626,18 +652,19 @@ class TestRunColumns:
         narrow, wide = delayed_join(system, control), delayed_join(wide_system, wide_control)
         for split in (False, True):
             tables = [
-                empirical_table(joined.system, joined.control.outcome if split else None)
+                table_of(joined.system, joined.control.outcome if split else None)
                 for joined in (narrow, wide)
             ]
             assert tables[0].column_labels == tables[1].column_labels
             for name in ("values", "counts", "standard_errors", "flagged"):
                 np.testing.assert_array_equal(getattr(tables[0], name), getattr(tables[1], name))
-        for outcome in (+1, -1):
-            pair = (narrow.labeled(outcome), wide.labeled(outcome))
+        counts = (set_counts(narrow), set_counts(wide))
+        np.testing.assert_array_equal(*counts)
+        for k in (0, 1):
             if experiment == "chsh":
-                assert chsh_statistic(pair[0]) == chsh_statistic(pair[1])
+                assert chsh_statistic(counts[0][..., k]) == chsh_statistic(counts[1][..., k])
             if experiment == "metrology":
-                assert empirical_parity(pair[0]) == empirical_parity(pair[1])
+                assert empirical_parity(counts[0][0, :, k]) == empirical_parity(counts[1][0, :, k])
 
 
 def hom_joint_probability(phi, statistics, control_angle, pattern, outcome):
@@ -652,7 +679,7 @@ class TestSampledStatistics:
         # eraser basis for the splitter experiment: control angle 0
         config = hom_config(shots=self.SHOTS, seed=101, control_basis_angle=0.0)
         joined = delayed_join(*run_experiment(config))
-        table = empirical_table(joined.system, joined.control.outcome)
+        table = table_of(joined.system, joined.control.outcome)
         for pattern in HOM_OUTCOMES:
             for column, outcome in (("C=up", +1), ("C=down", -1)):
                 expected = hom_joint_probability(
@@ -663,21 +690,21 @@ class TestSampledStatistics:
 
     def test_metrology_fringe_and_flat_unjoined(self):
         config = metrology_config(shots=self.SHOTS, seed=202)
-        joined = delayed_join(*run_experiment(config))
+        (counts,) = set_counts(delayed_join(*run_experiment(config)))
         expected = oracles.parity_fringe(config.n, config.theta, config.phi, +1)
-        mean, error = empirical_parity(joined.labeled(+1))
+        mean, error = empirical_parity(counts[:, 0])
         assert abs(mean - expected) <= 5.0 * error
-        unjoined_mean, unjoined_error = empirical_parity(joined.system)
+        unjoined_mean, unjoined_error = empirical_parity(counts.sum(axis=1))
         assert abs(unjoined_mean) <= 5.0 * unjoined_error
 
     def test_chsh_violation_appears_only_after_joining(self):
         best = optimal_chsh_angles(0.0)
         config = chsh_config(shots=self.SHOTS, seed=303, settings=best)
-        joined = delayed_join(*run_experiment(config))
-        s_up, err_up = chsh_statistic(joined.labeled(+1))
+        counts = set_counts(delayed_join(*run_experiment(config)))
+        s_up, err_up = chsh_statistic(counts[..., 0])
         assert abs(abs(s_up) - 2.0 * math.sqrt(2.0)) <= 5.0 * err_up
         assert abs(s_up) - 2.0 > 5.0 * err_up  # a genuine violation, not noise
-        s_all, err_all = chsh_statistic(joined.system)
+        s_all, err_all = chsh_statistic(counts.sum(axis=2))
         assert abs(s_all) <= 5.0 * err_all
 
     def test_unjoined_hom_marginal_ignores_the_control_basis(self):
@@ -686,7 +713,7 @@ class TestSampledStatistics:
         for seed, angle in ((404, 0.0), (405, math.pi / 2)):
             config = hom_config(shots=self.SHOTS, seed=seed, control_basis_angle=angle)
             system, _ = run_experiment(config)
-            table = empirical_table(system)
+            table = table_of(system)
             counts.append([int(c) for c in table.counts[:, 0]])
         _, p_value, _, _ = chi2_contingency(np.array(counts))
         assert p_value > 1e-3
@@ -699,6 +726,16 @@ class TestClassicalMixture:
         with pytest.raises(ValueError, match="classical_mixture"):
             classical_mixture_run(hom_config())
 
+    @pytest.mark.parametrize("experiment", EXPERIMENTS)
+    def test_the_system_stream_does_not_carry_the_key(self, experiment):
+        erasing = {"control_basis_angle": _ERASING_ANGLE[experiment]}
+        config = ALL_CONFIGS[experiment](shots=20, seed=3, mode="classical_mixture", **erasing)
+        system, keys = run_experiment(config)
+        quantum, _ = run_experiment(replace(config, mode="quantum"))
+        assert system.settings == quantum.settings  # one template per setting pair
+        assert system.setting_row.max() < (4 if experiment == "chsh" else 1)
+        assert set(keys.outcome.tolist()) == {+1, -1}
+
     def test_key_stream_shape(self):
         system, keys = run_experiment(hom_config(mode="classical_mixture"))
         assert keys.basis_angle is None
@@ -708,7 +745,7 @@ class TestClassicalMixture:
     def test_hom_key_join_reproduces_the_conditional_table(self):
         config = hom_config(shots=self.SHOTS, seed=11, mode="classical_mixture")
         joined = delayed_join(*run_experiment(config))
-        table = empirical_table(joined.system, joined.control.outcome)
+        table = table_of(joined.system, joined.control.outcome)
         for pattern in HOM_OUTCOMES:
             for column, outcome in (("C=up", +1), ("C=down", -1)):
                 expected = hom_joint_probability(
@@ -719,11 +756,11 @@ class TestClassicalMixture:
 
     def test_metrology_key_join_recovers_the_fringe(self):
         config = metrology_config(shots=self.SHOTS, seed=12, mode="classical_mixture")
-        joined = delayed_join(*run_experiment(config))
+        (counts,) = set_counts(delayed_join(*run_experiment(config)))
         expected = oracles.parity_fringe(config.n, config.theta, config.phi, +1)
-        mean, error = empirical_parity(joined.labeled(+1))
+        mean, error = empirical_parity(counts[:, 0])
         assert abs(mean - expected) <= 5.0 * error
-        unjoined_mean, unjoined_error = empirical_parity(joined.system)
+        unjoined_mean, unjoined_error = empirical_parity(counts.sum(axis=1))
         assert abs(unjoined_mean) <= 5.0 * unjoined_error
 
     def test_chsh_mixture_is_indistinguishable_from_the_eraser_run(self):
@@ -737,7 +774,7 @@ class TestClassicalMixture:
             joined = delayed_join(*run_experiment(config))
             counts: dict[tuple, int] = {}
             for label in (+1, -1):
-                labeled = joined.labeled(label)
+                labeled = joined.system[joined.control.outcome == label]
                 for row, code in zip(labeled.setting_row, labeled.outcome):
                     template = labeled.settings[row]
                     key = (

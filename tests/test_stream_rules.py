@@ -2,9 +2,11 @@
 
 A control outcome is +1 or -1, in any dtype.  A system outcome indexes
 the run's ``labels`` and a setting row indexes its ``settings``.  Every
-consumer of a malformed stream raises ``ValueError``: never
-``IndexError`` or ``TypeError``, and never a result built from a value
-the run cannot hold.
+consumer of a malformed stream (``joint_counts`` and
+``write_stream_csv``) raises ``ValueError``: never ``IndexError`` or
+``TypeError``, and never a result built from a value the run cannot
+hold.  The estimators read count arrays, and each refuses the counts of
+an experiment it does not read by their shape.
 """
 
 import io
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from qeraser._record import replace
-from qeraser.protocols import ChshSettings
+from qeraser.protocols import HOM_OUTCOMES, ChshSettings
 from qeraser.sampler import (
     ExperimentConfig,
     JoinError,
@@ -22,6 +24,8 @@ from qeraser.sampler import (
     delayed_join,
     empirical_parity,
     empirical_table,
+    joint_counts,
+    run_counts,
     run_experiment,
     write_stream_csv,
 )
@@ -45,12 +49,7 @@ def csv_of(records, config):
 
 # consumer name -> (experiments it reads, call on a system stream)
 SYSTEM_CONSUMERS = {
-    "empirical_table": (
-        ("hom", "chsh", "metrology"),
-        lambda records, config: empirical_table(records),
-    ),
-    "chsh_statistic": (("chsh",), lambda records, config: chsh_statistic(records)),
-    "empirical_parity": (("metrology",), lambda records, config: empirical_parity(records)),
+    "joint_counts": (("hom", "chsh", "metrology"), lambda records, config: joint_counts(records)),
     "write_stream_csv": (("hom", "chsh", "metrology"), csv_of),
 }
 
@@ -86,6 +85,26 @@ def test_a_code_outside_the_run_is_rejected(consumer, experiment, bad):
         call(replace(records, **{column: values}), config)
 
 
+# estimator -> (the experiment it reads, call on a run's (plan rows, outcomes, 2) counts)
+ESTIMATORS = {
+    "empirical_table": ("hom", lambda counts: empirical_table(HOM_OUTCOMES, counts[0])),
+    "chsh_statistic": ("chsh", lambda counts: chsh_statistic(counts[..., 0])),
+    "empirical_parity": ("metrology", lambda counts: empirical_parity(counts[0, :, 0])),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(CONFIGS))
+@pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+def test_an_estimator_reads_only_its_experiments_counts(estimator, experiment):
+    reads, call = ESTIMATORS[estimator]
+    counts = run_counts(CONFIGS[experiment])
+    if experiment == reads:
+        call(counts)
+        return
+    with pytest.raises(ValueError, match=f"{estimator} needs counts of shape"):
+        call(counts)
+
+
 def two_shot_control(second):
     """A hom run of two shots whose second control outcome is ``second``."""
     config = replace(CONFIGS["hom"], shots=2)
@@ -101,7 +120,7 @@ def test_a_control_outcome_other_than_a_sign_is_rejected(second):
         delayed_join(system, control)
     assert caught.value.orphaned_control == (1,)
     with pytest.raises(ValueError, match=r"control outcomes must be \+1 or -1"):
-        empirical_table(system, control.outcome)
+        joint_counts(system, control.outcome)
     with pytest.raises(ValueError, match=r"control outcomes must be \+1 or -1"):
         csv_of(control, config)
 
@@ -111,12 +130,10 @@ def test_a_float_sign_column_reads_as_the_int_column(second):
     config, system, control = two_shot_control(second)
     floats = replace(control, outcome=control.outcome.astype(float))
     joined, float_joined = delayed_join(system, control), delayed_join(system, floats)
-    for sign in (+1, -1):
-        assert float_joined.labeled(sign) == joined.labeled(sign)
-    assert len(float_joined.labeled(+1)) + len(float_joined.labeled(-1)) == 2
-    assert empirical_table(system, floats.outcome).summary() == (
-        empirical_table(system, control.outcome).summary()
-    )
+    assert float_joined == joined
+    counts = joint_counts(system, floats.outcome)
+    assert counts.sum() == 2
+    np.testing.assert_array_equal(counts, joint_counts(system, control.outcome))
     assert csv_of(floats, config) == csv_of(control, config)
 
 
