@@ -12,8 +12,10 @@ the control stream.  Each experiment has one plan, a table of the joint
 (system, control) distributions of its quantum run; a mixture reads the
 same table at the erasing readout, split by the key bit.  Both modes run
 the same sampling body over it: the leading uniforms of a shot pick its
-row (key bit, then setting pair) and the next one its cell.  Every
-statistic reads one (plan row, outcome, control) count tensor:
+row (key bit, then setting pair) and the next one its cell, and both
+code the shot alike, as ``(pair * outcomes + outcome) * 2 + control``,
+with a mixture's key bit in the control place.  Every statistic reads
+the (plan row, outcome, control) count tensor of those codes:
 :func:`run_counts` sums it from a run's drawn chunks, and
 :func:`joint_counts` counts it from a stream shot by shot.
 
@@ -75,7 +77,6 @@ __all__ = [
     "EmpiricalTable",
     "run_experiment",
     "classical_mixture_run",
-    "sampling_table",
     "delayed_join",
     "joint_counts",
     "run_counts",
@@ -92,6 +93,7 @@ EXPERIMENTS = ("hom", "chsh", "metrology")
 MODES = ("quantum", "classical_mixture")
 
 _PARITY_ROWS = ("+1", "-1")
+_OUTCOMES = {"hom": HOM_OUTCOMES, "chsh": CHSH_OUTCOMES, "metrology": _PARITY_ROWS}
 
 
 class _Stream(Record):
@@ -269,9 +271,9 @@ def _cell_indices(uniforms: np.ndarray, cumulative: np.ndarray, rows: np.ndarray
 class _Plan(NamedTuple):
     """What one run hands to the shared sampling body: see :func:`_plan`.
 
-    ``table`` holds one outcome distribution per row, with cells as
-    :func:`sampling_table` orders them.  ``labels`` are the system
-    outcomes; ``settings`` has one template per setting pair.
+    ``table`` holds the distributions the shots are drawn from, one per
+    selection row.  ``labels`` are the system outcomes; ``settings`` has
+    one template per setting pair.
     """
 
     table: np.ndarray
@@ -328,64 +330,45 @@ def _plan(config: ExperimentConfig) -> _Plan:
     return _Plan(table, plan.labels, plan.settings)
 
 
-def sampling_table(config: ExperimentConfig) -> np.ndarray:
-    """(rows, cells) distributions the sampler draws ``config``'s shots from.
-
-    Quantum mode: one row per setting pair (a single row unless chsh),
-    cells are joint (system outcome, control outcome) pairs ordered
-    system-major with control +1 first.  Classical mode: rows are (key,
-    setting pair) with key +1 first, cells are system outcomes.
-    """
-    return _plan(config).table
-
-
 def _sample(config: ExperimentConfig) -> tuple[_Plan, Iterator[np.ndarray]]:
     """The one sampling body shared by every experiment and mode, chunk by chunk.
 
     Builds and checks the run's plan at once, and returns it beside an
-    iterator of each chunk's intp plan codes ``row * cells + cell``, one
-    per shot in shot order; chunk k covers shots ``k * _CHUNK`` up to the
-    next chunk's first shot.  A chunk the consumer drops is freed before
-    the next one is drawn.
+    iterator of each chunk's intp codes, one per shot in shot order: the
+    flat index ``(pair * outcomes + outcome) * 2 + control`` into
+    (setting pairs, outcomes, 2), with control +1 at 0.  A quantum cell
+    is that (outcome, control) pair; a mixture's cell is the outcome, and
+    its key bit, whose +1 preparation is row block 0, is the control.
+    Chunk k covers shots ``k * _CHUNK`` up to the next chunk's first
+    shot.  A chunk the consumer drops is freed before the next is drawn.
     """
     plan = _plan(config)
     cumulative = _cumulative(plan.table)
     keyed = config.mode == "classical_mixture"
     paired = config.experiment == "chsh"
-    cells = plan.table.shape[1]
+    pairs, cells = len(plan.settings), plan.table.shape[1]
     generator = np.random.Philox(key=config.seed)
 
     def drawn(part: slice) -> np.ndarray:
         count = part.stop - part.start
         uniforms = _shot_uniforms(generator, count, keyed + paired + 1)
         # leading uniforms pick the row in the frozen layout: key bit, then pair
-        row = np.zeros(count, dtype=np.int8)
-        if keyed:  # key +1 (row block 0) below 1/2
-            row = (uniforms[0] >= 0.5).astype(np.int8)
+        row = pair = np.zeros(count, dtype=np.int8)
         if paired:
             pair = uniforms[int(keyed)]
             pair *= 4
-            row = row * 4 + np.minimum(pair.astype(np.int8), 3)
-        code = np.multiply(row, cells, dtype=np.intp)
+            row = pair = np.minimum(pair.astype(np.int8), 3)
+        if keyed:  # key +1 (row block 0) below 1/2
+            key = (uniforms[0] >= 0.5).view(np.int8)
+            row = key * pairs + pair
+        code = np.multiply(pair, cells, dtype=np.intp)
         code += _cell_indices(uniforms[-1], cumulative, row)
+        if keyed:
+            code *= 2
+            code += key
         return code
 
     return plan, map(drawn, _chunks(config.shots))
-
-
-def _code_fields(config: ExperimentConfig, plan: _Plan) -> np.ndarray:
-    """(3, rows * cells) int8 settings row, system outcome and control sign of each plan code.
-
-    Quantum cells are system-major with control +1 first; a mixture's
-    rows are key-major, and its key bit, +1 first, is the control.  The
-    settings row is the setting pair in either mode.
-    """
-    rows, cells = plan.table.shape
-    if config.mode == "quantum":
-        row, outcome, down = np.indices((rows, cells // 2, 2), dtype=np.int8).reshape(3, -1)
-    else:
-        down, row, outcome = np.indices((2, rows // 2, cells), dtype=np.int8).reshape(3, -1)
-    return np.stack([row, outcome, 1 - 2 * down])
 
 
 def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStream]:
@@ -394,21 +377,24 @@ def run_experiment(config: ExperimentConfig) -> tuple[SystemStream, ControlStrea
     Each shot's joint (system, control) outcome is drawn from the exact
     joint distribution of the requested experiment; the two halves are
     then written to separate streams that share only the shot index.
-    Identical (config, seed) reproduces identical streams.  The plan codes
-    of :func:`_sample` are gathered into whole-run columns, in either mode.
+    Identical (config, seed) reproduces identical streams.  The codes of
+    :func:`_sample` are gathered into whole-run columns, in either mode.
     """
     plan, chunks = _sample(config)
-    fields = _code_fields(config, plan)
-    # int8 as the fields are: rows, outcomes and signs are small codes
-    rows, outcome, control_outcome = (np.empty(config.shots, dtype=np.int8) for _ in fields)
+    # each code's settings row, system outcome and control sign: small int8 codes
+    shape = (len(plan.settings), len(plan.labels), 2)
+    row, outcome, down = np.indices(shape, dtype=np.int8).reshape(3, -1)
+    fields = (row, outcome, 1 - 2 * down)
+    columns = [np.empty(config.shots, dtype=np.int8) for _ in fields]
     for part, codes in zip(_chunks(config.shots), chunks):
-        for column, field in zip((rows, outcome, control_outcome), fields):
+        for column, field in zip(columns, fields):
             column[part] = field.take(codes)
+    rows, outcomes, signs = columns
     shots = np.arange(config.shots)
     basis_angle = None if config.mode == "classical_mixture" else config.control_basis_angle
     return (
-        SystemStream(shots, outcome, rows, config.experiment, plan.labels, tuple(plan.settings)),
-        ControlStream(shots, control_outcome, basis_angle),
+        SystemStream(shots, outcomes, rows, config.experiment, plan.labels, tuple(plan.settings)),
+        ControlStream(shots, signs, basis_angle),
     )
 
 
@@ -555,12 +541,16 @@ def joint_counts(
     """(plan rows, outcomes, 2) shot counts of each outcome beside control +1 and -1.
 
     A chsh shot's plan row is its setting pair, in ``_CHSH_PAIRS`` order;
-    the other experiments have one plan row.  These are the counts that
-    :func:`run_counts` reads from plan codes.  ``control_outcome`` gives
-    each shot's +1/-1 control outcome in stream order (as
-    ``JoinedStreams.control.outcome``); without it every shot counts as
-    +1.  Counts of disjoint sets add up to their union's.
+    the other experiments have one plan row.  Each shot is counted at the
+    code that :func:`_sample` draws, so these are the counts of
+    :func:`run_counts`.  ``control_outcome`` gives each shot's +1/-1
+    control outcome in stream order (as ``JoinedStreams.control.outcome``);
+    without it every shot counts as +1.  Counts of disjoint sets add up
+    to their union's.  ValueError unless ``labels`` are the experiment's
+    outcomes and, for chsh, every settings template names a setting pair.
     """
+    if tuple(system.labels) != _OUTCOMES.get(system.experiment):
+        raise ValueError(f"unknown outcome labels for {system.experiment}")
     _check_codes(system)
     if control_outcome is not None:
         control_outcome = np.asarray(control_outcome)
@@ -570,6 +560,8 @@ def joint_counts(
             raise ValueError("control outcomes must be +1 or -1")
     rows, outcomes = len(_CHSH_PAIRS) if system.experiment == "chsh" else 1, len(system.labels)
     pairs = [(s.get("setting_a"), s.get("setting_b")) for s in system.settings]
+    if rows > 1 and any(pair not in _CHSH_PAIRS for pair in pairs):
+        raise ValueError(f"unknown setting pair for {system.experiment}")
     plan_rows = [_CHSH_PAIRS.index(pair) if rows > 1 else 0 for pair in pairs]
     # code = (plan row * outcomes + outcome) * 2 + (control is -1), counted as intp
     codes = np.array(plan_rows, dtype=np.intp).take(system.setting_row)
@@ -597,18 +589,14 @@ def run_counts(
     """The run's (plan rows, outcomes, 2) counts, as :func:`joint_counts` lays them out.
 
     ``sample`` is ``_sample(config)``, drawn here when None.  Its chunks'
-    summed plan-code counts, viewed as (settings row, outcome, control),
-    are :func:`joint_counts` of the run's joined streams, exactly; no
-    stream is built, and no chunk outlives the next draw.
+    summed code counts, viewed as (settings row, outcome, control), are
+    :func:`joint_counts` of the run's joined streams, exactly, in either
+    mode; no stream is built, and no chunk outlives the next draw.
     """
     plan, chunks = _sample(config) if sample is None else sample
-    rows, cells = plan.table.shape
     # map, unlike a generator expression, holds no chunk while it draws the next
-    counts = sum(map(functools.partial(np.bincount, minlength=rows * cells), chunks))
-    if config.mode == "quantum":  # cells: system-major, control +1 first
-        return counts.reshape(rows, cells // 2, 2)
-    # rows: key-major, and the key bit is the control
-    return counts.reshape(2, rows // 2, cells).transpose(1, 2, 0)
+    counts = sum(map(functools.partial(np.bincount, minlength=plan.table.size), chunks))
+    return counts.reshape(len(plan.settings), len(plan.labels), 2)
 
 
 def _checked_counts(counts: np.ndarray, name: str, *shapes: tuple[int, ...]) -> np.ndarray:
@@ -843,17 +831,18 @@ def _write_csv_chunks(
 ) -> None:
     """Write the system stream, then the control stream, of ``sample``, ``_sample(config)``.
 
-    Both streams render each chunk's plan codes through one tail per
-    code: the system tail of the code's (settings row, outcome), and the
-    control tail of its sign, at the index width of the run's last shot.
+    Both streams render each chunk's codes through one tail per code: the
+    system tail of its (settings row, outcome), ``code // 2``, and the
+    control tail of its sign, ``code % 2``, at the index width of the
+    run's last shot.
     """
     plan, chunks = sample
-    rows, outcomes, signs = _code_fields(config, plan).tolist()
+    every = range(plan.table.size)
     columns, tails = _system_layout(config.experiment, plan.labels, plan.settings)
-    system = columns, [tails[r * len(plan.labels) + o] for r, o in zip(rows, outcomes)]
+    system = columns, [tails[code // 2] for code in every]
     keyed = config.mode == "classical_mixture"
     columns, tails = _control_layout(None if keyed else config.control_basis_angle)
-    control = columns, [tails[sign == -1] for sign in signs]
+    control = columns, [tails[code % 2] for code in every]
     write_block = _csv_writer(writes, [system, control], config, len(str(config.shots - 1)))
     start = 0
     for codes in chunks:

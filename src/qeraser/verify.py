@@ -553,7 +553,7 @@ def _check_no_signaling_analytic() -> None:
                 settings=ChshSettings(0.1, 0.9, 0.4, 1.8),
                 control_basis_angle=control_angle,
             )
-            dists = sampler.sampling_table(config)
+            dists = sampler._plan(config).table
             # sum over the control outcome: even/odd cells pair up
             marginal = dists[..., 0::2] + dists[..., 1::2]
             distributions.append(marginal)

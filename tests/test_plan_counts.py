@@ -1,14 +1,16 @@
 """Every sampled statistic is a projection of one plan-count matrix.
 
-``run_counts`` counts each chunk's drawn plan codes, ``row * cells +
-cell``, and views the sum as a joint (settings row, outcome, control)
-count: quantum cells hold (outcome, control) pairs, and a classical
-mixture's key bit, the leading part of its row, is the control.  The same
+The sampler codes each shot, in either mode, as its flat index into
+(setting pairs, outcomes, 2): ``(pair * outcomes + outcome) * 2 +
+control``, with control +1 at 0; a classical mixture's key bit is its
+control.  ``run_counts`` counts each chunk's drawn codes and views the
+sum as that joint (settings row, outcome, control) count.  The same
 counts follow from the whole-run streams, joined by shot index and
-counted shot by shot by ``joint_counts``.  The property below holds the
-two routes equal over every (experiment, mode) pair, at shot counts on
-both sides of the sampler's chunk seams and at the erasing and another
-control readout.
+counted shot by shot by ``joint_counts``.  The properties below hold
+each drawn code equal to its shot's index in the streams, and the two
+count routes equal, over every (experiment, mode) pair, at shot counts
+on both sides of the sampler's chunk seams and at the erasing and
+another control readout.
 """
 
 import numpy as np
@@ -46,26 +48,11 @@ def record_counts(config: ExperimentConfig) -> np.ndarray:
     return joint_counts(joined.system, joined.control.outcome)
 
 
-@given(
-    st.sampled_from(sorted(FIELDS)),
-    st.sampled_from(["quantum", "classical_mixture"]),
-    st.booleans(),
-    st.integers(0, 2**64 - 1),
-    SHOTS,
-)
-@example("hom", "quantum", False, 0, CHUNK + 1)
-@example("hom", "classical_mixture", True, 2**64 - 1, 2 * CHUNK - 1)
-@example("chsh", "quantum", True, 2**64 - 1, 3 * CHUNK + 3)
-@example("chsh", "classical_mixture", True, 0, 2 * CHUNK + 2)
-@example("metrology", "quantum", False, 2**64 - 1, CHUNK)
-@example("metrology", "classical_mixture", True, 0, 3 * CHUNK - 3)
-def test_summed_plan_counts_are_the_joined_streams_counts(
-    experiment, mode, erasing, seed, shots
-):
+def run_config(experiment, mode, erasing, seed, shots) -> ExperimentConfig:
     # a classical mixture mixes the branches of the erasing readout
     erasing = erasing or mode == "classical_mixture"
     angle = _ERASING_ANGLE[experiment] if erasing else OFF_ERASING[experiment]
-    config = ExperimentConfig(
+    return ExperimentConfig(
         experiment=experiment,
         shots=shots,
         seed=seed,
@@ -73,6 +60,47 @@ def test_summed_plan_counts_are_the_joined_streams_counts(
         control_basis_angle=angle,
         **FIELDS[experiment],
     )
+
+
+def every_pair(test):
+    """``test`` over every (experiment, mode) pair, seed and chunk seam."""
+    test = given(
+        st.sampled_from(sorted(FIELDS)),
+        st.sampled_from(["quantum", "classical_mixture"]),
+        st.booleans(),
+        st.integers(0, 2**64 - 1),
+        SHOTS,
+    )(test)
+    for case in [
+        ("hom", "quantum", False, 0, CHUNK + 1),
+        ("hom", "classical_mixture", True, 2**64 - 1, 2 * CHUNK - 1),
+        ("chsh", "quantum", True, 2**64 - 1, 3 * CHUNK + 3),
+        ("chsh", "classical_mixture", True, 0, 2 * CHUNK + 2),
+        ("metrology", "quantum", False, 2**64 - 1, CHUNK),
+        ("metrology", "classical_mixture", True, 0, 3 * CHUNK - 3),
+    ]:
+        test = example(*case)(test)
+    return test
+
+
+@every_pair
+def test_each_drawn_code_is_its_shots_index_in_the_streams(
+    experiment, mode, erasing, seed, shots
+):
+    config = run_config(experiment, mode, erasing, seed, shots)
+    _, chunks = sampler._sample(config)
+    codes = np.concatenate(list(chunks))
+    system, control = run_experiment(config)
+    shape = (len(system.settings), len(system.labels), 2)
+    fields = (system.setting_row, system.outcome, control.outcome == -1)
+    np.testing.assert_array_equal(codes, np.ravel_multi_index(fields, shape))
+
+
+@every_pair
+def test_summed_plan_counts_are_the_joined_streams_counts(
+    experiment, mode, erasing, seed, shots
+):
+    config = run_config(experiment, mode, erasing, seed, shots)
     counts = run_counts(config)
     expected = record_counts(config)
     assert counts.shape == expected.shape

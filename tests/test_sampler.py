@@ -46,7 +46,6 @@ from qeraser.sampler import (
     metadata_header,
     run_counts,
     run_experiment,
-    sampling_table,
     write_stream_csv,
 )
 
@@ -813,7 +812,7 @@ class TestMixturePlan:
     @settings(deadline=None)
     def test_rows_are_the_closed_form_conditionals(self, phi, statistics, angles, n, theta):
         mixture = dict(mode="classical_mixture", phi=phi)
-        hom = sampling_table(hom_config(statistics=statistics, **mixture))
+        hom = sampler._plan(hom_config(statistics=statistics, **mixture)).table
         for key_row, key in enumerate((+1, -1)):
             if statistics == "distinguishable":
                 column = oracles.hom_distinguishable_column()
@@ -823,7 +822,7 @@ class TestMixturePlan:
             np.testing.assert_allclose(hom[key_row], 2.0 * column, rtol=0, atol=1e-12)
 
         config = chsh_config(settings=ChshSettings(*angles), **mixture)
-        chsh = sampling_table(config)
+        chsh = sampler._plan(config).table
         for key_row, key in enumerate((+1, -1)):
             for pair, (i, j) in enumerate(itertools.product((0, 1), (0, 1))):
                 theta_a, theta_b = config.settings.pair(i, j)
@@ -835,7 +834,7 @@ class TestMixturePlan:
                 ]
                 np.testing.assert_allclose(chsh[4 * key_row + pair], expected, rtol=0, atol=1e-12)
 
-        metrology = sampling_table(metrology_config(n=n, theta=theta, **mixture))
+        metrology = sampler._plan(metrology_config(n=n, theta=theta, **mixture)).table
         for key_row, key in enumerate((+1, -1)):
             fringe = oracles.parity_fringe(n, theta, phi, key)
             expected = [0.5 * (1.0 + parity * fringe) for parity in (+1, -1)]
@@ -844,8 +843,8 @@ class TestMixturePlan:
     @given(phi=st.floats(-50.0, 50.0), statistics=STATISTICS)
     def test_hom_rows_double_the_quantum_cells_bit_for_bit(self, phi, statistics):
         fields = dict(phi=phi, statistics=statistics)
-        quantum = sampling_table(hom_config(**fields))[0]
-        mixture = sampling_table(hom_config(mode="classical_mixture", **fields))
+        quantum = sampler._plan(hom_config(**fields)).table[0]
+        mixture = sampler._plan(hom_config(mode="classical_mixture", **fields)).table
         assert mixture.tolist() == [(2.0 * quantum[0::2]).tolist(), (2.0 * quantum[1::2]).tolist()]
 
 

@@ -5,8 +5,10 @@ the run's ``labels`` and a setting row indexes its ``settings``.  Every
 consumer of a malformed stream (``joint_counts`` and
 ``write_stream_csv``) raises ``ValueError``: never ``IndexError`` or
 ``TypeError``, and never a result built from a value the run cannot
-hold.  The estimators read count arrays, and each refuses the counts of
-an experiment it does not read by their shape.
+hold.  ``joint_counts`` also reads what the labels and templates mean:
+it needs the experiment's own outcomes, in order, and for chsh a setting
+pair in every template.  The estimators read count arrays, and each
+refuses the counts of an experiment it does not read by their shape.
 """
 
 import io
@@ -83,6 +85,40 @@ def test_a_code_outside_the_run_is_rejected(consumer, experiment, bad):
     name = "outcome code" if column == "outcome" else "setting row"
     with pytest.raises(ValueError, match=f"unknown {name} for {experiment}"):
         call(replace(records, **{column: values}), config)
+
+
+# labels a stream of the experiment does not have: another experiment's, or its own reordered
+def foreign_labels():
+    for experiment in sorted(CONFIGS):
+        for other in sorted(CONFIGS):
+            if other != experiment:
+                yield pytest.param(experiment, other, id=f"{experiment}-{other} labels")
+        yield pytest.param(experiment, None, id=f"{experiment}-reversed labels")
+
+
+@pytest.mark.parametrize("experiment, other", foreign_labels())
+def test_joint_counts_refuses_labels_that_are_not_the_experiments_outcomes(experiment, other):
+    records, _ = run_experiment(CONFIGS[experiment])
+    joint_counts(records)
+    if other is None:
+        labels = records.labels[::-1]
+    else:
+        labels = run_experiment(replace(CONFIGS[other], shots=1))[0].labels
+    with pytest.raises(ValueError, match=f"unknown outcome labels for {experiment}"):
+        joint_counts(replace(records, labels=labels))
+
+
+@pytest.mark.parametrize(
+    "template",
+    [{"phi": 0.0}, {"setting_a": 1, "phi": 0.0}, {"setting_a": 0, "setting_b": 2, "phi": 0.0}],
+    ids=["no pair", "setting_a only", "setting_b 2"],
+)
+def test_joint_counts_refuses_a_chsh_template_without_a_setting_pair(template):
+    records, _ = run_experiment(CONFIGS["chsh"])
+    joint_counts(records)
+    settings = records.settings[:-1] + (template,)
+    with pytest.raises(ValueError, match="unknown setting pair for chsh"):
+        joint_counts(replace(records, settings=settings))
 
 
 # estimator -> (the experiment it reads, call on a run's (plan rows, outcomes, 2) counts)
